@@ -9,7 +9,6 @@ all candidates, so screening costs a single Hamiltonian application.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +16,14 @@ import numpy as np
 from .optimizer import minimize
 from .pauli import QubitOperator
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts
-from .statevector import (Ansatz, Statevector, _operator_matvec, _pair_bracket,
+from .statevector import (Ansatz, Basis, ProjectedOperator, Statevector, _pair_bracket,
                           apply_ansatz, energy_and_gradient)
 
 __all__ = [
     "AdaptRecord",
     "AdaptTrace",
     "screen_energy_gradients",
+    "sector_hamiltonian",
     "run_adapt",
     "save_ansatz",
     "load_ansatz",
@@ -32,20 +32,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 TRACE_COLUMNS = "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
-
-
-def _pmap(fn, items, threads):
-    if threads and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def prepare_hamiltonian(hamiltonian, sparse_qubit_limit=14):
-    """Pick the evaluation form: CSR matrix for small N, term-wise otherwise."""
-    if isinstance(hamiltonian, QubitOperator) and hamiltonian.n_qubits <= sparse_qubit_limit:
-        return hamiltonian.to_sparse_matrix()
-    return hamiltonian
 
 
 @dataclass
@@ -84,28 +70,36 @@ class AdaptTrace:
         return self.records[-1].energy if self.records else np.nan
 
 
-def screen_energy_gradients(state: Statevector, hamiltonian, pool, threads=1):
+def screen_energy_gradients(state: Statevector, hamiltonian, pool):
     """d/dtheta <psi|U^ H U|psi> at theta=0 for every pool operator.
 
     Equals <psi|[H, T]|psi> = 2 Re <H psi|T psi> for the anti-hermitian
-    generator T; the single H|psi> is shared across all candidates.
+    generator T; the single H|psi> is shared across all candidates. The
+    Hamiltonian is taken in the state's basis.
     """
-    h_psi = _operator_matvec(hamiltonian, state.amplitudes, state.n_qubits)
+    basis = state.basis
+    h_psi = basis.project(hamiltonian).matrix @ state.amplitudes
+    return np.array([2.0 * _pair_bracket(h_psi, state.amplitudes,
+                                         basis.pairs(op.excitation)).real
+                     for op in pool])
 
-    def one(op):
-        return 2.0 * _pair_bracket(h_psi, state.amplitudes,
-                                   op.excitation, state.n_qubits).real
 
-    return np.array(_pmap(one, pool, threads))
+def sector_hamiltonian(hamiltonian, n_qubits, n_electrons) -> ProjectedOperator:
+    """The Hamiltonian in the Hartree-Fock sector, where the adaptive loops
+    run; an operator already projected is used as it is."""
+    if isinstance(hamiltonian, ProjectedOperator):
+        return hamiltonian
+    return Basis.sector(n_qubits, n_electrons).project(hamiltonian)
 
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
               eps=1e-3, max_ops=None, gtol=1e-8, max_opt_iter=500,
-              n_electrons=None, e_ref=None, threads=1, restarts=0, seed=None):
+              n_electrons=None, e_ref=None, restarts=0, seed=None):
     """Grow and optimize an ansatz until the gradient or budget stop fires.
 
     Args:
-        hamiltonian: QubitOperator (or prebuilt sparse matrix).
+        hamiltonian: QubitOperator, its 2^N matrix, or an operator already
+            projected onto the Hartree-Fock sector (`sector_hamiltonian`).
         pool: operators from `build_pool`.
         init: starting ansatz; None starts from Hartree-Fock (requires
             n_electrons).
@@ -119,17 +113,18 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
     if init is None:
         if n_electrons is None:
             raise ValueError("need init or n_electrons")
-        n_qubits = hamiltonian.n_qubits if isinstance(hamiltonian, QubitOperator) \
+        n_qubits = hamiltonian.n_qubits \
+            if isinstance(hamiltonian, (QubitOperator, ProjectedOperator)) \
             else int(np.log2(hamiltonian.shape[0]))
         init = Ansatz(n_qubits, n_electrons)
     ansatz = init.copy()
-    h_eval = prepare_hamiltonian(hamiltonian)
+    h_eval = sector_hamiltonian(hamiltonian, ansatz.n_qubits, ansatz.n_electrons)
     trace = AdaptTrace()
     err_ref = e_ref if e_ref is not None else np.nan
     iteration = len(ansatz)
     while True:
-        psi = apply_ansatz(ansatz)
-        grads = screen_energy_gradients(psi, h_eval, pool, threads)
+        psi = apply_ansatz(ansatz, basis=h_eval.basis)
+        grads = screen_energy_gradients(psi, h_eval, pool)
         best = int(np.argmax(np.abs(grads)))  # first max wins ties: lowest id
         gmax = float(abs(grads[best]))
         if gmax < eps:

@@ -2,25 +2,22 @@
 
 Subcommands: run, fci, run-cipsi, dump-pool, dump-hamiltonian, verify.
 `run` accepts a plain key=value config file; command-line flags win over
-config values. The env var OADA_THREADS mirrors --threads.
+config values.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
-import numpy as np
-
 from . import ci
-from .adapt import load_ansatz, run_adapt, save_ansatz
+from .adapt import load_ansatz, run_adapt, save_ansatz, sector_hamiltonian
 from .fcidump import FcidumpError, read_fcidump, reference_energies, to_spin_orbital
 from .overlap_adapt import pipeline
 from .pauli import format_operator, jw_hamiltonian
 from .pool import ansatz_resource_counts, build_pool, format_pool
-from .statevector import apply_ansatz, format_state
+from .statevector import apply_ansatz, energy_and_gradient, format_state
 from .verify import run_verification
 
 METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
@@ -37,13 +34,6 @@ set ylabel 'energy error vs FCI (Ha)'
 set object 1 rect from graph 0, first 1e-10 to graph 1, first 1e-3 fc rgb '#ffccdd' fs solid 0.3 noborder
 plot '{trace}' every ::1 using 7:6 with linespoints title '{title}'
 """
-
-
-def _default_threads():
-    env = os.environ.get("OADA_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _read_config(path):
@@ -162,8 +152,7 @@ def cmd_run(args):
 
     budget = args.p_total if args.p_total is not None else args.max_ops
     eps = args.eps if args.eps is not None else (1e-8 if budget is not None else 1e-3)
-    common = dict(gtol=args.gtol, threads=args.threads,
-                  restarts=args.restarts, seed=args.seed)
+    common = dict(gtol=args.gtol, restarts=args.restarts, seed=args.seed)
 
     if args.method == "adapt":
         ansatz, trace = run_adapt(ham, pool, n_electrons=mol.n_electrons,
@@ -208,8 +197,12 @@ def cmd_run(args):
     if args.gnuplot:
         _write(args.gnuplot, GNUPLOT_TEMPLATE.format(trace=args.out_trace,
                                                      title=args.method))
-    final_energy = trace.final_energy if trace.records else \
-        float(np.real(np.nan if e_ref is None else e_ref))
+    if trace.records:
+        final_energy = trace.final_energy
+    else:
+        # No operator was added in the last stage: report the ansatz as it stands.
+        final_energy, _ = energy_and_gradient(
+            ansatz, sector_hamiltonian(ham, n, mol.n_electrons))
     print(_summary_line(args.method, final_energy, e_ref, ansatz.excitations))
     return 0
 
@@ -280,7 +273,6 @@ def build_parser():
                      help="stored determinant expansion to use as the overlap target")
     run.add_argument("--seed", type=int)
     run.add_argument("--restarts", type=int, default=0)
-    run.add_argument("--threads", type=int, default=None)
     run.add_argument("--no-reference", action="store_true",
                      help="skip the FCI reference for the error column")
     run.add_argument("--out-trace", default="trace.csv")
@@ -330,8 +322,6 @@ def main(argv=None):
                 raise FcidumpError("run needs --fcidump (flag or config)")
             if args.method is None:
                 raise FcidumpError("run needs --method (flag or config)")
-            if args.threads is None:
-                args.threads = _default_threads()
             for name in ("max_ops", "p_overlap", "p_total"):
                 value = getattr(args, name)
                 if value is not None and value <= 0:

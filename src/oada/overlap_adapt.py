@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ci
-from .adapt import AdaptTrace, _pmap, prepare_hamiltonian, run_adapt
+from .adapt import AdaptTrace, run_adapt, sector_hamiltonian
 from .optimizer import minimize
-from .statevector import (Ansatz, Statevector, _pair_bracket, apply_ansatz,
+from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
                           apply_excitation, energy_and_gradient, overlap,
-                          overlap_and_gradient, prepare_hf)
+                          overlap_and_gradient)
 
 __all__ = [
     "OverlapRecord",
@@ -74,15 +74,14 @@ class OverlapTrace:
         return self.records[-1].infidelity if self.records else np.nan
 
 
-def screen_overlap_gradients(reference: Statevector, state: Statevector,
-                             pool, threads=1):
-    """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per operator."""
-
-    def one(op):
-        return abs(_pair_bracket(reference.amplitudes, state.amplitudes,
-                                 op.excitation, state.n_qubits))
-
-    return np.array(_pmap(one, pool, threads))
+def screen_overlap_gradients(reference: Statevector, state: Statevector, pool):
+    """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per operator,
+    evaluated in the state's basis."""
+    basis = state.basis
+    reference = basis.extract(reference)
+    return np.array([abs(_pair_bracket(reference.amplitudes, state.amplitudes,
+                                       basis.pairs(op.excitation)))
+                     for op in pool])
 
 
 def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
@@ -97,12 +96,13 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
         ValueError: when |<ref|psi>| vanishes and the formula is singular;
             use the direct inner product instead.
     """
+    reference = state.basis.extract(reference)
     c0 = overlap(reference, state)
     if abs(c0) <= 1e-12:
         raise ValueError("current overlap is zero; the four-angle formula is "
                          "singular there, use screen_overlap_gradients instead")
     direct = _pair_bracket(reference.amplitudes, state.amplitudes,
-                           excitation, state.n_qubits)
+                           state.basis.pairs(excitation))
     if abs(direct.imag) > 1e-8 * max(1.0, abs(direct)):
         warnings.warn("four-angle formula assumes a real overlap gradient; "
                       f"found imaginary part {direct.imag:.3e}", stacklevel=2)
@@ -118,13 +118,15 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
 def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, *,
                       gtol_overlap=DEFAULT_GTOL_OVERLAP, gtol=1e-8,
                       max_opt_iter=500, n_electrons=None, hamiltonian=None,
-                      threads=1, restarts=0, seed=None):
+                      restarts=0, seed=None):
     """Grow an ansatz to maximize |<ref|psi>|^2, up to p_max operators.
 
     The objective minimized at each step is the infidelity
     1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum. When
     `hamiltonian` is given, each record also carries the energy of the
     optimized iterate (purely diagnostic; it never influences selection).
+    The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
+    it is already projected; the reference is extracted into it once.
 
     Returns:
         (optimized Ansatz, OverlapTrace)
@@ -134,12 +136,17 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
             raise ValueError("need init or n_electrons")
         init = Ansatz(reference.n_qubits, n_electrons)
     ansatz = init.copy()
-    h_eval = prepare_hamiltonian(hamiltonian) if hamiltonian is not None else None
+    if hamiltonian is not None:
+        h_eval = sector_hamiltonian(hamiltonian, ansatz.n_qubits, ansatz.n_electrons)
+        basis = h_eval.basis
+    else:
+        h_eval, basis = None, Basis.sector(ansatz.n_qubits, ansatz.n_electrons)
+    target = basis.extract(reference)
     trace = OverlapTrace()
     iteration = len(ansatz)
     while True:
-        psi = apply_ansatz(ansatz)
-        grads = screen_overlap_gradients(reference, psi, pool, threads)
+        psi = apply_ansatz(ansatz, basis=basis)
+        grads = screen_overlap_gradients(target, psi, pool)
         best = int(np.argmax(grads))  # ties resolve to the lowest id
         gmax = float(grads[best])
         if gmax < gtol_overlap:
@@ -152,7 +159,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
         ansatz.append(pool[best].excitation, 0.0)
 
         def objective(theta):
-            value, grad = overlap_and_gradient(ansatz, reference, theta)
+            value, grad = overlap_and_gradient(ansatz, target, theta)
             return 1.0 - value, -grad
 
         result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
@@ -223,10 +230,13 @@ def build_target(mol, ref_source, *, n_qubits, cipsi_max_dets=None,
 def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
              cipsi_max_dets=None, cipsi_target_e2=None, target_ansatz=None,
              target_wavefunction=None, sector=None, eps=1e-8, gtol=1e-8,
-             gtol_overlap=DEFAULT_GTOL_OVERLAP, e_ref=None, threads=1,
+             gtol_overlap=DEFAULT_GTOL_OVERLAP, e_ref=None,
              restarts=0, seed=None) -> PipelineResult:
     """Two-stage run: overlap-guided growth to p_overlap, then energy
     minimization to p_total.
+
+    The Hamiltonian is projected onto the Hartree-Fock sector once and
+    both stages use it.
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
@@ -236,11 +246,12 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
         mol, ref_source, n_qubits=n_qubits, cipsi_max_dets=cipsi_max_dets,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
         target_wavefunction=target_wavefunction, sector=sector)
+    h_sector = sector_hamiltonian(hamiltonian, n_qubits, mol.n_electrons)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
         target, pool, p_overlap, n_electrons=mol.n_electrons,
-        gtol_overlap=gtol_overlap, gtol=gtol, hamiltonian=hamiltonian,
-        threads=threads, restarts=restarts, seed=seed)
+        gtol_overlap=gtol_overlap, gtol=gtol, hamiltonian=h_sector,
+        restarts=restarts, seed=seed)
     ansatz, adapt_trace = run_adapt(
-        hamiltonian, pool, init=overlap_ansatz, eps=eps, max_ops=p_total,
-        gtol=gtol, e_ref=e_ref, threads=threads, restarts=restarts, seed=seed)
+        h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total,
+        gtol=gtol, e_ref=e_ref, restarts=restarts, seed=seed)
     return PipelineResult(ansatz, adapt_trace, overlap_trace, target, target_energy)

@@ -62,9 +62,10 @@ def test_criterion_2_algebraic_invariants(h2, h4):
             dev = max(dev, np.max(np.abs(a[p] @ a[q] + a[q] @ a[p])))
     assert dev < 1e-14
 
-    # generator cube (as B^3 = B for hermitian B = iT; T itself is
-    # anti-hermitian so T^3 = -T, see the decisions ledger) and the
-    # exponential identity, 20 random angles each, tol 1e-12
+    # generator cube and the exponential identity, 20 random angles each,
+    # tol 1e-12. T is anti-hermitian, so the cube reads T^3 = -T; that is
+    # the same identity as B^3 = B for the hermitian B = iT, because
+    # B^3 = i^3 T^3 = -i T^3 equals B = iT exactly when T^3 = -T.
     rng = np.random.default_rng(5)
     worst = 0.0
     for problem in (h2, h4):

@@ -59,6 +59,18 @@ def test_run_adapt_summary_and_trace(h2_path, tmp_path):
     assert "logscale" in (tmp_path / "plot.gp").read_text()
 
 
+def test_run_adapt_empty_trace_reports_hf_energy(h2_path, tmp_path):
+    # the gradient stop fires before any operator is added: the summary
+    # reports the Hartree-Fock state, not the reference energy
+    result = run_cli(["run", "--method", "adapt", "--fcidump", h2_path,
+                      "--eps", "10"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    fields = dict(kv.split("=") for kv in result.stdout.strip().splitlines()[-1].split())
+    refs = oada.reference_energies(h2_path)
+    assert int(fields["params"]) == 0
+    assert abs(float(fields["error_vs_fci"]) - (refs["REF_HF"] - refs["REF_FCI"])) < 1e-7
+
+
 def test_run_deterministic_traces(h4_path, tmp_path):
     args = ["run", "--method", "adapt", "--fcidump", h4_path,
             "--max-ops", "5", "--out-trace", "t{}.csv"]

@@ -74,7 +74,7 @@ def test_four_angle_complex_phase_warns():
     ref = Statevector(4, ref.amplitudes * phases)
     exc = pool[2].excitation
     from oada.statevector import _pair_bracket
-    direct = _pair_bracket(ref.amplitudes, state.amplitudes, exc, 4)
+    direct = _pair_bracket(ref.amplitudes, state.amplitudes, state.basis.pairs(exc))
     assert abs(direct.imag) > 1e-6  # seed chosen so the assumption is violated
     with pytest.warns(UserWarning, match="real overlap gradient"):
         value = four_angle_gradient(ref, state, exc)

@@ -152,8 +152,8 @@ def test_generators_match_qubit_operator_products():
 
 
 def test_generator_cube_and_unitarity():
-    # T is anti-hermitian with T^3 = -T, equivalently B = iT satisfies B^3 = B
-    # (see the decisions ledger on the sign of the stated identity).
+    # T is anti-hermitian with T^3 = -T, equivalently B = iT satisfies B^3 = B:
+    # B^3 = i^3 T^3 = -i T^3, which equals B = iT exactly when T^3 = -T.
     for t_op in (single_excitation_generator(3, 0, 4),
                  double_excitation_generator(2, 3, 0, 1, 4)):
         t = t_op.to_dense_matrix()
