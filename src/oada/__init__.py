@@ -9,8 +9,10 @@ overlap-guided loop (`run_overlap_adapt`), or a two-stage `pipeline`.
 
 from .adapt import AdaptTrace, load_ansatz, run_adapt, save_ansatz, screen_energy_gradients
 from .ci import (CipsiState, Determinant, DeterminantWavefunction,
-                 export_statevector, fci_ground_state, run_cipsi, slater_condon)
-from .fcidump import (FcidumpData, MolecularHamiltonian, dump_fcidump,
+                 export_statevector, fci_ground_state, run_cipsi, sector_ground_state,
+                 slater_condon)
+from .errors import ConvergenceError, DimensionCapError, ObjectiveError
+from .fcidump import (FcidumpData, FcidumpError, MolecularHamiltonian, dump_fcidump,
                       parse_fcidump, read_fcidump, reference_energies,
                       to_spin_orbital)
 from .fixtures import available_fixtures, fixture_path

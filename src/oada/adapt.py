@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fcidump import FcidumpError
 from .optimizer import minimize
 from .pauli import QubitOperator
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts
@@ -175,19 +176,32 @@ def save_ansatz(ansatz: Ansatz, path):
 
 
 def load_ansatz(path) -> Ansatz:
+    """Read the text form of `save_ansatz`.
+
+    Raises:
+        FcidumpError: on a malformed header or excitation line.
+    """
     with open(path) as fh:
-        header = dict(part.split("=") for part in fh.readline().split())
-        ansatz = Ansatz(int(header["n_qubits"]), int(header["n_electrons"]))
-        for line in fh:
+        try:
+            header = dict(part.split("=") for part in fh.readline().split())
+            ansatz = Ansatz(int(header["n_qubits"]), int(header["n_electrons"]))
+        except (KeyError, ValueError):
+            raise FcidumpError(f"{path}: header must read "
+                               "'n_qubits=<int> n_electrons=<int>'") from None
+        for number, line in enumerate(fh, start=2):
             tokens = line.split()
             if not tokens:
                 continue
-            if tokens[0] == "single":
-                ansatz.append(SingleExcitation(int(tokens[1]), int(tokens[2])),
-                              float(tokens[3]))
-            elif tokens[0] == "double":
-                ansatz.append(DoubleExcitation(*(int(t) for t in tokens[1:5])),
-                              float(tokens[5]))
-            else:
-                raise ValueError(f"unknown excitation kind {tokens[0]!r}")
+            try:
+                if tokens[0] == "single" and len(tokens) == 4:
+                    ansatz.append(SingleExcitation(int(tokens[1]), int(tokens[2])),
+                                  float(tokens[3]))
+                elif tokens[0] == "double" and len(tokens) == 6:
+                    ansatz.append(DoubleExcitation(*(int(t) for t in tokens[1:5])),
+                                  float(tokens[5]))
+                else:
+                    raise ValueError
+            except ValueError:
+                raise FcidumpError(f"{path}:{number}: expected 'single p q theta' or "
+                                   "'double p q r s theta'") from None
     return ansatz

@@ -2,6 +2,10 @@
 sector FCI (dense or Davidson), and the CIPSI selected-CI loop with
 Epstein-Nesbet second-order selection.
 
+`sector_ground_state` solves the same problem from a Hamiltonian already
+projected onto a simulation basis (`statevector.Basis.project`), so the
+ansatz loops get their exact target without the Slater-Condon build.
+
 Determinants are (alpha_mask, beta_mask) bitmask pairs over spatial
 orbitals; under the interleaved spin-orbital convention they map to the
 single N-bit mask 2*i (alpha) / 2*i+1 (beta), which is also the
@@ -21,7 +25,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .statevector import Statevector
+from .errors import ConvergenceError, DimensionCapError
+from .fcidump import FcidumpError
+from .statevector import ProjectedOperator, Statevector
 
 __all__ = [
     "Determinant",
@@ -31,6 +37,7 @@ __all__ = [
     "enumerate_sector",
     "slater_condon",
     "fci_ground_state",
+    "sector_ground_state",
     "cipsi_initial_state",
     "cipsi_iterate",
     "run_cipsi",
@@ -250,7 +257,7 @@ def fci_ground_state(mol, sector=None,
     n_alpha, n_beta = sector
     dim = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
     if dim > dimension_cap:
-        raise ValueError(f"sector dimension {dim} exceeds cap {dimension_cap}")
+        raise DimensionCapError(f"sector dimension {dim} exceeds cap {dimension_cap}")
     dets = enumerate_sector(norb, n_alpha, n_beta)
     if dim <= dense_cutoff:
         h, _ = _sector_matrix(mol, dets, dense=True)
@@ -259,12 +266,38 @@ def fci_ground_state(mol, sector=None,
     else:
         h, diag = _sector_matrix(mol, dets, dense=False)
         energy, vec = _davidson(h, diag, tol=tol)
-    # Deterministic global sign: largest-magnitude coefficient positive.
-    k = int(np.argmax(np.abs(vec)))
-    if vec[k] < 0:
-        vec = -vec
+    vec = _fix_sign(vec)
     coeffs = {d: float(c) for d, c in zip(dets, vec) if abs(c) > 1e-14}
     return energy, DeterminantWavefunction(norb, coeffs, energy)
+
+
+def sector_ground_state(h_sector: ProjectedOperator):
+    """Lowest eigenpair of a Hamiltonian projected onto a basis.
+
+    Davidson on the projected real matrix to residual 1e-9, started from
+    the basis state with the lowest diagonal entry (the Hartree-Fock
+    determinant on every bundled fixture), with the sign rule of
+    `fci_ground_state`. On the Hartree-Fock sector this is that
+    function's eigenpair in simulation coordinates, so the ansatz loops
+    use the returned state as it is.
+
+    Returns:
+        (energy, normalized float64 Statevector in h_sector.basis)
+
+    Raises:
+        ConvergenceError: when Davidson does not reach that residual.
+    """
+    matrix = h_sector.matrix
+    if np.iscomplexobj(matrix):
+        raise ValueError("sector_ground_state needs a real projected Hamiltonian")
+    energy, vec = _davidson(matrix, matrix.diagonal())
+    vec = _fix_sign(vec / np.linalg.norm(vec))
+    return energy, Statevector(h_sector.n_qubits, vec, h_sector.basis)
+
+
+def _fix_sign(vec):
+    """Deterministic global sign: largest-magnitude coefficient positive."""
+    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
 
 
 def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
@@ -299,7 +332,7 @@ def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
         if cnorm < 1e-14:
             return theta, x
         basis.append(correction / cnorm)
-    raise RuntimeError(f"Davidson did not reach residual {tol} in {max_iter} iterations")
+    raise ConvergenceError(f"Davidson did not reach residual {tol} in {max_iter} iterations")
 
 
 @dataclass
@@ -334,11 +367,7 @@ def cipsi_initial_state(mol, sector=None) -> CipsiState:
 def _rediagonalize(mol, dets):
     h, _ = _sector_matrix(mol, dets, dense=True)
     w, v = np.linalg.eigh(h)
-    vec = v[:, 0]
-    k = int(np.argmax(np.abs(vec)))
-    if vec[k] < 0:
-        vec = -vec
-    return float(w[0]), vec
+    return float(w[0]), _fix_sign(v[:, 0])
 
 
 def cipsi_iterate(state: CipsiState, mol, max_total=None) -> CipsiState:
@@ -439,13 +468,30 @@ def write_wavefunction(wavefunction: DeterminantWavefunction, path):
 
 
 def read_wavefunction(path) -> DeterminantWavefunction:
+    """Read the text format of `write_wavefunction`.
+
+    Raises:
+        FcidumpError: on a malformed line, or a determinant that does not
+            fit the header's norb or holds other than its nelec electrons.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        norb = int(header[0].split("=")[1])
+        try:
+            header = dict(part.split("=") for part in fh.readline().split())
+            norb, nelec = int(header["norb"]), int(header["nelec"])
+        except (KeyError, ValueError):
+            raise FcidumpError(f"{path}: header must read 'norb=<int> nelec=<int>'") from None
         coeffs = {}
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            c, a, b = line.split()
-            coeffs[Determinant(int(a, 16), int(b, 16))] = float(c)
+            try:
+                c, a, b = line.split()
+                det = Determinant(int(a, 16), int(b, 16))
+                coeffs[det] = float(c)
+            except ValueError:
+                raise FcidumpError(f"{path}:{number}: expected 'coeff alpha_hex beta_hex'") \
+                    from None
+            if (det.alpha | det.beta) >> norb or det.n_electrons() != nelec:
+                raise FcidumpError(f"{path}:{number}: determinant does not fit "
+                                   f"norb={norb} nelec={nelec}")
     return DeterminantWavefunction(norb, coeffs)

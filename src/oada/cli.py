@@ -3,6 +3,11 @@
 Subcommands: run, fci, run-cipsi, dump-pool, dump-hamiltonian, verify.
 `run` accepts a plain key=value config file; command-line flags win over
 config values.
+
+Exit codes follow the exception type, each with a one-line diagnostic:
+2 bad input (FcidumpError, a missing file), 3 a dimension cap
+(DimensionCapError), 4 a non-finite objective (ObjectiveError), 1 any
+other ValueError or a Davidson run that did not converge (ConvergenceError).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import sys
 
 from . import ci
 from .adapt import load_ansatz, run_adapt, save_ansatz, sector_hamiltonian
+from .errors import ConvergenceError, DimensionCapError, ObjectiveError
 from .fcidump import FcidumpError, read_fcidump, reference_energies, to_spin_orbital
 from .overlap_adapt import pipeline
 from .pauli import format_operator, jw_hamiltonian
@@ -88,7 +94,7 @@ def _reference_energy(mol, refs, skip):
     try:
         energy, _ = ci.fci_ground_state(mol)
         return energy
-    except ValueError:
+    except DimensionCapError:
         return None
 
 
@@ -97,6 +103,26 @@ def _summary_line(method, energy, e_ref, excitations):
     err = energy - e_ref if e_ref is not None else math.nan
     return (f"method={method} final_energy={energy:.12f} error_vs_fci={err:.6e} "
             f"params={len(excitations)} SQ={sq} DQ={dq} CNOTS={cnots}")
+
+
+def _check_wavefunction(wavefn, path, mol):
+    """A stored target must be written for the molecule's orbitals and sector."""
+    norb = mol.n_spin_orbitals // 2
+    if wavefn.norb != norb:
+        raise FcidumpError(f"{path}: norb={wavefn.norb}, the molecule has norb={norb}")
+    sector = (mol.n_alpha, mol.n_beta)
+    found = {(d.alpha.bit_count(), d.beta.bit_count()) for d in wavefn.coefficients}
+    if found != {sector}:
+        raise FcidumpError(f"{path}: determinants with (N_alpha, N_beta) in "
+                           f"{sorted(found)}, the molecule's sector is {sector}")
+
+
+def _check_ansatz(ansatz, path, mol):
+    found = (ansatz.n_qubits, ansatz.n_electrons)
+    expected = (mol.n_spin_orbitals, mol.n_electrons)
+    if found != expected:
+        raise FcidumpError(f"{path}: n_qubits={found[0]} n_electrons={found[1]}, the "
+                           f"molecule has n_qubits={expected[0]} n_electrons={expected[1]}")
 
 
 def _write(path, text):
@@ -172,11 +198,15 @@ def cmd_run(args):
             # a stored determinant expansion replaces the in-process target
             source = "wavefunction"
             target_wavefunction = ci.read_wavefunction(args.target_wavefunction)
+            _check_wavefunction(target_wavefunction, args.target_wavefunction, mol)
         if source == "cipsi" and args.cipsi_max_dets is None \
                 and args.cipsi_target_e2 is None:
             raise FcidumpError("overlap-adapt-cipsi needs --cipsi-max-dets "
                                "and/or --cipsi-target-e2 (or --target-wavefunction)")
-        target_ansatz = load_ansatz(args.target_ansatz) if args.target_ansatz else None
+        target_ansatz = None
+        if args.target_ansatz:
+            target_ansatz = load_ansatz(args.target_ansatz)
+            _check_ansatz(target_ansatz, args.target_ansatz, mol)
         if source == "adapt-ansatz" and target_ansatz is None:
             raise FcidumpError("overlap-adapt-ansatz needs --target-ansatz")
         result = pipeline(mol, ham, pool, source, p_overlap, budget,
@@ -327,20 +357,19 @@ def main(argv=None):
                 if value is not None and value <= 0:
                     raise FcidumpError(f"--{name.replace('_', '-')} must be positive")
         return args.func(args)
-    except FcidumpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if "exceeds cap" in message:
-            return EXIT_DIMENSION
-        if "objective evaluated to" in message:
-            return EXIT_OPTIMIZER
-        return 1
+    except (FcidumpError, FileNotFoundError) as exc:
+        return _fail(exc, EXIT_PARSE)
+    except DimensionCapError as exc:
+        return _fail(exc, EXIT_DIMENSION)
+    except ObjectiveError as exc:
+        return _fail(exc, EXIT_OPTIMIZER)
+    except (ValueError, ConvergenceError) as exc:
+        return _fail(exc, 1)
+
+
+def _fail(exc, code):
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

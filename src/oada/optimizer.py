@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
+from .errors import ObjectiveError
+
 __all__ = ["OptimizeResult", "minimize"]
 
 
@@ -43,7 +45,7 @@ def minimize(objective, theta0, gtol=1e-8, max_iter=500,
         callback: forwarded to scipy, called once per accepted iterate.
 
     Raises:
-        ValueError: if the objective evaluates to NaN.
+        ObjectiveError: if the objective evaluates to NaN or infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
     result = _single_minimize(objective, theta0, gtol, max_iter, callback)
@@ -69,7 +71,7 @@ def _single_minimize(objective, theta0, gtol, max_iter, callback):
         n_evals += 1
         value, grad = objective(theta)
         if not np.isfinite(value):
-            raise ValueError(f"objective evaluated to {value} at theta={theta}")
+            raise ObjectiveError(f"objective evaluated to {value} at theta={theta}")
         gnorm = float(np.max(np.abs(grad))) if len(grad) else 0.0
         if best is None or value < best[0]:
             best = (float(value), gnorm, np.array(theta, dtype=float))

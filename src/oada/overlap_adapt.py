@@ -188,6 +188,9 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
 
 @dataclass
 class PipelineResult:
+    """Outcome of `pipeline`. `target_state` lies in the Hartree-Fock sector
+    for an 'fci' target and in the 2^N space for the other sources."""
+
     ansatz: Ansatz
     adapt_trace: AdaptTrace
     overlap_trace: OverlapTrace
@@ -195,58 +198,67 @@ class PipelineResult:
     target_energy: float = np.nan
 
 
-def build_target(mol, ref_source, *, n_qubits, cipsi_max_dets=None,
-                 cipsi_target_e2=None, target_ansatz=None,
-                 target_wavefunction=None, sector=None):
-    """Assemble the target statevector for a pipeline run.
+def build_target(mol, ref_source, h_sector, *, cipsi_max_dets=None,
+                 cipsi_target_e2=None, target_ansatz=None, target_wavefunction=None):
+    """Assemble the target state of a pipeline run.
 
-    ref_source 'fci' diagonalizes the sector Hamiltonian; 'cipsi' runs the
-    selected-CI loop and embeds its expansion; 'adapt-ansatz' applies a
-    stored ansatz; 'wavefunction' embeds a determinant expansion loaded
-    from the determinant text format.
+    `h_sector` is the Hamiltonian projected onto the Hartree-Fock sector
+    (`sector_hamiltonian`). ref_source 'fci' takes its lowest eigenpair
+    (`ci.sector_ground_state`) and returns a state in that sector. 'cipsi'
+    runs the selected-CI loop and embeds its expansion; 'adapt-ansatz'
+    applies a stored ansatz; 'wavefunction' embeds a determinant expansion
+    loaded from the determinant text format. These three return 2^N
+    states, which the overlap loop extracts into the sector.
+
+    Raises:
+        ValueError: for an unknown source, or a target with no weight in
+            the Hartree-Fock sector, where the loops run.
     """
     if ref_source == "fci":
-        energy, wavefn = ci.fci_ground_state(mol, sector)
-        return ci.export_statevector(wavefn, n_qubits), energy
+        energy, target = ci.sector_ground_state(h_sector)
+        return target, energy
+    n_qubits = h_sector.n_qubits
     if ref_source == "cipsi":
-        state = ci.run_cipsi(mol, sector, target_e2=cipsi_target_e2,
-                             max_dets=cipsi_max_dets)
+        state = ci.run_cipsi(mol, target_e2=cipsi_target_e2, max_dets=cipsi_max_dets)
         wavefn = state.wavefunction(mol.n_spin_orbitals // 2)
-        return ci.export_statevector(wavefn, n_qubits), state.e_variational
-    if ref_source == "adapt-ansatz":
+        target, energy = ci.export_statevector(wavefn, n_qubits), state.e_variational
+    elif ref_source == "adapt-ansatz":
         if target_ansatz is None:
             raise ValueError("ref_source 'adapt-ansatz' needs target_ansatz")
-        return apply_ansatz(target_ansatz), np.nan
-    if ref_source == "wavefunction":
+        target, energy = apply_ansatz(target_ansatz), np.nan
+    elif ref_source == "wavefunction":
         if target_wavefunction is None:
             raise ValueError("ref_source 'wavefunction' needs target_wavefunction")
-        state = ci.export_statevector(target_wavefunction, n_qubits)
+        target = ci.export_statevector(target_wavefunction, n_qubits)
         energy = target_wavefunction.energy if target_wavefunction.energy is not None \
             else np.nan
-        return state, energy
-    raise ValueError(f"unknown ref_source {ref_source!r}")
+    else:
+        raise ValueError(f"unknown ref_source {ref_source!r}")
+    if not np.any(h_sector.basis.extract(target).amplitudes):
+        raise ValueError(f"the {ref_source} target has no weight in the Hartree-Fock "
+                         "sector the ansatz lives in")
+    return target, energy
 
 
 def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
              cipsi_max_dets=None, cipsi_target_e2=None, target_ansatz=None,
-             target_wavefunction=None, sector=None, eps=1e-8, gtol=1e-8,
+             target_wavefunction=None, eps=1e-8, gtol=1e-8,
              gtol_overlap=DEFAULT_GTOL_OVERLAP, e_ref=None,
              restarts=0, seed=None) -> PipelineResult:
     """Two-stage run: overlap-guided growth to p_overlap, then energy
     minimization to p_total.
 
-    The Hamiltonian is projected onto the Hartree-Fock sector once and
-    both stages use it.
+    The Hamiltonian is projected onto the Hartree-Fock sector once; the
+    FCI target and both stages use it.
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
     """
-    n_qubits = mol.n_spin_orbitals
+    h_sector = sector_hamiltonian(hamiltonian, mol.n_spin_orbitals, mol.n_electrons)
     target, target_energy = build_target(
-        mol, ref_source, n_qubits=n_qubits, cipsi_max_dets=cipsi_max_dets,
+        mol, ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
-        target_wavefunction=target_wavefunction, sector=sector)
-    h_sector = sector_hamiltonian(hamiltonian, n_qubits, mol.n_electrons)
+        target_wavefunction=target_wavefunction)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
         target, pool, p_overlap, n_electrons=mol.n_electrons,
         gtol_overlap=gtol_overlap, gtol=gtol, hamiltonian=h_sector,

@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import DimensionCapError
 from .pauli import _I_POWERS, QubitOperator
 from .pool import SingleExcitation
 
@@ -79,7 +80,7 @@ class Basis:
     def full(cls, n_qubits):
         """All 2^N computational basis states."""
         if n_qubits > MAX_QUBITS:
-            raise ValueError(
+            raise DimensionCapError(
                 f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap")
         return cls(n_qubits)
 
@@ -94,12 +95,13 @@ class Basis:
         if not 0 <= n_electrons <= n_qubits:
             raise ValueError(f"{n_electrons} electrons do not fit in {n_qubits} spin orbitals")
         if n_qubits > MAX_MASK_QUBITS:
-            raise ValueError(f"{n_qubits} qubits exceeds the {MAX_MASK_QUBITS}-bit mask cap")
+            raise DimensionCapError(
+                f"{n_qubits} qubits exceeds the {MAX_MASK_QUBITS}-bit mask cap")
         n_alpha, n_beta = (n_electrons + 1) // 2, n_electrons // 2
         n_even, n_odd = (n_qubits + 1) // 2, n_qubits // 2
         dim = math.comb(n_even, n_alpha) * math.comb(n_odd, n_beta)
         if dim > MAX_SECTOR_DIM:
-            raise ValueError(f"sector dimension {dim} exceeds cap {MAX_SECTOR_DIM}")
+            raise DimensionCapError(f"sector dimension {dim} exceeds cap {MAX_SECTOR_DIM}")
 
         def strings(n_orbitals, n_occupied, offset):
             return np.array([sum(1 << (2 * i + offset) for i in occ)

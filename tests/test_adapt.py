@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import oada
 from oada.adapt import load_ansatz, run_adapt, save_ansatz, screen_energy_gradients
@@ -110,6 +111,16 @@ def test_ansatz_file_round_trip(tmp_path, h4):
     assert loaded.n_electrons == ansatz.n_electrons
     assert loaded.excitations == ansatz.excitations
     assert loaded.thetas == ansatz.thetas
+
+
+def test_load_ansatz_rejects_bad_lines(tmp_path):
+    path = tmp_path / "ansatz.txt"
+    path.write_text("n_qubits=4 n_electrons=2\ntriple 0 1 2 0.1\n")
+    with pytest.raises(oada.FcidumpError, match=":2:"):
+        load_ansatz(path)
+    path.write_text("qubits=4\n")
+    with pytest.raises(oada.FcidumpError, match="header"):
+        load_ansatz(path)
 
 
 def test_stretched_beh2_plateau_and_compression(beh2_stretched):

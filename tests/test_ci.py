@@ -177,6 +177,19 @@ def test_wavefunction_file_round_trip(tmp_path, h4):
     assert loaded.coefficients == wavefn.coefficients
 
 
+@pytest.mark.parametrize("text, match", [
+    ("norb=2\n1.0 1 1\n", "header"),
+    ("norb=2 nelec=2\n1.0 1\n", ":2:"),
+    ("norb=2 nelec=2\n1.0 1 0\n", "does not fit"),
+    ("norb=2 nelec=2\n1.0 4 1\n", "does not fit"),
+])
+def test_read_wavefunction_rejects_bad_files(tmp_path, text, match):
+    path = tmp_path / "wf.dets"
+    path.write_text(text)
+    with pytest.raises(oada.FcidumpError, match=match):
+        read_wavefunction(path)
+
+
 def test_interleaved_mask_round_trip():
     det = Determinant(0b1011, 0b0110)
     mask = det.spin_orbital_mask()

@@ -163,6 +163,37 @@ def test_dimension_cap_exit_code(tmp_path):
     assert "exceeds cap" in result.stderr
 
 
+def test_wrong_sector_wavefunction_target_exit_code(h2_path, tmp_path):
+    (tmp_path / "wf.dets").write_text("norb=2 nelec=1\n1.0 1 0\n")
+    result = run_cli(["run", "--method", "overlap-adapt-cipsi", "--fcidump", h2_path,
+                      "--target-wavefunction", "wf.dets", "--p-total", "2"], tmp_path)
+    assert result.returncode == 2
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "sector" in result.stderr
+
+
+def test_wrong_molecule_ansatz_target_exit_code(h2_path, tmp_path):
+    (tmp_path / "a.txt").write_text("n_qubits=8 n_electrons=4\ndouble 4 5 0 1 0.1\n")
+    result = run_cli(["run", "--method", "overlap-adapt-ansatz", "--fcidump", h2_path,
+                      "--target-ansatz", "a.txt", "--p-total", "2"], tmp_path)
+    assert result.returncode == 2
+    assert len(result.stderr.strip().splitlines()) == 1
+    assert "n_qubits=8" in result.stderr
+
+
+def test_davidson_failure_exit_code_in_process(h2_path, tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise oada.ConvergenceError("Davidson did not reach residual")
+
+    monkeypatch.setattr(oada.ci, "_davidson", no_convergence)
+    code = main(["run", "--method", "overlap-adapt-fci", "--fcidump", h2_path,
+                 "--p-total", "2", "--out-trace", str(tmp_path / "t.csv"),
+                 "--out-overlap-trace", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: Davidson did not reach residual"]
+
+
 def test_config_file_with_flag_override(h2_path, tmp_path):
     config = tmp_path / "exp.conf"
     config.write_text("fcidump={}\nmethod=adapt\nmax_ops=1\nout_trace=c.csv\n"

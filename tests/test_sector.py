@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import oada
+from oada import ci
 from oada.overlap_adapt import pipeline
 from oada.pauli import QubitOperator
 from oada.pool import SingleExcitation
@@ -130,3 +132,38 @@ def test_sector_cap_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(itertools, "combinations", enumerate_nothing)
     with pytest.raises(ValueError, match="exceeds cap"):
         Basis.sector(40, 20)  # C(20, 10)^2 = 3.4e10 amplitudes
+
+
+@pytest.mark.parametrize("name, dim", [("h4", 36), ("h6", 400)])
+def test_sector_ground_state_is_the_fci_target(name, dim, request):
+    problem = request.getfixturevalue(name)
+    sector = _sector(problem)
+    energy, target = ci.sector_ground_state(sector.project(problem.ham))
+    assert target.basis is sector and sector.dim == dim
+    assert target.amplitudes.dtype == np.float64
+    exact = sector.extract(ci.export_statevector(problem.fci[1], problem.n))
+    assert abs(np.vdot(target.amplitudes, exact.amplitudes)) ** 2 >= 1 - 1e-10
+    assert abs(energy - problem.e_fci) < 1e-10
+
+
+def test_pipeline_fci_target_skips_the_determinant_solver(h4, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Slater-Condon FCI called")
+
+    monkeypatch.setattr(ci, "fci_ground_state", refuse)
+    result = pipeline(h4.mol, h4.ham, h4.pool, "fci", 2, 4, e_ref=h4.e_fci)
+    assert result.target_state.basis == _sector(h4)
+    assert abs(result.target_energy - h4.e_fci) < 1e-10
+    assert len(result.ansatz) == 4
+
+
+def test_target_without_sector_weight_is_rejected(h2):
+    wrong = ci.DeterminantWavefunction(2, {ci.Determinant(1, 0): 1.0})
+    with pytest.raises(ValueError, match="no weight"):
+        pipeline(h2.mol, h2.ham, h2.pool, "wavefunction", 2, 3, target_wavefunction=wrong)
+
+
+def test_davidson_raises_convergence_error(h6):
+    matrix = _sector(h6).project(h6.ham).matrix
+    with pytest.raises(oada.ConvergenceError, match="Davidson"):
+        ci._davidson(matrix, matrix.diagonal(), max_iter=2)
