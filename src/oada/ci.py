@@ -1,10 +1,11 @@
 """Determinant-space classical solvers: Slater-Condon matrix elements,
-sector FCI (dense or Davidson), and the CIPSI selected-CI loop with
-Epstein-Nesbet second-order selection.
+sector FCI, and the CIPSI selected-CI loop with Epstein-Nesbet
+second-order selection.
 
-`sector_ground_state` solves the same problem from a Hamiltonian already
-projected onto a simulation basis (`statevector.Basis.project`), so the
-ansatz loops get their exact target without the Slater-Condon build.
+FCI runs in `statevector.Basis.sector`, the sector the ansatz simulator
+uses: the Slater-Condon matrix is built in its coordinates and solved by
+`sector_ground_state`, the Davidson the pipeline runs on the projected
+Jordan-Wigner Hamiltonian.
 
 Determinants are (alpha_mask, beta_mask) bitmask pairs over spatial
 orbitals; under the interleaved spin-orbital convention they map to the
@@ -25,21 +26,22 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, DimensionCapError
+from .errors import ConvergenceError
 from .fcidump import FcidumpError
-from .statevector import ProjectedOperator, Statevector
+from .statevector import Basis, ProjectedOperator, Statevector
 
 __all__ = [
     "Determinant",
     "DeterminantWavefunction",
     "CipsiState",
     "hartree_fock_determinant",
-    "enumerate_sector",
     "slater_condon",
+    "slater_condon_hamiltonian",
     "fci_ground_state",
     "sector_ground_state",
     "cipsi_initial_state",
     "cipsi_iterate",
+    "cipsi_states",
     "run_cipsi",
     "export_statevector",
     "write_wavefunction",
@@ -48,8 +50,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SECTOR_DIMENSION_CAP = 2_000_000
-DENSE_DIAGONALIZATION_CUTOFF = 2000
 INTRUDER_THRESHOLD = 1e-10
 
 
@@ -85,15 +85,6 @@ class Determinant(NamedTuple):
 
 def hartree_fock_determinant(n_alpha, n_beta) -> Determinant:
     return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
-
-
-def enumerate_sector(norb, n_alpha, n_beta):
-    """All determinants of the (n_alpha, n_beta) sector, sorted by masks."""
-    alphas = sorted(sum(1 << i for i in occ)
-                    for occ in itertools.combinations(range(norb), n_alpha))
-    betas = sorted(sum(1 << i for i in occ)
-                   for occ in itertools.combinations(range(norb), n_beta))
-    return [Determinant(a, b) for a in alphas for b in betas]
 
 
 def _so_integrals(mol):
@@ -196,8 +187,8 @@ def _connected_determinants(det: Determinant, norb):
     return seen
 
 
-def _sector_matrix(mol, dets, dense):
-    """Hamiltonian in the given determinant list (dense array or CSR)."""
+def _sector_matrix(mol, dets):
+    """Hamiltonian in the given determinant list, as a real CSR matrix."""
     norb = mol.n_spin_orbitals // 2
     index = {d: k for k, d in enumerate(dets)}
     dim = len(dets)
@@ -213,15 +204,27 @@ def _sector_matrix(mol, dets, dense):
                 rows.append(irow)
                 cols.append(jcol)
                 vals.append(v)
-    if dense:
-        h = np.zeros((dim, dim))
-        h[rows, cols] = vals
-        h = h + h.T
-        h[np.diag_indices(dim)] = diag
-        return h, diag
     upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    h = (upper + upper.T + sp.diags(diag)).tocsr()
-    return h, diag
+    return (upper + upper.T + sp.diags(diag)).tocsr()
+
+
+def slater_condon_hamiltonian(mol) -> ProjectedOperator:
+    """The Slater-Condon Hamiltonian in the molecule's `Basis.sector`.
+
+    Rows and columns follow the sector's ascending occupation masks, so the
+    matrix compares entry by entry with the Jordan-Wigner Hamiltonian
+    projected onto the same basis.
+
+    Raises:
+        DimensionCapError: when the sector exceeds `MAX_SECTOR_DIM`, before
+            any determinant is enumerated.
+    """
+    basis = Basis.sector(mol.n_spin_orbitals, mol.n_electrons)
+    return ProjectedOperator(basis, _sector_matrix(mol, _determinants(basis)))
+
+
+def _determinants(basis):
+    return [Determinant.from_spin_orbital_mask(int(mask)) for mask in basis.masks]
 
 
 @dataclass
@@ -238,37 +241,21 @@ class DeterminantWavefunction:
             self.norb, {d: c / norm for d, c in self.coefficients.items()}, self.energy)
 
 
-def fci_ground_state(mol, sector=None,
-                     dense_cutoff=DENSE_DIAGONALIZATION_CUTOFF,
-                     dimension_cap=SECTOR_DIMENSION_CAP,
-                     tol=1e-9):
-    """Lowest eigenpair in the fixed-(n_alpha, n_beta) sector.
-
-    Small sectors are diagonalized densely; larger ones use Davidson
-    iteration with a diagonal preconditioner (block size 1, subspace cap
-    20 with restart).
+def fci_ground_state(mol):
+    """Lowest eigenpair of the Slater-Condon Hamiltonian in the molecule's
+    (N_alpha, N_beta) sector, by `sector_ground_state`.
 
     Returns:
         (energy, DeterminantWavefunction)
+
+    Raises:
+        DimensionCapError: when the sector exceeds `MAX_SECTOR_DIM`.
+        ConvergenceError: when Davidson does not converge.
     """
-    norb = mol.n_spin_orbitals // 2
-    if sector is None:
-        sector = (mol.n_alpha, mol.n_beta)
-    n_alpha, n_beta = sector
-    dim = math.comb(norb, n_alpha) * math.comb(norb, n_beta)
-    if dim > dimension_cap:
-        raise DimensionCapError(f"sector dimension {dim} exceeds cap {dimension_cap}")
-    dets = enumerate_sector(norb, n_alpha, n_beta)
-    if dim <= dense_cutoff:
-        h, _ = _sector_matrix(mol, dets, dense=True)
-        w, v = np.linalg.eigh(h)
-        energy, vec = float(w[0]), v[:, 0]
-    else:
-        h, diag = _sector_matrix(mol, dets, dense=False)
-        energy, vec = _davidson(h, diag, tol=tol)
-    vec = _fix_sign(vec)
-    coeffs = {d: float(c) for d, c in zip(dets, vec) if abs(c) > 1e-14}
-    return energy, DeterminantWavefunction(norb, coeffs, energy)
+    energy, state = sector_ground_state(slater_condon_hamiltonian(mol))
+    coeffs = {d: float(c) for d, c in zip(_determinants(state.basis), state.amplitudes)
+              if abs(c) > 1e-14}
+    return energy, DeterminantWavefunction(mol.n_spin_orbitals // 2, coeffs, energy)
 
 
 def sector_ground_state(h_sector: ProjectedOperator):
@@ -276,10 +263,10 @@ def sector_ground_state(h_sector: ProjectedOperator):
 
     Davidson on the projected real matrix to residual 1e-9, started from
     the basis state with the lowest diagonal entry (the Hartree-Fock
-    determinant on every bundled fixture), with the sign rule of
-    `fci_ground_state`. On the Hartree-Fock sector this is that
-    function's eigenpair in simulation coordinates, so the ansatz loops
-    use the returned state as it is.
+    determinant on every bundled fixture); the sign is fixed so that the
+    largest-magnitude amplitude is positive. `fci_ground_state` solves the
+    Slater-Condon matrix with it, and the ansatz loops the projected
+    Jordan-Wigner one, in the same sector coordinates.
 
     Returns:
         (energy, normalized float64 Statevector in h_sector.basis)
@@ -356,17 +343,14 @@ class CipsiState:
             self.e_variational).normalized()
 
 
-def cipsi_initial_state(mol, sector=None) -> CipsiState:
-    if sector is None:
-        sector = (mol.n_alpha, mol.n_beta)
-    hf = hartree_fock_determinant(*sector)
+def cipsi_initial_state(mol) -> CipsiState:
+    hf = hartree_fock_determinant(mol.n_alpha, mol.n_beta)
     e_hf = slater_condon(mol, hf, hf)
     return CipsiState([hf], np.array([1.0]), e_hf)
 
 
 def _rediagonalize(mol, dets):
-    h, _ = _sector_matrix(mol, dets, dense=True)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_sector_matrix(mol, dets).toarray())
     return float(w[0]), _fix_sign(v[:, 0])
 
 
@@ -420,24 +404,34 @@ def cipsi_iterate(state: CipsiState, mol, max_total=None) -> CipsiState:
                       state.iteration + 1, state.forced_intruders + len(forced))
 
 
-def run_cipsi(mol, sector=None, target_e2=None, max_dets=None, max_iter=50) -> CipsiState:
-    """Iterate CIPSI from the Hartree-Fock reference until a stop rule fires.
+def cipsi_states(mol, target_e2=None, max_dets=None, max_iter=50):
+    """The states of a CIPSI run from the Hartree-Fock reference, in order.
 
-    Stops when |E2| <= target_e2, when the space reaches max_dets, or when
-    no external determinant remains.
+    Yields the initial state, then the result of each `cipsi_iterate`
+    step until a stop rule fires: |E2| <= target_e2, the space reaching
+    max_dets, or a step that adds no determinant (yielded last, with
+    E2 = 0), or max_iter steps.
     """
     if target_e2 is None and max_dets is None:
         raise ValueError("need a stopping rule: target_e2 and/or max_dets")
-    state = cipsi_initial_state(mol, sector)
+    state = cipsi_initial_state(mol)
+    yield state
     for _ in range(max_iter):
         if target_e2 is not None and abs(state.e_pt2) <= target_e2:
-            return state
+            return
         if max_dets is not None and len(state.dets) >= max_dets:
-            return state
+            return
         new_state = cipsi_iterate(state, mol, max_total=max_dets)
+        yield new_state
         if len(new_state.dets) == len(state.dets):
-            return new_state
+            return
         state = new_state
+
+
+def run_cipsi(mol, target_e2=None, max_dets=None, max_iter=50) -> CipsiState:
+    """The last of `cipsi_states`: iterate CIPSI until a stop rule fires."""
+    for state in cipsi_states(mol, target_e2, max_dets, max_iter):
+        pass
     return state
 
 

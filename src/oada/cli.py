@@ -86,16 +86,25 @@ def _load_problem(args):
     return mol, refs
 
 
-def _reference_energy(mol, refs, skip):
-    if skip:
-        return None
+def _solve_fci(mol, refs):
+    """Slater-Condon FCI, printed with the fixture's REF_FCI when it has one."""
+    energy, wavefn = ci.fci_ground_state(mol)
+    print(f"E_FCI = {energy:.12f}")
     if "REF_FCI" in refs:
-        return refs["REF_FCI"]
-    try:
-        energy, _ = ci.fci_ground_state(mol)
-        return energy
-    except DimensionCapError:
-        return None
+        print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")
+    return wavefn
+
+
+def _cipsi_trace(mol, args):
+    """Run CIPSI to the stop rule; (final state, trace CSV rows)."""
+    rows = ["iter,dets,e_v,e2,e_cipsi"]
+    size = 0
+    for state in ci.cipsi_states(mol, args.cipsi_target_e2, args.cipsi_max_dets):
+        if len(state.dets) > size:  # a last step that adds nothing gets no row
+            size = len(state.dets)
+            pt2 = f"{state.e_pt2!r},{state.e_cipsi!r}" if state.iteration else "nan,nan"
+            rows.append(f"{state.iteration},{size},{state.e_variational!r},{pt2}")
+    return state, rows
 
 
 def _summary_line(method, energy, e_ref, excitations):
@@ -133,13 +142,9 @@ def _write(path, text):
 def cmd_run(args):
     mol, refs = _load_problem(args)
     n = mol.n_spin_orbitals
-    e_ref = _reference_energy(mol, refs, args.no_reference)
 
     if args.method == "fci":
-        energy, wavefn = ci.fci_ground_state(mol)
-        print(f"E_FCI = {energy:.12f}")
-        if "REF_FCI" in refs:
-            print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")
+        wavefn = _solve_fci(mol, refs)
         if args.out_wavefunction:
             ci.write_wavefunction(wavefn, args.out_wavefunction)
         if args.dump_state:
@@ -147,21 +152,9 @@ def cmd_run(args):
         return 0
 
     if args.method == "cipsi":
-        state = ci.cipsi_initial_state(mol)
-        rows = ["iter,dets,e_v,e2,e_cipsi"]
-        rows.append(f"0,1,{state.e_variational!r},nan,nan")
-        while True:
-            if args.cipsi_target_e2 is not None and abs(state.e_pt2) <= args.cipsi_target_e2:
-                break
-            if args.cipsi_max_dets is not None and len(state.dets) >= args.cipsi_max_dets:
-                break
-            new = ci.cipsi_iterate(state, mol, max_total=args.cipsi_max_dets)
-            if len(new.dets) == len(state.dets):
-                state = new
-                break
-            state = new
-            rows.append(f"{state.iteration},{len(state.dets)},{state.e_variational!r},"
-                        f"{state.e_pt2!r},{state.e_cipsi!r}")
+        if args.cipsi_max_dets is None and args.cipsi_target_e2 is None:
+            raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
+        state, rows = _cipsi_trace(mol, args)
         _write(args.out_trace, "\n".join(rows) + "\n")
         print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
               f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
@@ -170,6 +163,10 @@ def cmd_run(args):
         return 0
 
     ham = jw_hamiltonian(mol)
+    h_sector = sector_hamiltonian(ham, n, mol.n_electrons)
+    e_ref = None
+    if not args.no_reference:
+        e_ref = refs["REF_FCI"] if "REF_FCI" in refs else ci.sector_ground_state(h_sector)[0]
     pool = build_pool(n, mol.n_electrons)
     if args.dump_pool:
         _write(args.dump_pool, format_pool(pool) + "\n")
@@ -181,7 +178,7 @@ def cmd_run(args):
     common = dict(gtol=args.gtol, restarts=args.restarts, seed=args.seed)
 
     if args.method == "adapt":
-        ansatz, trace = run_adapt(ham, pool, n_electrons=mol.n_electrons,
+        ansatz, trace = run_adapt(h_sector, pool, n_electrons=mol.n_electrons,
                                   eps=eps, max_ops=budget, e_ref=e_ref, **common)
         overlap_trace = None
     else:
@@ -209,7 +206,7 @@ def cmd_run(args):
             _check_ansatz(target_ansatz, args.target_ansatz, mol)
         if source == "adapt-ansatz" and target_ansatz is None:
             raise FcidumpError("overlap-adapt-ansatz needs --target-ansatz")
-        result = pipeline(mol, ham, pool, source, p_overlap, budget,
+        result = pipeline(mol, h_sector, pool, source, p_overlap, budget,
                           cipsi_max_dets=args.cipsi_max_dets,
                           cipsi_target_e2=args.cipsi_target_e2,
                           target_ansatz=target_ansatz,
@@ -231,18 +228,13 @@ def cmd_run(args):
         final_energy = trace.final_energy
     else:
         # No operator was added in the last stage: report the ansatz as it stands.
-        final_energy, _ = energy_and_gradient(
-            ansatz, sector_hamiltonian(ham, n, mol.n_electrons))
+        final_energy, _ = energy_and_gradient(ansatz, h_sector)
     print(_summary_line(args.method, final_energy, e_ref, ansatz.excitations))
     return 0
 
 
 def cmd_fci(args):
-    mol, refs = _load_problem(args)
-    energy, _ = ci.fci_ground_state(mol)
-    print(f"E_FCI = {energy:.12f}")
-    if "REF_FCI" in refs:
-        print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")
+    _solve_fci(*_load_problem(args))
     return 0
 
 

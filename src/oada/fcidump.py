@@ -234,7 +234,15 @@ def to_spin_orbital(data: FcidumpData) -> MolecularHamiltonian:
     h_pq = h(i_p, i_q) delta(sigma_p, sigma_q) and
     h_pqrs = (i_p i_q | i_r i_s) / 2 * delta(sigma_p, sigma_q) * delta(sigma_r, sigma_s),
     the coefficient of a_p^ a_r^ a_s a_q.
+
+    Raises:
+        FcidumpError: unless MS2 = NELEC mod 2, the sector of the
+            Hartree-Fock reference on the lowest NELEC spin orbitals that
+            the solvers and the ansatz loops share.
     """
+    if data.ms2 != data.nelec % 2:
+        raise FcidumpError(f"MS2={data.ms2} with NELEC={data.nelec}: only the "
+                           f"Hartree-Fock sector, MS2={data.nelec % 2}, is supported")
     norb = data.norb
     n = 2 * norb
     h1 = np.zeros((norb, norb))

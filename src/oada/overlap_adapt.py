@@ -188,8 +188,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
 
 @dataclass
 class PipelineResult:
-    """Outcome of `pipeline`. `target_state` lies in the Hartree-Fock sector
-    for an 'fci' target and in the 2^N space for the other sources."""
+    """Outcome of `pipeline`. `target_state` lies in the Hartree-Fock sector."""
 
     ansatz: Ansatz
     adapt_trace: AdaptTrace
@@ -200,15 +199,15 @@ class PipelineResult:
 
 def build_target(mol, ref_source, h_sector, *, cipsi_max_dets=None,
                  cipsi_target_e2=None, target_ansatz=None, target_wavefunction=None):
-    """Assemble the target state of a pipeline run.
+    """Assemble the target state of a pipeline run, in the Hartree-Fock sector.
 
-    `h_sector` is the Hamiltonian projected onto the Hartree-Fock sector
+    `h_sector` is the Hamiltonian projected onto that sector
     (`sector_hamiltonian`). ref_source 'fci' takes its lowest eigenpair
-    (`ci.sector_ground_state`) and returns a state in that sector. 'cipsi'
-    runs the selected-CI loop and embeds its expansion; 'adapt-ansatz'
-    applies a stored ansatz; 'wavefunction' embeds a determinant expansion
-    loaded from the determinant text format. These three return 2^N
-    states, which the overlap loop extracts into the sector.
+    (`ci.sector_ground_state`). 'cipsi' runs the selected-CI loop and
+    embeds its expansion; 'adapt-ansatz' applies a stored ansatz;
+    'wavefunction' embeds a determinant expansion loaded from the
+    determinant text format. Each of these three is extracted into the
+    sector once, here.
 
     Raises:
         ValueError: for an unknown source, or a target with no weight in
@@ -234,7 +233,8 @@ def build_target(mol, ref_source, h_sector, *, cipsi_max_dets=None,
             else np.nan
     else:
         raise ValueError(f"unknown ref_source {ref_source!r}")
-    if not np.any(h_sector.basis.extract(target).amplitudes):
+    target = h_sector.basis.extract(target)
+    if not np.any(target.amplitudes):
         raise ValueError(f"the {ref_source} target has no weight in the Hartree-Fock "
                          "sector the ansatz lives in")
     return target, energy
@@ -248,8 +248,9 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
     """Two-stage run: overlap-guided growth to p_overlap, then energy
     minimization to p_total.
 
-    The Hamiltonian is projected onto the Hartree-Fock sector once; the
-    FCI target and both stages use it.
+    The Hamiltonian is projected onto the Hartree-Fock sector once (an
+    operator already projected is used as it is); the target and both
+    stages live in that sector.
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.

@@ -55,7 +55,8 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
-# A sector may hold as many amplitudes as the full space at the qubit cap.
+# A sector may hold as many amplitudes as the full space at the qubit cap;
+# this is also the size limit of the determinant solvers' FCI.
 MAX_SECTOR_DIM = 1 << MAX_QUBITS
 # Occupation masks are int64.
 MAX_MASK_QUBITS = 62

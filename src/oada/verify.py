@@ -1,9 +1,10 @@
 """Invariant suite runnable against any FCIDUMP, behind the CLI `verify`.
 
-Each check returns (name, passed, detail). Dense cross-checks are scaled
-down automatically on larger systems: the full Slater-Condon vs dense
-qubit-matrix comparison runs at up to 8 spin orbitals, a sampled version
-beyond that.
+Each check returns (name, passed, detail). The Slater-Condon matrix is
+compared with the Jordan-Wigner Hamiltonian projected onto the same
+determinant sector entry by entry, over the whole sector, and its lowest
+eigenpair is the FCI check; the dense generator identities run at up to 8
+spin orbitals.
 """
 
 from __future__ import annotations
@@ -63,24 +64,16 @@ def run_verification(fcidump_path, rng_seed=7):
         dev = np.max(np.abs(comm.data)) if comm.nnz else 0.0
         checks.append((f"[H, {name}] = 0", dev < 1e-9, f"max |comm| = {dev:.2e}"))
 
-    sector = (mol.n_alpha, mol.n_beta)
-    dets = ci.enumerate_sector(n // 2, *sector)
-    if n <= 8:
-        pairs = [(i, j) for i in dets for j in dets]
-    else:
-        pairs = [(dets[rng.integers(len(dets))], dets[rng.integers(len(dets))])
-                 for _ in range(500)]
-    dev = 0.0
-    for di, dj in pairs:
-        hd = h_sparse[di.spin_orbital_mask(), dj.spin_orbital_mask()]
-        dev = max(dev, abs(ci.slater_condon(mol, di, dj) - hd))
-    label = "full" if n <= 8 else "sampled"
-    checks.append((f"Slater-Condon vs dense qubit matrix ({label})",
-                   dev < 1e-10, f"max dev = {dev:.2e}"))
+    h_sc = ci.slater_condon_hamiltonian(mol)
+    h_jw = h_sc.basis.project(ham)
+    diff = h_sc.matrix - h_jw.matrix
+    dev = np.max(np.abs(diff.data)) if diff.nnz else 0.0
+    checks.append(("Slater-Condon vs projected qubit matrix (whole sector)",
+                   dev < 1e-10, f"dim {h_sc.basis.dim}, max dev = {dev:.2e}"))
 
     hf = prepare_hf(n, mol.n_electrons)
     e_hf = expectation(hf, h_sparse)
-    hf_det = ci.hartree_fock_determinant(*sector)
+    hf_det = ci.hartree_fock_determinant(mol.n_alpha, mol.n_beta)
     dev = abs(e_hf - ci.slater_condon(mol, hf_det, hf_det))
     detail = f"E_HF = {e_hf:.10f}"
     ok = dev < 1e-10
@@ -89,15 +82,14 @@ def run_verification(fcidump_path, rng_seed=7):
         detail += f" (ref {refs['REF_HF']:.10f})"
     checks.append(("Hartree-Fock energy consistent", ok, detail))
 
-    e_fci, wavefn = ci.fci_ground_state(mol)
+    e_fci, fci_state = ci.sector_ground_state(h_sc)
     detail = f"E_FCI = {e_fci:.10f}"
     ok = True
     if "REF_FCI" in refs:
         ok = abs(e_fci - refs["REF_FCI"]) < 1e-8
         detail += f" (ref {refs['REF_FCI']:.10f})"
-    exported = ci.export_statevector(wavefn, n)
-    dev = abs(expectation(exported, h_sparse) - e_fci)
-    checks.append(("FCI energy vs reference and exported state",
+    dev = abs(expectation(fci_state, h_jw) - e_fci)
+    checks.append(("FCI energy vs reference and qubit Hamiltonian",
                    ok and dev < 1e-9, detail))
 
     pool = build_pool(n, mol.n_electrons)

@@ -13,10 +13,10 @@ import pytest
 from scipy.linalg import expm
 
 import oada
-from oada.ci import enumerate_sector, run_cipsi, cipsi_initial_state, cipsi_iterate
+from oada.ci import Determinant, run_cipsi, cipsi_initial_state, cipsi_iterate
 from oada.overlap_adapt import four_angle_gradient, screen_overlap_gradients
 from oada.pauli import jw_annihilation, jw_creation
-from oada.statevector import (Ansatz, apply_ansatz, energy_and_gradient,
+from oada.statevector import (Ansatz, Basis, apply_ansatz, energy_and_gradient,
                               overlap, overlap_and_gradient)
 
 
@@ -26,8 +26,8 @@ def report(criterion, ok, detail):
 
 
 def _sector_indices(problem):
-    dets = enumerate_sector(problem.n // 2, problem.mol.n_alpha, problem.mol.n_beta)
-    return dets, np.array([d.spin_orbital_mask() for d in dets])
+    indices = Basis.sector(problem.n, problem.n_electrons).masks
+    return [Determinant.from_spin_orbital_mask(int(m)) for m in indices], indices
 
 
 def test_criterion_1_oracle_equivalence(h2, h4):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import oada
+from oada import statevector
 from oada.ci import (Determinant, cipsi_initial_state, cipsi_iterate,
-                     enumerate_sector, export_statevector, fci_ground_state,
+                     export_statevector, fci_ground_state,
                      hartree_fock_determinant, read_wavefunction, run_cipsi,
-                     slater_condon, write_wavefunction, DeterminantWavefunction)
+                     slater_condon, slater_condon_hamiltonian, write_wavefunction,
+                     DeterminantWavefunction)
 from oada.fcidump import FcidumpData, to_spin_orbital
-from oada.statevector import expectation, prepare_hf
+from oada.statevector import Basis, expectation, prepare_hf
 
 
 def test_hf_diagonal_matches_reference(h2, h4):
@@ -32,8 +34,8 @@ def test_matrix_elements_match_dense_qubit_hamiltonian(h2, h4):
     # the key cross-module consistency check, full sector, N <= 8
     for problem in (h2, h4):
         dense = problem.ham.to_dense_matrix()
-        dets = enumerate_sector(problem.n // 2, problem.mol.n_alpha,
-                                problem.mol.n_beta)
+        dets = [Determinant.from_spin_orbital_mask(int(mask))
+                for mask in Basis.sector(problem.n, problem.n_electrons).masks]
         for bra in dets:
             i = bra.spin_orbital_mask()
             for ket in dets:
@@ -47,25 +49,20 @@ def test_fci_matches_reference(h2, h4, h6):
         assert abs(problem.e_fci - problem.refs["REF_FCI"]) < 1e-8
 
 
-def test_single_determinant_sector(h2):
-    energy, wavefn = fci_ground_state(h2.mol, sector=(2, 2))
-    det = Determinant(0b11, 0b11)
-    assert len(wavefn.coefficients) == 1
-    assert abs(energy - slater_condon(h2.mol, det, det)) < 1e-12
-
-
 def test_davidson_agrees_with_dense(h4, h6):
     for problem in (h4, h6):
-        dense_e, _ = fci_ground_state(problem.mol)
-        davidson_e, wavefn = fci_ground_state(problem.mol, dense_cutoff=1)
+        matrix = slater_condon_hamiltonian(problem.mol).matrix.toarray()
+        dense_e = np.linalg.eigvalsh(matrix)[0]
+        davidson_e, wavefn = fci_ground_state(problem.mol)
         assert abs(dense_e - davidson_e) < 1e-9
         state = export_statevector(wavefn, problem.n)
         assert abs(expectation(state, problem.sparse) - dense_e) < 1e-8
 
 
-def test_dimension_cap(h6):
-    with pytest.raises(ValueError, match="exceeds cap"):
-        fci_ground_state(h6.mol, dimension_cap=10)
+def test_dimension_cap(h6, monkeypatch):
+    monkeypatch.setattr(statevector, "MAX_SECTOR_DIM", 10)
+    with pytest.raises(oada.DimensionCapError, match="exceeds cap"):
+        fci_ground_state(h6.mol)
 
 
 def test_cipsi_initial_state_is_hf(h4):

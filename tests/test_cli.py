@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +117,86 @@ def test_overlap_adapt_cipsi_requires_stop(h4_path, tmp_path):
                       "--fcidump", h4_path, "--p-total", "4"], tmp_path)
     assert result.returncode == 2
     assert "cipsi" in result.stderr
+
+
+# `run --method cipsi` traces as written before the CLI and `run_cipsi`
+# shared one stop loop. The e2 and e_cipsi cells are currently written as
+# numpy scalar reprs (`np.float64(...)`) and compared by value here.
+CIPSI_TRACES = {
+    "h4_1.5 --cipsi-max-dets 8": """iter,dets,e_v,e2,e_cipsi
+0,1,-1.8291374143561538,nan,nan
+1,2,-1.8735223447344216,np.float64(-0.10966326421342058),np.float64(-1.9831856089478421)
+2,4,-1.9414581074810067,np.float64(-0.06619590400778122),np.float64(-2.0076540114887877)
+3,8,-1.9812842890563014,np.float64(-0.005162857388030355),np.float64(-1.9864471464443318)
+""",
+    # the second step adds nothing: the full two-determinant sector, E2 = 0
+    "h2_0.7414 --cipsi-max-dets 100": """iter,dets,e_v,e2,e_cipsi
+0,1,-1.1166843871985792,nan,nan
+1,2,-1.1372701748276173,0,-1.1372701748276173
+""",
+}
+
+
+def _cells(csv_text):
+    def value(cell):
+        return float(cell.removeprefix("np.float64(").removesuffix(")"))
+
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    return rows[0], [(row[:2], [value(c) for c in row[2:]]) for row in rows[1:]]
+
+
+@pytest.mark.parametrize("case", sorted(CIPSI_TRACES))
+def test_run_cipsi_trace(case, tmp_path, capsys):
+    name, *flags = case.split()
+    trace = tmp_path / "t.csv"
+    assert main(["run", "--method", "cipsi", "--fcidump", oada.fixture_path(name),
+                 *flags, "--out-trace", str(trace)]) == 0
+    header, rows = _cells(trace.read_text())
+    expected_header, expected = _cells(CIPSI_TRACES[case])
+    assert header == expected_header
+    assert [r[0] for r in rows] == [r[0] for r in expected]
+    for (_, values), (_, want) in zip(rows, expected):
+        assert values == pytest.approx(want, abs=1e-12, nan_ok=True)
+    summary = capsys.readouterr().out
+    assert f"dets = {expected[-1][0][1]}" in summary
+
+
+def test_run_cipsi_requires_stop(h4_path, capsys):
+    assert main(["run", "--method", "cipsi", "--fcidump", h4_path]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: cipsi needs --cipsi-max-dets and/or --cipsi-target-e2"]
+
+
+def test_reference_energy_from_sector_hamiltonian(h4_path, tmp_path, monkeypatch):
+    # Without a REF_FCI line the error column comes from the sector
+    # Hamiltonian's ground state, not from the Slater-Condon FCI.
+    text = open(h4_path).read()
+    stripped = tmp_path / "h4.fcidump"
+    stripped.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith("# REF_FCI")))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Slater-Condon FCI called")
+
+    monkeypatch.setattr(oada.ci, "fci_ground_state", refuse)
+    errors = []
+    for fcidump in (h4_path, str(stripped)):
+        trace = tmp_path / "t.csv"
+        assert main(["run", "--method", "overlap-adapt-fci", "--fcidump", fcidump,
+                     "--p-overlap", "2", "--p-total", "3", "--out-trace", str(trace),
+                     "--out-overlap-trace", str(tmp_path / "o.csv")]) == 0
+        errors.append([float(line.split(",")[5])
+                       for line in trace.read_text().splitlines()[1:]])
+    assert errors[0]
+    assert errors[1] == pytest.approx(errors[0], abs=1e-10)
+
+
+def test_other_spin_sector_exit_code(h2_path, tmp_path, capsys):
+    high_spin = tmp_path / "h2_ms2.fcidump"
+    high_spin.write_text(open(h2_path).read().replace("MS2=0", "MS2=2"))
+    assert main(["fci", "--fcidump", str(high_spin)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "MS2=2" in err[0]
 
 
 def test_dump_pool(h2_path, tmp_path):

@@ -146,3 +146,14 @@ def test_commutes_with_number_and_sz(h2, h4):
         for sym in (_number_operator(problem.n), _sz_operator(problem.n)):
             s = sym.to_dense_matrix()
             assert np.max(np.abs(dense @ s - s @ dense)) < 1e-10
+
+
+@pytest.mark.parametrize("header", [
+    "&FCI NORB=2,NELEC=2,MS2=1,\n&END\n",  # wrong parity
+    "&FCI NORB=2,NELEC=2,MS2=2,\n&END\n",  # a high-spin sector of H2
+])
+def test_spin_orbital_rejects_other_sectors(h2, header):
+    body = dump_fcidump(h2.data).split("&END\n", 1)[1]
+    data = parse_fcidump(header + body)
+    with pytest.raises(FcidumpError, match="MS2"):
+        to_spin_orbital(data)

@@ -157,6 +157,12 @@ def test_pipeline_fci_target_skips_the_determinant_solver(h4, monkeypatch):
     assert len(result.ansatz) == 4
 
 
+def test_pipeline_cipsi_target_lies_in_the_sector(h4):
+    result = pipeline(h4.mol, h4.ham, h4.pool, "cipsi", 2, 3, cipsi_max_dets=8)
+    assert result.target_state.basis == _sector(h4)
+    assert abs(result.target_state.norm() - 1.0) < 1e-12
+
+
 def test_target_without_sector_weight_is_rejected(h2):
     wrong = ci.DeterminantWavefunction(2, {ci.Determinant(1, 0): 1.0})
     with pytest.raises(ValueError, match="no weight"):
