@@ -95,7 +95,7 @@ def sector_hamiltonian(hamiltonian, n_qubits, n_electrons) -> ProjectedOperator:
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
               eps=1e-3, max_ops=None, gtol=1e-8, max_opt_iter=500,
-              n_electrons=None, e_ref=None, restarts=0, seed=None):
+              n_electrons=None, e_ref=None):
     """Grow and optimize an ansatz until the gradient or budget stop fires.
 
     Args:
@@ -141,8 +141,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
             value, grad = energy_and_gradient(ansatz, h_eval, theta)
             return value, grad
 
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
-                          restarts=restarts, seed=seed)
+        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         if not result.converged:
             # Near-misses (line search giving up within 10x of gtol) are routine.

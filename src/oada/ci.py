@@ -2,22 +2,23 @@
 sector FCI, and the CIPSI selected-CI loop with Epstein-Nesbet
 second-order selection.
 
-FCI runs in `statevector.Basis.sector`, the sector the ansatz simulator
-uses: the Slater-Condon matrix is built in its coordinates and solved by
+Both solvers run in `statevector.Basis.sector`, the sector the ansatz
+simulator uses, on a Hamiltonian projected onto it. FCI solves the
+Slater-Condon matrix, built in those coordinates, with
 `sector_ground_state`, the Davidson the pipeline runs on the projected
-Jordan-Wigner Hamiltonian.
+Jordan-Wigner Hamiltonian. CIPSI takes such a projected Hamiltonian and
+keeps its space as sector positions.
 
 Determinants are (alpha_mask, beta_mask) bitmask pairs over spatial
-orbitals; under the interleaved spin-orbital convention they map to the
-single N-bit mask 2*i (alpha) / 2*i+1 (beta), which is also the
-computational-basis index of the statevector simulator. All fermionic
-phases follow the Jordan-Wigner ordering of that mask, so matrix elements
-here agree entrywise with the dense qubit Hamiltonian.
+orbitals, kept for the `.dets` text format and the Slater-Condon oracle;
+under the interleaved spin-orbital convention they map to the single
+N-bit occupation mask 2*i (alpha) / 2*i+1 (beta) of a basis state. All
+fermionic phases follow the Jordan-Wigner ordering of that mask, so
+matrix elements here agree entrywise with the qubit Hamiltonian.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -154,73 +155,34 @@ def slater_condon(mol, det_i: Determinant, det_j: Determinant) -> float:
     return float(_phase_double(mj, i, j, a, b) * g2[a, b, i, j])
 
 
-def _connected_determinants(det: Determinant, norb):
-    """Same-sector singles and doubles out of `det` (spin- and S_z-conserving)."""
-    alpha_occ = _bits(det.alpha)
-    alpha_vir = [i for i in range(norb) if not (det.alpha >> i) & 1]
-    beta_occ = _bits(det.beta)
-    beta_vir = [i for i in range(norb) if not (det.beta >> i) & 1]
-    seen = []
-    for occ, vir, is_alpha in ((alpha_occ, alpha_vir, True), (beta_occ, beta_vir, False)):
-        for i in occ:
-            for a in vir:
-                if is_alpha:
-                    seen.append(Determinant(det.alpha ^ (1 << i) | (1 << a), det.beta))
-                else:
-                    seen.append(Determinant(det.alpha, det.beta ^ (1 << i) | (1 << a)))
-    # alpha-alpha and beta-beta doubles
-    for occ, vir, is_alpha in ((alpha_occ, alpha_vir, True), (beta_occ, beta_vir, False)):
-        for i, j in itertools.combinations(occ, 2):
-            for a, b in itertools.combinations(vir, 2):
-                mask = (1 << i) | (1 << j) | (1 << a) | (1 << b)
-                if is_alpha:
-                    seen.append(Determinant(det.alpha ^ mask, det.beta))
-                else:
-                    seen.append(Determinant(det.alpha, det.beta ^ mask))
-    # alpha-beta doubles
-    for i in alpha_occ:
-        for a in alpha_vir:
-            am = det.alpha ^ ((1 << i) | (1 << a))
-            for j in beta_occ:
-                for b in beta_vir:
-                    seen.append(Determinant(am, det.beta ^ ((1 << j) | (1 << b))))
-    return seen
-
-
-def _sector_matrix(mol, dets):
-    """Hamiltonian in the given determinant list, as a real CSR matrix."""
-    norb = mol.n_spin_orbitals // 2
-    index = {d: k for k, d in enumerate(dets)}
-    dim = len(dets)
-    diag = np.array([slater_condon(mol, d, d) for d in dets])
-    rows, cols, vals = [], [], []
-    for jcol, det in enumerate(dets):
-        for other in _connected_determinants(det, norb):
-            irow = index.get(other)
-            if irow is None or irow <= jcol:
-                continue
-            v = slater_condon(mol, other, det)
-            if v != 0.0:
-                rows.append(irow)
-                cols.append(jcol)
-                vals.append(v)
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return (upper + upper.T + sp.diags(diag)).tocsr()
-
-
 def slater_condon_hamiltonian(mol) -> ProjectedOperator:
     """The Slater-Condon Hamiltonian in the molecule's `Basis.sector`.
 
     Rows and columns follow the sector's ascending occupation masks, so the
     matrix compares entry by entry with the Jordan-Wigner Hamiltonian
-    projected onto the same basis.
+    projected onto the same basis. It is the oracle for that projection:
+    each column's coupled rows are the masks that differ from it in at most
+    four spin orbitals, its same-sector singles and doubles.
 
     Raises:
         DimensionCapError: when the sector exceeds `MAX_SECTOR_DIM`, before
             any determinant is enumerated.
     """
     basis = Basis.sector(mol.n_spin_orbitals, mol.n_electrons)
-    return ProjectedOperator(basis, _sector_matrix(mol, _determinants(basis)))
+    masks = basis.masks
+    dets = _determinants(basis)
+    diag = np.array([slater_condon(mol, d, d) for d in dets])
+    rows, cols, vals = [], [], []
+    for jcol, det in enumerate(dets):
+        below = jcol + 1 + np.flatnonzero(np.bitwise_count(masks[jcol + 1:] ^ masks[jcol]) <= 4)
+        for irow in below.tolist():
+            v = slater_condon(mol, dets[irow], det)
+            if v != 0.0:
+                rows.append(irow)
+                cols.append(jcol)
+                vals.append(v)
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
+    return ProjectedOperator(basis, (upper + upper.T + sp.diags(diag)).tocsr())
 
 
 def _determinants(basis):
@@ -324,9 +286,14 @@ def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
 
 @dataclass
 class CipsiState:
-    """Reference space, variational solution and latest PT2 estimate."""
+    """Reference space, variational solution and latest PT2 estimate.
 
-    dets: list
+    `dets` holds the ascending positions of the reference determinants in
+    the sector basis of the run's Hamiltonian, and `coefficients` their
+    float64 amplitudes in that order.
+    """
+
+    dets: np.ndarray
     coefficients: np.ndarray
     e_variational: float
     e_pt2: float = math.inf
@@ -337,74 +304,76 @@ class CipsiState:
     def e_cipsi(self):
         return self.e_variational + (self.e_pt2 if math.isfinite(self.e_pt2) else 0.0)
 
-    def wavefunction(self, norb):
+    def statevector(self, basis: Basis) -> Statevector:
+        """The variational state in `basis`, the sector the run used."""
+        amplitudes = np.zeros(basis.dim)
+        amplitudes[self.dets] = self.coefficients
+        return Statevector(basis.n_qubits, amplitudes, basis)
+
+    def wavefunction(self, basis: Basis) -> DeterminantWavefunction:
+        masks = basis.masks[self.dets].tolist()
         return DeterminantWavefunction(
-            norb, dict(zip(self.dets, map(float, self.coefficients))),
+            basis.n_qubits // 2,
+            {Determinant.from_spin_orbital_mask(m): float(c)
+             for m, c in zip(masks, self.coefficients)},
             self.e_variational).normalized()
 
 
-def cipsi_initial_state(mol) -> CipsiState:
-    hf = hartree_fock_determinant(mol.n_alpha, mol.n_beta)
-    e_hf = slater_condon(mol, hf, hf)
-    return CipsiState([hf], np.array([1.0]), e_hf)
+def cipsi_initial_state(h_sector: ProjectedOperator) -> CipsiState:
+    """The Hartree-Fock determinant alone: position 0 of the sector.
+
+    Raises:
+        ValueError: unless the Hamiltonian is real and projected onto a
+            determinant sector (`Basis.sector`).
+    """
+    if h_sector.basis.is_full or np.iscomplexobj(h_sector.matrix):
+        raise ValueError("CIPSI needs a real Hamiltonian projected onto a determinant sector")
+    return CipsiState(np.array([0]), np.array([1.0]), float(h_sector.matrix[0, 0]))
 
 
-def _rediagonalize(mol, dets):
-    w, v = np.linalg.eigh(_sector_matrix(mol, dets).toarray())
-    return float(w[0]), _fix_sign(v[:, 0])
-
-
-def cipsi_iterate(state: CipsiState, mol, max_total=None) -> CipsiState:
+def cipsi_iterate(state: CipsiState, h_sector: ProjectedOperator, max_total=None) -> CipsiState:
     """One CIPSI enlargement step.
 
-    Generates the external determinants connected to the reference space,
-    scores them with the Epstein-Nesbet estimate
-    e_k = |<Psi0|H|k>|^2 / (E_v - <k|H|k>), selects the largest-|e_k| ones
-    until the space doubles (or hits `max_total`), rediagonalizes, and sums
-    the estimates of the non-selected externals into E2. Near-degenerate
+    The external determinants are the sector positions outside the space
+    that the Hamiltonian couples to it. Each is scored with the
+    Epstein-Nesbet estimate e_k = <k|H|Psi0>^2 / (E_v - <k|H|k>); the
+    largest-|e_k| ones (ties to the lower position) join until the space
+    doubles (or hits `max_total`), the space is rediagonalized, and the
+    estimates of the non-selected externals sum to E2. Near-degenerate
     denominators force the offending determinant into the space.
     """
-    norb = mol.n_spin_orbitals // 2
-    in_space = set(state.dets)
-    amplitudes = {}
-    for det, coeff in zip(state.dets, state.coefficients):
-        if abs(coeff) < 1e-14:
-            continue
-        for kappa in _connected_determinants(det, norb):
-            if kappa in in_space:
-                continue
-            v = slater_condon(mol, kappa, det)
-            if v != 0.0:
-                amplitudes[kappa] = amplitudes.get(kappa, 0.0) + coeff * v
-    scored = []
-    forced = []
-    for kappa, amp in amplitudes.items():
-        denom = state.e_variational - slater_condon(mol, kappa, kappa)
-        if abs(denom) < INTRUDER_THRESHOLD:
-            forced.append(kappa)
-            continue
-        e2 = amp * amp / denom
-        scored.append((kappa, e2))
-    if forced:
+    h = h_sector.matrix
+    space = state.dets
+    active = np.abs(state.coefficients) >= 1e-14
+    # H is symmetric: the rows of the space hold the columns H[:, space].
+    rows = h[space[active]]
+    external = np.setdiff1d(rows.indices, space)
+    amplitudes = (rows.T @ state.coefficients[active])[external]
+    denominators = state.e_variational - h.diagonal()[external]
+    forced = np.abs(denominators) < INTRUDER_THRESHOLD
+    n_forced = int(forced.sum())
+    if n_forced:
         logger.warning("CIPSI: forcing %d intruder determinant(s) with degenerate "
-                       "denominators into the reference space", len(forced))
-    # Largest |e2| first; ties broken by determinant bitstring order.
-    scored.sort(key=lambda item: (-abs(item[1]), item[0]))
-    budget = len(state.dets)  # doubling cap
+                       "denominators into the reference space", n_forced)
+    scored = external[~forced]
+    e2 = amplitudes[~forced] ** 2 / denominators[~forced]
+    order = np.argsort(-np.abs(e2), kind="stable")  # scored is ascending
+    budget = len(space)  # doubling cap
     if max_total is not None:
-        budget = min(budget, max(0, max_total - len(state.dets)))
-    selected = forced + [kappa for kappa, _ in scored[:max(0, budget - len(forced))]]
-    remaining_e2 = sum(e2 for kappa, e2 in scored[len(selected) - len(forced):])
-    if not selected:
-        return CipsiState(state.dets, state.coefficients, state.e_variational,
+        budget = min(budget, max(0, max_total - len(space)))
+    n_scored = max(0, budget - n_forced)
+    selected = np.concatenate([external[forced], scored[order[:n_scored]]])
+    if not len(selected):
+        return CipsiState(space, state.coefficients, state.e_variational,
                           0.0, state.iteration + 1, state.forced_intruders)
-    new_dets = sorted(state.dets + selected)
-    e_v, coeffs = _rediagonalize(mol, new_dets)
-    return CipsiState(new_dets, coeffs, e_v, remaining_e2,
-                      state.iteration + 1, state.forced_intruders + len(forced))
+    new_space = np.sort(np.concatenate([space, selected]))
+    w, v = np.linalg.eigh(h[new_space][:, new_space].toarray())
+    return CipsiState(new_space, _fix_sign(v[:, 0]), float(w[0]),
+                      float(np.sum(e2[order[n_scored:]])),
+                      state.iteration + 1, state.forced_intruders + n_forced)
 
 
-def cipsi_states(mol, target_e2=None, max_dets=None, max_iter=50):
+def cipsi_states(h_sector: ProjectedOperator, target_e2=None, max_dets=None, max_iter=50):
     """The states of a CIPSI run from the Hartree-Fock reference, in order.
 
     Yields the initial state, then the result of each `cipsi_iterate`
@@ -414,40 +383,53 @@ def cipsi_states(mol, target_e2=None, max_dets=None, max_iter=50):
     """
     if target_e2 is None and max_dets is None:
         raise ValueError("need a stopping rule: target_e2 and/or max_dets")
-    state = cipsi_initial_state(mol)
+    state = cipsi_initial_state(h_sector)
     yield state
     for _ in range(max_iter):
         if target_e2 is not None and abs(state.e_pt2) <= target_e2:
             return
         if max_dets is not None and len(state.dets) >= max_dets:
             return
-        new_state = cipsi_iterate(state, mol, max_total=max_dets)
+        new_state = cipsi_iterate(state, h_sector, max_total=max_dets)
         yield new_state
         if len(new_state.dets) == len(state.dets):
             return
         state = new_state
 
 
-def run_cipsi(mol, target_e2=None, max_dets=None, max_iter=50) -> CipsiState:
+def run_cipsi(h_sector: ProjectedOperator, target_e2=None, max_dets=None,
+              max_iter=50) -> CipsiState:
     """The last of `cipsi_states`: iterate CIPSI until a stop rule fires."""
-    for state in cipsi_states(mol, target_e2, max_dets, max_iter):
+    for state in cipsi_states(h_sector, target_e2, max_dets, max_iter):
         pass
     return state
 
 
-def export_statevector(wavefunction: DeterminantWavefunction, n_qubits) -> Statevector:
-    """Embed a determinant expansion as a normalized dense statevector."""
-    state = Statevector(n_qubits)
-    for det, coeff in wavefunction.coefficients.items():
+def export_statevector(wavefunction: DeterminantWavefunction, basis: Basis) -> Statevector:
+    """Embed a determinant expansion into `basis` as a normalized state.
+
+    Determinants outside the basis are dropped, as `Basis.extract` drops
+    weight outside it.
+
+    Raises:
+        ValueError: when a determinant does not fit the basis's qubits, or
+            no weight is left in the basis.
+    """
+    masks = []
+    for det in wavefunction.coefficients:
         mask = det.spin_orbital_mask()
-        if mask >> n_qubits:
-            raise ValueError(f"determinant {det} does not fit in {n_qubits} qubits")
-        state.amplitudes[mask] = coeff
-    norm = state.norm()
+        if mask >> basis.n_qubits:
+            raise ValueError(f"determinant {det} does not fit in {basis.n_qubits} qubits")
+        masks.append(mask)
+    pos = basis.index(np.array(masks, dtype=np.int64))
+    inside = pos >= 0
+    amplitudes = np.zeros(basis.dim)
+    amplitudes[pos[inside]] = np.fromiter(wavefunction.coefficients.values(), float,
+                                          len(masks))[inside]
+    norm = np.linalg.norm(amplitudes)
     if norm == 0.0:
-        raise ValueError("empty wavefunction")
-    state.amplitudes /= norm
-    return state
+        raise ValueError("the wavefunction has no weight in the basis")
+    return Statevector(basis.n_qubits, amplitudes / norm, basis)
 
 
 def write_wavefunction(wavefunction: DeterminantWavefunction, path):

@@ -23,7 +23,7 @@ from .fcidump import FcidumpError, read_fcidump, reference_energies, to_spin_orb
 from .overlap_adapt import pipeline
 from .pauli import format_operator, jw_hamiltonian
 from .pool import ansatz_resource_counts, build_pool, format_pool
-from .statevector import apply_ansatz, energy_and_gradient, format_state
+from .statevector import Basis, apply_ansatz, energy_and_gradient, format_state
 from .verify import run_verification
 
 METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
@@ -95,11 +95,11 @@ def _solve_fci(mol, refs):
     return wavefn
 
 
-def _cipsi_trace(mol, args):
+def _cipsi_trace(h_sector, args):
     """Run CIPSI to the stop rule; (final state, trace CSV rows)."""
     rows = ["iter,dets,e_v,e2,e_cipsi"]
     size = 0
-    for state in ci.cipsi_states(mol, args.cipsi_target_e2, args.cipsi_max_dets):
+    for state in ci.cipsi_states(h_sector, args.cipsi_target_e2, args.cipsi_max_dets):
         if len(state.dets) > size:  # a last step that adds nothing gets no row
             size = len(state.dets)
             pt2 = f"{state.e_pt2!r},{state.e_cipsi!r}" if state.iteration else "nan,nan"
@@ -139,6 +139,11 @@ def _write(path, text):
         fh.write(text)
 
 
+def _print_cipsi(state):
+    print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
+          f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
+
+
 def cmd_run(args):
     mol, refs = _load_problem(args)
     n = mol.n_spin_orbitals
@@ -148,22 +153,24 @@ def cmd_run(args):
         if args.out_wavefunction:
             ci.write_wavefunction(wavefn, args.out_wavefunction)
         if args.dump_state:
-            _write(args.dump_state, format_state(ci.export_statevector(wavefn, n)) + "\n")
+            state = ci.export_statevector(wavefn, Basis.sector(n, mol.n_electrons))
+            _write(args.dump_state, format_state(state) + "\n")
         return 0
 
-    if args.method == "cipsi":
-        if args.cipsi_max_dets is None and args.cipsi_target_e2 is None:
-            raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
-        state, rows = _cipsi_trace(mol, args)
-        _write(args.out_trace, "\n".join(rows) + "\n")
-        print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
-              f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
-        if args.out_wavefunction:
-            ci.write_wavefunction(state.wavefunction(n // 2), args.out_wavefunction)
-        return 0
-
+    if args.method == "cipsi" and args.cipsi_max_dets is None \
+            and args.cipsi_target_e2 is None:
+        raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
     ham = jw_hamiltonian(mol)
     h_sector = sector_hamiltonian(ham, n, mol.n_electrons)
+
+    if args.method == "cipsi":
+        state, rows = _cipsi_trace(h_sector, args)
+        _write(args.out_trace, "\n".join(rows) + "\n")
+        _print_cipsi(state)
+        if args.out_wavefunction:
+            ci.write_wavefunction(state.wavefunction(h_sector.basis), args.out_wavefunction)
+        return 0
+
     e_ref = None
     if not args.no_reference:
         e_ref = refs["REF_FCI"] if "REF_FCI" in refs else ci.sector_ground_state(h_sector)[0]
@@ -175,11 +182,9 @@ def cmd_run(args):
 
     budget = args.p_total if args.p_total is not None else args.max_ops
     eps = args.eps if args.eps is not None else (1e-8 if budget is not None else 1e-3)
-    common = dict(gtol=args.gtol, restarts=args.restarts, seed=args.seed)
-
     if args.method == "adapt":
         ansatz, trace = run_adapt(h_sector, pool, n_electrons=mol.n_electrons,
-                                  eps=eps, max_ops=budget, e_ref=e_ref, **common)
+                                  eps=eps, max_ops=budget, gtol=args.gtol, e_ref=e_ref)
         overlap_trace = None
     else:
         source = {"overlap-adapt-fci": "fci",
@@ -211,7 +216,7 @@ def cmd_run(args):
                           cipsi_target_e2=args.cipsi_target_e2,
                           target_ansatz=target_ansatz,
                           target_wavefunction=target_wavefunction, eps=eps,
-                          gtol_overlap=args.gtol_overlap, e_ref=e_ref, **common)
+                          gtol=args.gtol, gtol_overlap=args.gtol_overlap, e_ref=e_ref)
         ansatz, trace, overlap_trace = result.ansatz, result.adapt_trace, result.overlap_trace
 
     _write(args.out_trace, trace.to_csv())
@@ -220,7 +225,8 @@ def cmd_run(args):
     if args.out_ansatz:
         save_ansatz(ansatz, args.out_ansatz)
     if args.dump_state:
-        _write(args.dump_state, format_state(apply_ansatz(ansatz)) + "\n")
+        _write(args.dump_state,
+               format_state(apply_ansatz(ansatz, basis=h_sector.basis)) + "\n")
     if args.gnuplot:
         _write(args.gnuplot, GNUPLOT_TEMPLATE.format(trace=args.out_trace,
                                                      title=args.method))
@@ -240,11 +246,11 @@ def cmd_fci(args):
 
 def cmd_run_cipsi(args):
     mol, _ = _load_problem(args)
-    state = ci.run_cipsi(mol, target_e2=args.target_e2, max_dets=args.max_dets)
-    print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
-          f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
+    h_sector = sector_hamiltonian(jw_hamiltonian(mol), mol.n_spin_orbitals, mol.n_electrons)
+    state = ci.run_cipsi(h_sector, target_e2=args.target_e2, max_dets=args.max_dets)
+    _print_cipsi(state)
     if args.out:
-        ci.write_wavefunction(state.wavefunction(mol.n_spin_orbitals // 2), args.out)
+        ci.write_wavefunction(state.wavefunction(h_sector.basis), args.out)
     return 0
 
 
@@ -293,8 +299,6 @@ def build_parser():
     run.add_argument("--target-ansatz")
     run.add_argument("--target-wavefunction",
                      help="stored determinant expansion to use as the overlap target")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--restarts", type=int, default=0)
     run.add_argument("--no-reference", action="store_true",
                      help="skip the FCI reference for the error column")
     run.add_argument("--out-trace", default="trace.csv")

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .statevector import sector_dimension
+
 __all__ = [
     "FcidumpData",
     "FcidumpError",
@@ -239,10 +241,13 @@ def to_spin_orbital(data: FcidumpData) -> MolecularHamiltonian:
         FcidumpError: unless MS2 = NELEC mod 2, the sector of the
             Hartree-Fock reference on the lowest NELEC spin orbitals that
             the solvers and the ansatz loops share.
+        DimensionCapError: when that sector exceeds the solvers' cap,
+            checked before the (2 NORB)^4 tensor is allocated.
     """
     if data.ms2 != data.nelec % 2:
         raise FcidumpError(f"MS2={data.ms2} with NELEC={data.nelec}: only the "
                            f"Hartree-Fock sector, MS2={data.nelec % 2}, is supported")
+    sector_dimension(2 * data.norb, data.nelec)
     norb = data.norb
     n = 2 * norb
     h1 = np.zeros((norb, norb))

@@ -28,41 +28,20 @@ class OptimizeResult:
     n_iterations: int = 0
 
 
-def minimize(objective, theta0, gtol=1e-8, max_iter=500,
-             restarts=0, restart_scale=0.1, seed=None,
-             callback=None) -> OptimizeResult:
+def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None) -> OptimizeResult:
     """Minimize `objective(theta) -> (value, gradient)` from theta0 with BFGS.
 
     Args:
         objective: callable returning the value and its analytic gradient.
         theta0: starting angles.
         gtol: convergence threshold on the gradient infinity norm.
-        max_iter: BFGS iteration cap per solve.
-        restarts: optional seeded perturb-and-reoptimize rounds for plateau
-            escape; 0 keeps the solve fully deterministic.
-        restart_scale: stddev (radians) of the restart perturbations.
-        seed: RNG seed for restarts.
+        max_iter: BFGS iteration cap.
         callback: forwarded to scipy, called once per accepted iterate.
 
     Raises:
         ObjectiveError: if the objective evaluates to NaN or infinity.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    result = _single_minimize(objective, theta0, gtol, max_iter, callback)
-    if restarts:
-        rng = np.random.default_rng(seed)
-        best = result
-        for _ in range(restarts):
-            perturbed = best.theta_opt + rng.normal(0.0, restart_scale, size=theta0.shape)
-            trial = _single_minimize(objective, perturbed, gtol, max_iter, callback)
-            trial.n_evaluations += best.n_evaluations
-            if trial.objective_value < best.objective_value:
-                best = trial
-        result = best
-    return result
-
-
-def _single_minimize(objective, theta0, gtol, max_iter, callback):
     n_evals = 0
     best = None  # (value, gradient inf-norm, theta)
 

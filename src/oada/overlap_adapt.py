@@ -117,8 +117,7 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
 
 def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, *,
                       gtol_overlap=DEFAULT_GTOL_OVERLAP, gtol=1e-8,
-                      max_opt_iter=500, n_electrons=None, hamiltonian=None,
-                      restarts=0, seed=None):
+                      max_opt_iter=500, n_electrons=None, hamiltonian=None):
     """Grow an ansatz to maximize |<ref|psi>|^2, up to p_max operators.
 
     The objective minimized at each step is the infidelity
@@ -162,8 +161,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
             value, grad = overlap_and_gradient(ansatz, target, theta)
             return 1.0 - value, -grad
 
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
-                          restarts=restarts, seed=seed)
+        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         if not result.converged:
             level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING
@@ -197,54 +195,46 @@ class PipelineResult:
     target_energy: float = np.nan
 
 
-def build_target(mol, ref_source, h_sector, *, cipsi_max_dets=None,
-                 cipsi_target_e2=None, target_ansatz=None, target_wavefunction=None):
+def build_target(ref_source, h_sector, *, cipsi_max_dets=None, cipsi_target_e2=None,
+                 target_ansatz=None, target_wavefunction=None):
     """Assemble the target state of a pipeline run, in the Hartree-Fock sector.
 
     `h_sector` is the Hamiltonian projected onto that sector
-    (`sector_hamiltonian`). ref_source 'fci' takes its lowest eigenpair
-    (`ci.sector_ground_state`). 'cipsi' runs the selected-CI loop and
-    embeds its expansion; 'adapt-ansatz' applies a stored ansatz;
-    'wavefunction' embeds a determinant expansion loaded from the
-    determinant text format. Each of these three is extracted into the
-    sector once, here.
+    (`sector_hamiltonian`); every target is built in its basis.
+    ref_source 'fci' takes its lowest eigenpair (`ci.sector_ground_state`);
+    'cipsi' runs the selected-CI loop on it and embeds the variational
+    state; 'adapt-ansatz' applies a stored ansatz; 'wavefunction' embeds a
+    determinant expansion loaded from the determinant text format.
 
     Raises:
-        ValueError: for an unknown source, or a target with no weight in
-            the Hartree-Fock sector, where the loops run.
+        ValueError: for an unknown source, or a wavefunction with no weight
+            in the Hartree-Fock sector, where the loops run.
     """
+    basis = h_sector.basis
     if ref_source == "fci":
         energy, target = ci.sector_ground_state(h_sector)
-        return target, energy
-    n_qubits = h_sector.n_qubits
-    if ref_source == "cipsi":
-        state = ci.run_cipsi(mol, target_e2=cipsi_target_e2, max_dets=cipsi_max_dets)
-        wavefn = state.wavefunction(mol.n_spin_orbitals // 2)
-        target, energy = ci.export_statevector(wavefn, n_qubits), state.e_variational
+    elif ref_source == "cipsi":
+        state = ci.run_cipsi(h_sector, target_e2=cipsi_target_e2, max_dets=cipsi_max_dets)
+        target, energy = state.statevector(basis), state.e_variational
     elif ref_source == "adapt-ansatz":
         if target_ansatz is None:
             raise ValueError("ref_source 'adapt-ansatz' needs target_ansatz")
-        target, energy = apply_ansatz(target_ansatz), np.nan
+        target, energy = apply_ansatz(target_ansatz, basis=basis), np.nan
     elif ref_source == "wavefunction":
         if target_wavefunction is None:
             raise ValueError("ref_source 'wavefunction' needs target_wavefunction")
-        target = ci.export_statevector(target_wavefunction, n_qubits)
+        target = ci.export_statevector(target_wavefunction, basis)
         energy = target_wavefunction.energy if target_wavefunction.energy is not None \
             else np.nan
     else:
         raise ValueError(f"unknown ref_source {ref_source!r}")
-    target = h_sector.basis.extract(target)
-    if not np.any(target.amplitudes):
-        raise ValueError(f"the {ref_source} target has no weight in the Hartree-Fock "
-                         "sector the ansatz lives in")
     return target, energy
 
 
 def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
              cipsi_max_dets=None, cipsi_target_e2=None, target_ansatz=None,
              target_wavefunction=None, eps=1e-8, gtol=1e-8,
-             gtol_overlap=DEFAULT_GTOL_OVERLAP, e_ref=None,
-             restarts=0, seed=None) -> PipelineResult:
+             gtol_overlap=DEFAULT_GTOL_OVERLAP, e_ref=None) -> PipelineResult:
     """Two-stage run: overlap-guided growth to p_overlap, then energy
     minimization to p_total.
 
@@ -257,14 +247,13 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
     """
     h_sector = sector_hamiltonian(hamiltonian, mol.n_spin_orbitals, mol.n_electrons)
     target, target_energy = build_target(
-        mol, ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,
+        ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
         target_wavefunction=target_wavefunction)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
         target, pool, p_overlap, n_electrons=mol.n_electrons,
-        gtol_overlap=gtol_overlap, gtol=gtol, hamiltonian=h_sector,
-        restarts=restarts, seed=seed)
+        gtol_overlap=gtol_overlap, gtol=gtol, hamiltonian=h_sector)
     ansatz, adapt_trace = run_adapt(
         h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total,
-        gtol=gtol, e_ref=e_ref, restarts=restarts, seed=seed)
+        gtol=gtol, e_ref=e_ref)
     return PipelineResult(ansatz, adapt_trace, overlap_trace, target, target_energy)

@@ -41,6 +41,7 @@ from .pool import SingleExcitation
 __all__ = [
     "Basis",
     "ProjectedOperator",
+    "sector_dimension",
     "Statevector",
     "Ansatz",
     "prepare_hf",
@@ -60,6 +61,27 @@ MAX_QUBITS = 24
 MAX_SECTOR_DIM = 1 << MAX_QUBITS
 # Occupation masks are int64.
 MAX_MASK_QUBITS = 62
+
+
+def sector_dimension(n_qubits, n_electrons):
+    """Size of the Hartree-Fock (N_alpha, N_beta) sector, computed without
+    enumerating it.
+
+    Raises:
+        ValueError: when the electrons do not fit in the spin orbitals.
+        DimensionCapError: beyond the 62-bit occupation masks, or when the
+            dimension exceeds MAX_SECTOR_DIM.
+    """
+    if not 0 <= n_electrons <= n_qubits:
+        raise ValueError(f"{n_electrons} electrons do not fit in {n_qubits} spin orbitals")
+    if n_qubits > MAX_MASK_QUBITS:
+        raise DimensionCapError(
+            f"{n_qubits} qubits exceeds the {MAX_MASK_QUBITS}-bit mask cap")
+    dim = (math.comb((n_qubits + 1) // 2, (n_electrons + 1) // 2)
+           * math.comb(n_qubits // 2, n_electrons // 2))
+    if dim > MAX_SECTOR_DIM:
+        raise DimensionCapError(f"sector dimension {dim} exceeds cap {MAX_SECTOR_DIM}")
+    return dim
 
 
 class Basis:
@@ -90,19 +112,13 @@ class Basis:
         """The (N_alpha, N_beta) sector of the n-electron Hartree-Fock state.
 
         Spin orbitals are interleaved (even = alpha, odd = beta) and the
-        reference occupies the lowest n_electrons of them. The dimension is
-        checked against MAX_SECTOR_DIM before anything is allocated.
+        reference occupies the lowest n_electrons of them, so it is the
+        smallest mask and position 0. The dimension is checked by
+        `sector_dimension` before anything is allocated.
         """
-        if not 0 <= n_electrons <= n_qubits:
-            raise ValueError(f"{n_electrons} electrons do not fit in {n_qubits} spin orbitals")
-        if n_qubits > MAX_MASK_QUBITS:
-            raise DimensionCapError(
-                f"{n_qubits} qubits exceeds the {MAX_MASK_QUBITS}-bit mask cap")
+        sector_dimension(n_qubits, n_electrons)
         n_alpha, n_beta = (n_electrons + 1) // 2, n_electrons // 2
         n_even, n_odd = (n_qubits + 1) // 2, n_qubits // 2
-        dim = math.comb(n_even, n_alpha) * math.comb(n_odd, n_beta)
-        if dim > MAX_SECTOR_DIM:
-            raise DimensionCapError(f"sector dimension {dim} exceeds cap {MAX_SECTOR_DIM}")
 
         def strings(n_orbitals, n_occupied, offset):
             return np.array([sum(1 << (2 * i + offset) for i in occ)

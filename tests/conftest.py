@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oada
-from oada.statevector import Ansatz, apply_ansatz, overlap
+from oada.statevector import Ansatz, Basis, apply_ansatz, overlap
 
 
 class Problem:
@@ -17,6 +17,7 @@ class Problem:
         self.n_electrons = self.mol.n_electrons
         self._ham = None
         self._sparse = None
+        self._sector = None
         self._pool = None
         self._fci = None
 
@@ -31,6 +32,14 @@ class Problem:
         if self._sparse is None:
             self._sparse = self.ham.to_sparse_matrix()
         return self._sparse
+
+    @property
+    def sector(self):
+        """The Jordan-Wigner Hamiltonian projected onto the Hartree-Fock
+        sector, where CIPSI and the ansatz loops run."""
+        if self._sector is None:
+            self._sector = Basis.sector(self.n, self.n_electrons).project(self.ham)
+        return self._sector
 
     @property
     def pool(self):
@@ -50,7 +59,7 @@ class Problem:
         return self.fci[0]
 
     def fci_state(self):
-        return oada.export_statevector(self.fci[1], self.n)
+        return oada.export_statevector(self.fci[1], Basis.full(self.n))
 
 
 @pytest.fixture(scope="session")

@@ -165,7 +165,7 @@ def test_criterion_6_cipsi_target_quality_as_stated(h6):
     # variational principle caps the 50-determinant error below the stated
     # bound. Analysis under "Acceptance suite" in the README; the operative
     # headline above does not depend on it.
-    state = run_cipsi(h6.mol, max_dets=50)
+    state = run_cipsi(h6.sector, max_dets=50)
     error = state.e_variational - h6.e_fci
     report("6 (target-quality clause)", error > 1e-2,
            f"CIPSI(50) E_v error = {error:.3e} Ha, stated bound > 1e-2 Ha")
@@ -198,10 +198,10 @@ def test_criterion_8_monotonicity_and_variational(h6, h6_adapt_50, h6_overlap_50
     overlap_energies = [rec.energy for rec in h6_overlap_50[1].records]
     assert all(e >= h6.e_fci - 1e-10 for e in overlap_energies)
 
-    state = cipsi_initial_state(h6.mol)
+    state = cipsi_initial_state(h6.sector)
     previous = state.e_variational
     while len(state.dets) < 400:
-        state = cipsi_iterate(state, h6.mol)
+        state = cipsi_iterate(state, h6.sector)
         assert state.e_variational <= previous + 1e-12
         assert state.e_variational >= h6.e_fci - 1e-10
         previous = state.e_variational

@@ -12,6 +12,7 @@ from oada.ci import (Determinant, cipsi_initial_state, cipsi_iterate,
                      slater_condon, slater_condon_hamiltonian, write_wavefunction,
                      DeterminantWavefunction)
 from oada.fcidump import FcidumpData, to_spin_orbital
+from oada.pauli import jw_hamiltonian
 from oada.statevector import Basis, expectation, prepare_hf
 
 
@@ -55,7 +56,7 @@ def test_davidson_agrees_with_dense(h4, h6):
         dense_e = np.linalg.eigvalsh(matrix)[0]
         davidson_e, wavefn = fci_ground_state(problem.mol)
         assert abs(dense_e - davidson_e) < 1e-9
-        state = export_statevector(wavefn, problem.n)
+        state = export_statevector(wavefn, Basis.full(problem.n))
         assert abs(expectation(state, problem.sparse) - dense_e) < 1e-8
 
 
@@ -66,28 +67,28 @@ def test_dimension_cap(h6, monkeypatch):
 
 
 def test_cipsi_initial_state_is_hf(h4):
-    state = cipsi_initial_state(h4.mol)
+    state = cipsi_initial_state(h4.sector)
     assert len(state.dets) == 1
     assert abs(state.e_variational - h4.refs["REF_HF"]) < 1e-8
     assert math.isinf(state.e_pt2)
 
 
 def test_cipsi_full_sector_terminates_at_fci(h2):
-    state = run_cipsi(h2.mol, max_dets=100)
+    state = run_cipsi(h2.sector, max_dets=100)
     assert abs(state.e_variational - h2.e_fci) < 1e-9
     assert state.e_pt2 == 0.0
 
 
 def test_cipsi_h2_one_iteration_exact(h2):
-    state = cipsi_iterate(cipsi_initial_state(h2.mol), h2.mol)
+    state = cipsi_iterate(cipsi_initial_state(h2.sector), h2.sector)
     assert abs(state.e_cipsi - h2.e_fci) < 1e-8
 
 
 def test_cipsi_monotone_and_variational(h6):
-    state = cipsi_initial_state(h6.mol)
+    state = cipsi_initial_state(h6.sector)
     previous = state.e_variational
     for _ in range(6):
-        state = cipsi_iterate(state, h6.mol)
+        state = cipsi_iterate(state, h6.sector)
         assert state.e_variational <= previous + 1e-12
         assert state.e_variational >= h6.e_fci - 1e-10
         previous = state.e_variational
@@ -101,26 +102,66 @@ def test_cipsi_monotone_and_variational(h6):
     "cannot exceed 1e-2 Ha (see 'Acceptance suite' in the README); the "
     "stated bound must come from a different orbital basis or setup"))
 def test_cipsi_h6_fifty_determinants_low_accuracy_regime(h6):
-    state = run_cipsi(h6.mol, max_dets=50)
+    state = run_cipsi(h6.sector, max_dets=50)
     assert len(state.dets) == 50
     assert state.e_variational - h6.e_fci > 1e-2
 
 
 def test_cipsi_h6_fifty_determinants_measured(h6):
     # measured behavior of the 50-determinant target used by the pipelines
-    state = run_cipsi(h6.mol, max_dets=50)
+    state = run_cipsi(h6.sector, max_dets=50)
     assert len(state.dets) == 50
     error = state.e_variational - h6.e_fci
     assert 1e-4 < error < 5e-3
 
 
+# Occupation masks of the CIPSI spaces, and their E_v, as the determinant
+# loop that predates the sector coordinates selected them.
+CIPSI_SPACES = {
+    ("h6", 50): (-2.800239092821264, [
+        63, 123, 183, 207, 237, 303, 423, 483, 543, 603, 723, 819, 843, 903, 963, 993, 1083,
+        1167, 1197, 1563, 1593, 1677, 1713, 1737, 1752, 1833, 1890, 1923, 1953, 2103, 2142,
+        2172, 2358, 2382, 2502, 2532, 2838, 2898, 2961, 3102, 3132, 3276, 3372, 3462, 3492,
+        3612, 3657, 3672, 3888, 4032]),
+    ("beh2_stretched", 100): (-15.336797570945434, [
+        63, 123, 183, 207, 243, 246, 249, 783, 819, 822, 825, 828, 843, 846, 882, 903, 909,
+        945, 963, 966, 969, 972, 3087, 3123, 3126, 3129, 3132, 3147, 3150, 3186, 3207, 3213,
+        3249, 3267, 3270, 3273, 3276, 3888, 4032, 4143, 4203, 4206, 4251, 4263, 4269, 4323,
+        4326, 4329, 4899, 4902, 4905, 4962, 5025, 7203, 7206, 7209, 7266, 7329, 8223, 8283,
+        8286, 8295, 8343, 8349, 8403, 8406, 8409, 8979, 8982, 8985, 9042, 9105, 11283,
+        11286, 11289, 11346, 11409, 12303, 12339, 12342, 12345, 12348, 12363, 12366, 12402,
+        12408, 12423, 12429, 12465, 12468, 12483, 12486, 12489, 12492, 13059, 13104, 13248,
+        15363, 15408, 15552]),
+}
+
+
+@pytest.mark.parametrize("name, max_dets", sorted(CIPSI_SPACES))
+def test_cipsi_selects_the_pinned_space(name, max_dets, request):
+    problem = request.getfixturevalue(name)
+    e_v, masks = CIPSI_SPACES[name, max_dets]
+    state = run_cipsi(problem.sector, max_dets=max_dets)
+    assert problem.sector.basis.masks[state.dets].tolist() == masks
+    assert abs(state.e_variational - e_v) < 1e-12
+
+
+def test_cipsi_on_the_slater_condon_oracle_selects_the_same_space(h4, h6):
+    for problem, max_dets in ((h4, 16), (h6, 50)):
+        oracle = slater_condon_hamiltonian(problem.mol)
+        assert oracle.basis == problem.sector.basis
+        got = run_cipsi(problem.sector, max_dets=max_dets)
+        want = run_cipsi(oracle, max_dets=max_dets)
+        assert np.array_equal(got.dets, want.dets)
+        assert abs(got.e_variational - want.e_variational) < 1e-12
+        assert abs(got.e_pt2 - want.e_pt2) < 1e-12
+
+
 def test_cipsi_needs_stopping_rule(h4):
     with pytest.raises(ValueError):
-        run_cipsi(h4.mol)
+        run_cipsi(h4.sector)
 
 
 def test_cipsi_infinite_target_returns_hf(h4):
-    state = run_cipsi(h4.mol, target_e2=math.inf)
+    state = run_cipsi(h4.sector, target_e2=math.inf)
     assert len(state.dets) == 1
 
 
@@ -129,9 +170,10 @@ def test_intruder_determinant_force_selected(caplog):
     data = FcidumpData(norb=2, nelec=2, ms2=0, core_energy=0.0,
                        one_body={(1, 1): -1.0, (2, 2): -1.0, (2, 1): 0.3})
     mol = to_spin_orbital(data)
-    state = cipsi_initial_state(mol)
+    h_sector = Basis.sector(4, 2).project(jw_hamiltonian(mol))
+    state = cipsi_initial_state(h_sector)
     with caplog.at_level(logging.WARNING, logger="oada.ci"):
-        new = cipsi_iterate(state, mol)
+        new = cipsi_iterate(state, h_sector)
     assert new.forced_intruders > 0
     assert "intruder" in caplog.text
 
@@ -139,20 +181,20 @@ def test_intruder_determinant_force_selected(caplog):
 def test_export_statevector_hf(h4):
     wavefn = DeterminantWavefunction(
         h4.n // 2, {hartree_fock_determinant(h4.mol.n_alpha, h4.mol.n_beta): 1.0})
-    state = export_statevector(wavefn, h4.n)
+    state = export_statevector(wavefn, Basis.full(h4.n))
     assert np.array_equal(state.amplitudes,
                           prepare_hf(h4.n, h4.n_electrons).amplitudes)
 
 
 def test_export_statevector_fci_energy(h6):
-    state = export_statevector(h6.fci[1], h6.n)
+    state = export_statevector(h6.fci[1], Basis.full(h6.n))
     assert abs(expectation(state, h6.sparse) - h6.e_fci) < 1e-9
 
 
 def test_export_statevector_ratio_and_norm():
     wavefn = DeterminantWavefunction(
         2, {Determinant(0b01, 0b01): 3.0, Determinant(0b10, 0b10): 4.0})
-    state = export_statevector(wavefn, 4)
+    state = export_statevector(wavefn, Basis.full(4))
     assert abs(state.norm() - 1.0) < 1e-12
     a = state.amplitudes[Determinant(0b01, 0b01).spin_orbital_mask()]
     b = state.amplitudes[Determinant(0b10, 0b10).spin_orbital_mask()]
@@ -162,7 +204,7 @@ def test_export_statevector_ratio_and_norm():
 def test_export_statevector_overflow():
     wavefn = DeterminantWavefunction(4, {Determinant(0b1000, 0): 1.0})
     with pytest.raises(ValueError, match="fit"):
-        export_statevector(wavefn, 4)
+        export_statevector(wavefn, Basis.full(4))
 
 
 def test_wavefunction_file_round_trip(tmp_path, h4):

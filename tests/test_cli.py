@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oada
+from oada.adapt import load_ansatz
 from oada.cli import main
+from oada.statevector import Basis, apply_ansatz
 
 
 # The child must import the same oada as this process: put its source
@@ -120,14 +123,15 @@ def test_overlap_adapt_cipsi_requires_stop(h4_path, tmp_path):
 
 
 # `run --method cipsi` traces as written before the CLI and `run_cipsi`
-# shared one stop loop. The e2 and e_cipsi cells are currently written as
-# numpy scalar reprs (`np.float64(...)`) and compared by value here.
+# shared one stop loop, and before CIPSI ran on the projected sector
+# Hamiltonian; values are compared to 1e-12 Ha. Every written cell must
+# parse with float(): E2 is a Python float, not a numpy scalar repr.
 CIPSI_TRACES = {
     "h4_1.5 --cipsi-max-dets 8": """iter,dets,e_v,e2,e_cipsi
 0,1,-1.8291374143561538,nan,nan
-1,2,-1.8735223447344216,np.float64(-0.10966326421342058),np.float64(-1.9831856089478421)
-2,4,-1.9414581074810067,np.float64(-0.06619590400778122),np.float64(-2.0076540114887877)
-3,8,-1.9812842890563014,np.float64(-0.005162857388030355),np.float64(-1.9864471464443318)
+1,2,-1.8735223447344216,-0.10966326421342058,-1.9831856089478421
+2,4,-1.9414581074810067,-0.06619590400778122,-2.0076540114887877
+3,8,-1.9812842890563014,-0.005162857388030355,-1.9864471464443318
 """,
     # the second step adds nothing: the full two-determinant sector, E2 = 0
     "h2_0.7414 --cipsi-max-dets 100": """iter,dets,e_v,e2,e_cipsi
@@ -138,11 +142,8 @@ CIPSI_TRACES = {
 
 
 def _cells(csv_text):
-    def value(cell):
-        return float(cell.removeprefix("np.float64(").removesuffix(")"))
-
     rows = [line.split(",") for line in csv_text.splitlines()]
-    return rows[0], [(row[:2], [value(c) for c in row[2:]]) for row in rows[1:]]
+    return rows[0], [(row[:2], [float(c) for c in row[2:]]) for row in rows[1:]]
 
 
 @pytest.mark.parametrize("case", sorted(CIPSI_TRACES))
@@ -244,6 +245,57 @@ def test_dimension_cap_exit_code(tmp_path):
     assert "exceeds cap" in result.stderr
 
 
+def _exit_code_and_peak_rss_kb(fcidump, cwd):
+    script = ("import resource; from oada.cli import main; "
+              f"code = main(['fci', '--fcidump', {str(fcidump)!r}]); "
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SOURCE_DIR, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=cwd, env=env)
+    code, rss_kb = result.stdout.split()[-2:]
+    return int(code), int(rss_kb)
+
+
+def test_dimension_cap_fires_before_the_integrals_are_allocated(h2_path, tmp_path):
+    # NORB=30 would need a 60^4 spin-orbital tensor (104 MB); the cap on its
+    # C(30,15)^2 sector must fire from the header alone
+    big = tmp_path / "big.fcidump"
+    big.write_text("&FCI NORB=30,NELEC=30,MS2=0,\n&END\n0.0 0 0 0 0\n")
+    code, rss_big = _exit_code_and_peak_rss_kb(big, tmp_path)
+    code_h2, rss_h2 = _exit_code_and_peak_rss_kb(h2_path, tmp_path)
+    assert (code, code_h2) == (3, 0)
+    assert rss_big <= rss_h2 + 20 * 1024
+
+
+def _state_lines(text):
+    lines = [line.split() for line in text.strip().splitlines()]
+    return [int(m) for m, _, _ in lines], np.array([[float(re), float(im)]
+                                                   for _, re, im in lines])
+
+
+def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
+    # the sector state's lines equal the nonzero entries of the 2^N oracles
+    dump, ansatz_file = tmp_path / "state.txt", tmp_path / "a.txt"
+    assert main(["run", "--method", "adapt", "--fcidump", h4_path, "--max-ops", "4",
+                 "--out-trace", str(tmp_path / "t.csv"), "--out-ansatz", str(ansatz_file),
+                 "--dump-state", str(dump)]) == 0
+    full = apply_ansatz(load_ansatz(ansatz_file)).amplitudes
+    masks, values = _state_lines(dump.read_text())
+    assert masks == np.flatnonzero(full).tolist()
+    assert np.max(np.abs(values[:, 0] - full[masks].real)) < 1e-14
+    assert not np.any(values[:, 1])
+
+    assert main(["run", "--method", "fci", "--fcidump", h4_path,
+                 "--dump-state", str(dump)]) == 0
+    mol = oada.to_spin_orbital(oada.read_fcidump(h4_path))
+    _, wavefn = oada.fci_ground_state(mol)
+    full = oada.export_statevector(wavefn, Basis.full(mol.n_spin_orbitals)).amplitudes
+    masks, values = _state_lines(dump.read_text())
+    assert masks == np.flatnonzero(full).tolist()
+    assert np.max(np.abs(values[:, 0] - full[masks].real)) < 1e-14
+
+
 def test_wrong_sector_wavefunction_target_exit_code(h2_path, tmp_path):
     (tmp_path / "wf.dets").write_text("norb=2 nelec=1\n1.0 1 0\n")
     result = run_cli(["run", "--method", "overlap-adapt-cipsi", "--fcidump", h2_path,
@@ -289,6 +341,13 @@ def test_config_file_with_flag_override(h2_path, tmp_path):
     result = run_cli(["run", "--config", str(config)], tmp_path)
     assert result.returncode == 2
     assert "bogus" in result.stderr
+
+
+def test_config_seed_is_an_unknown_key(h2_path, tmp_path, capsys):
+    config = tmp_path / "exp.conf"
+    config.write_text(f"fcidump={h2_path}\nmethod=adapt\nseed=1\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert "unknown config keys: seed" in capsys.readouterr().err
 
 
 def test_main_entry_in_process(h2_path, capsys):

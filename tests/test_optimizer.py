@@ -106,19 +106,6 @@ def test_warm_start_never_worse(h4):
     assert second.objective_value <= first.objective_value + 1e-12
 
 
-def test_restarts_deterministic_and_not_worse():
-    def bumpy(theta):
-        x = theta[0]
-        return float(np.sin(3 * x) + 0.1 * x * x), np.array([3 * np.cos(3 * x) + 0.2 * x])
-
-    base = minimize(bumpy, np.array([2.0]))
-    r1 = minimize(bumpy, np.array([2.0]), restarts=3, seed=11)
-    r2 = minimize(bumpy, np.array([2.0]), restarts=3, seed=11)
-    assert r1.objective_value == r2.objective_value
-    assert np.array_equal(r1.theta_opt, r2.theta_opt)
-    assert r1.objective_value <= base.objective_value + 1e-12
-
-
 def test_empty_parameter_vector():
     result = minimize(lambda t: (4.2, np.zeros(0)), np.zeros(0))
     assert result.converged and result.objective_value == 4.2

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 import oada
 from oada import ci
+from oada.cli import main
 from oada.overlap_adapt import pipeline
 from oada.pauli import QubitOperator
 from oada.pool import SingleExcitation
@@ -125,6 +126,27 @@ def test_pipeline_never_builds_the_full_matrix(h4, monkeypatch):
     assert result.adapt_trace.final_energy >= h4.e_fci - 1e-10
 
 
+def test_no_solver_path_allocates_the_full_space(h4, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("2^N basis allocated")
+
+    wavefunction = ci.run_cipsi(h4.sector, max_dets=8).wavefunction(h4.sector.basis)
+    ansatz = Ansatz(h4.n, h4.n_electrons, [op.excitation for op in h4.pool[:3]],
+                    [0.1, -0.2, 0.3])
+    monkeypatch.setattr(Basis, "full", refuse)
+    for source, options in (("cipsi", {"cipsi_max_dets": 8}),
+                            ("wavefunction", {"target_wavefunction": wavefunction}),
+                            ("adapt-ansatz", {"target_ansatz": ansatz})):
+        result = pipeline(h4.mol, h4.ham, h4.pool, source, 2, 3, **options)
+        assert result.target_state.basis == _sector(h4)
+    path = oada.fixture_path("h4_1.5")
+    assert main(["run", "--method", "cipsi", "--fcidump", path, "--cipsi-max-dets", "8",
+                 "--out-trace", str(tmp_path / "t.csv")]) == 0
+    assert main(["run-cipsi", "--fcidump", path, "--max-dets", "8",
+                 "--out", str(tmp_path / "wf.dets")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sector_cap_raises_before_allocating(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("sector enumerated before the cap check")
@@ -141,7 +163,7 @@ def test_sector_ground_state_is_the_fci_target(name, dim, request):
     energy, target = ci.sector_ground_state(sector.project(problem.ham))
     assert target.basis is sector and sector.dim == dim
     assert target.amplitudes.dtype == np.float64
-    exact = sector.extract(ci.export_statevector(problem.fci[1], problem.n))
+    exact = ci.export_statevector(problem.fci[1], sector)
     assert abs(np.vdot(target.amplitudes, exact.amplitudes)) ** 2 >= 1 - 1e-10
     assert abs(energy - problem.e_fci) < 1e-10
 
