@@ -2,8 +2,9 @@
 
 Each iteration screens every pool operator by the commutator gradient at
 zero angle, appends the best one, and re-optimizes every angle from the
-previous optimum (warm start, new angle at 0). One shared H|psi> serves
-all candidates, so screening costs a single Hamiltonian application.
+previous optimum (warm start, new angle at 0, and the previous solve's
+inverse Hessian bordered with 1 for it). One shared H|psi> serves all
+candidates, so screening costs a single Hamiltonian application.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .statevector import (Ansatz, Basis, ProjectedOperator, Statevector, _pair_b
 __all__ = [
     "AdaptRecord",
     "AdaptTrace",
+    "TIE_RTOL",
+    "select_operator",
     "screen_energy_gradients",
     "sector_hamiltonian",
     "run_adapt",
@@ -33,6 +36,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 TRACE_COLUMNS = "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
+
+# Screening gradients within this relative distance of the largest count as
+# tied. Symmetry-equivalent operators have equal gradients in exact
+# arithmetic, but the optimizer's stopping point leaves them a few 1e-9
+# apart (relative), which would otherwise decide the pick.
+TIE_RTOL = 1e-6
 
 
 @dataclass
@@ -85,6 +94,14 @@ def screen_energy_gradients(state: Statevector, hamiltonian, pool):
                      for op in pool])
 
 
+def select_operator(grads) -> int:
+    """Pool position of the operator to append: the largest |gradient|,
+    with every candidate within `TIE_RTOL` of it going to the lowest
+    position (pools are in id order, so the lowest id)."""
+    magnitudes = np.abs(grads)
+    return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
+
+
 def sector_hamiltonian(hamiltonian, n_qubits, n_electrons) -> ProjectedOperator:
     """The Hamiltonian in the Hartree-Fock sector, where the adaptive loops
     run; an operator already projected is used as it is."""
@@ -123,10 +140,11 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
     trace = AdaptTrace()
     err_ref = e_ref if e_ref is not None else np.nan
     iteration = len(ansatz)
+    hess_inv = None  # the stage's first solve starts from the identity
     while True:
         psi = apply_ansatz(ansatz, basis=h_eval.basis)
         grads = screen_energy_gradients(psi, h_eval, pool)
-        best = int(np.argmax(np.abs(grads)))  # first max wins ties: lowest id
+        best = select_operator(grads)
         gmax = float(abs(grads[best]))
         if gmax < eps:
             trace.stop_reason = "gradient"
@@ -141,8 +159,10 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
             value, grad = energy_and_gradient(ansatz, h_eval, theta)
             return value, grad
 
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter)
+        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
+                          hess_inv0=hess_inv)
         ansatz.thetas = [float(t) for t in result.theta_opt]
+        hess_inv = result.hess_inv
         if not result.converged:
             # Near-misses (line search giving up within 10x of gtol) are routine.
             level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING

@@ -39,6 +39,7 @@ __all__ = [
     "slater_condon",
     "slater_condon_hamiltonian",
     "fci_ground_state",
+    "ground_state_wavefunction",
     "sector_ground_state",
     "cipsi_initial_state",
     "cipsi_iterate",
@@ -214,10 +215,20 @@ def fci_ground_state(mol):
         DimensionCapError: when the sector exceeds `MAX_SECTOR_DIM`.
         ConvergenceError: when Davidson does not converge.
     """
-    energy, state = sector_ground_state(slater_condon_hamiltonian(mol))
+    return ground_state_wavefunction(slater_condon_hamiltonian(mol))
+
+
+def ground_state_wavefunction(h_sector: ProjectedOperator):
+    """`sector_ground_state` of a Hamiltonian projected onto a determinant
+    sector, as a determinant expansion (amplitudes above 1e-14 in magnitude).
+
+    Returns:
+        (energy, DeterminantWavefunction)
+    """
+    energy, state = sector_ground_state(h_sector)
     coeffs = {d: float(c) for d, c in zip(_determinants(state.basis), state.amplitudes)
               if abs(c) > 1e-14}
-    return energy, DeterminantWavefunction(mol.n_spin_orbitals // 2, coeffs, energy)
+    return energy, DeterminantWavefunction(state.n_qubits // 2, coeffs, energy)
 
 
 def sector_ground_state(h_sector: ProjectedOperator):

@@ -87,8 +87,13 @@ def _load_problem(args):
 
 
 def _solve_fci(mol, refs):
-    """Slater-Condon FCI, printed with the fixture's REF_FCI when it has one."""
-    energy, wavefn = ci.fci_ground_state(mol)
+    """FCI on the Jordan-Wigner Hamiltonian projected onto the Hartree-Fock
+    sector, printed with the fixture's REF_FCI when it has one. `verify`
+    checks that matrix against the Slater-Condon one, which is not built
+    here."""
+    h_sector = sector_hamiltonian(jw_hamiltonian(mol), mol.n_spin_orbitals,
+                                  mol.n_electrons)
+    energy, wavefn = ci.ground_state_wavefunction(h_sector)
     print(f"E_FCI = {energy:.12f}")
     if "REF_FCI" in refs:
         print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")

@@ -3,7 +3,10 @@
 Thin wrapper around scipy's BFGS (inverse-Hessian update, strong-Wolfe
 line search with c1=1e-4, c2=0.9) that tracks the best iterate ever
 evaluated, so a line-search failure still returns the best point seen,
-and the returned objective is never above the starting one.
+and the returned objective is never above the starting one. The final
+inverse-Hessian estimate is returned, so a caller re-optimizing a grown
+parameter vector can start the next solve from the curvature already
+learned instead of from the identity.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky
 from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import ObjectiveError
@@ -26,9 +30,31 @@ class OptimizeResult:
     converged: bool
     gradient_norm: float
     n_iterations: int = 0
+    hess_inv: np.ndarray = None
 
 
-def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None) -> OptimizeResult:
+def _initial_hess_inv(hess_inv0, n):
+    """`hess_inv0` symmetrized and bordered with the identity up to n x n;
+    the identity itself when none is given or the result is not positive
+    definite (scipy's BFGS would reject it)."""
+    if hess_inv0 is None:
+        return None
+    hess_inv0 = np.asarray(hess_inv0, dtype=float)
+    m = len(hess_inv0)
+    if hess_inv0.shape != (m, m) or m > n:
+        raise ValueError(f"hess_inv0 of shape {hess_inv0.shape} does not fit "
+                         f"{n} parameters")
+    matrix = np.eye(n)
+    matrix[:m, :m] = 0.5 * (hess_inv0 + hess_inv0.T)
+    try:
+        cholesky(matrix)
+    except LinAlgError:
+        return None
+    return matrix
+
+
+def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None,
+             hess_inv0=None) -> OptimizeResult:
     """Minimize `objective(theta) -> (value, gradient)` from theta0 with BFGS.
 
     Args:
@@ -37,6 +63,10 @@ def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None) -> Optim
         gtol: convergence threshold on the gradient infinity norm.
         max_iter: BFGS iteration cap.
         callback: forwarded to scipy, called once per accepted iterate.
+        hess_inv0: starting inverse-Hessian estimate, typically the
+            `hess_inv` of a solve over the leading angles; it is bordered
+            with 1 on the diagonal for the angles it lacks. None, or a
+            matrix that is not positive definite, starts from the identity.
 
     Raises:
         ObjectiveError: if the objective evaluates to NaN or infinity.
@@ -58,11 +88,12 @@ def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None) -> Optim
 
     if len(theta0) == 0:
         value, _ = wrapped(theta0)
-        return OptimizeResult(theta0, value, n_evals, True, 0.0)
+        return OptimizeResult(theta0, value, n_evals, True, 0.0, hess_inv=np.eye(0))
 
     res = _scipy_minimize(wrapped, theta0, jac=True, method="BFGS",
                           callback=callback,
-                          options={"gtol": gtol, "maxiter": max_iter})
+                          options={"gtol": gtol, "maxiter": max_iter,
+                                   "hess_inv0": _initial_hess_inv(hess_inv0, len(theta0))})
     value = float(res.fun)
     theta = np.asarray(res.x, dtype=float)
     gnorm = float(np.max(np.abs(res.jac)))
@@ -70,4 +101,5 @@ def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None) -> Optim
         value, gnorm, theta = best
     converged = bool(res.success) and gnorm <= gtol
     return OptimizeResult(theta, value, n_evals, converged, gnorm,
-                          n_iterations=int(res.nit))
+                          n_iterations=int(res.nit),
+                          hess_inv=np.asarray(res.hess_inv, dtype=float))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ci
-from .adapt import AdaptTrace, run_adapt, sector_hamiltonian
+from .adapt import AdaptTrace, run_adapt, sector_hamiltonian, select_operator
 from .optimizer import minimize
 from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
                           apply_excitation, energy_and_gradient, overlap,
@@ -121,9 +121,10 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
     """Grow an ansatz to maximize |<ref|psi>|^2, up to p_max operators.
 
     The objective minimized at each step is the infidelity
-    1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum. When
-    `hamiltonian` is given, each record also carries the energy of the
-    optimized iterate (purely diagnostic; it never influences selection).
+    1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum and
+    inverse Hessian. When `hamiltonian` is given, each record also carries
+    the energy of the optimized iterate (purely diagnostic; it never
+    influences selection).
     The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
     it is already projected; the reference is extracted into it once.
 
@@ -143,10 +144,11 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
     target = basis.extract(reference)
     trace = OverlapTrace()
     iteration = len(ansatz)
+    hess_inv = None  # the stage's first solve starts from the identity
     while True:
         psi = apply_ansatz(ansatz, basis=basis)
         grads = screen_overlap_gradients(target, psi, pool)
-        best = int(np.argmax(grads))  # ties resolve to the lowest id
+        best = select_operator(grads)
         gmax = float(grads[best])
         if gmax < gtol_overlap:
             trace.stop_reason = "gradient"
@@ -161,8 +163,10 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
             value, grad = overlap_and_gradient(ansatz, target, theta)
             return 1.0 - value, -grad
 
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter)
+        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
+                          hess_inv0=hess_inv)
         ansatz.thetas = [float(t) for t in result.theta_opt]
+        hess_inv = result.hess_inv
         if not result.converged:
             level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING
             logger.log(level, "overlap iteration %d: optimizer returned best-so-far "

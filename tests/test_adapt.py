@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oada
-from oada.adapt import load_ansatz, run_adapt, save_ansatz, screen_energy_gradients
+from oada.adapt import (TIE_RTOL, load_ansatz, run_adapt, save_ansatz,
+                        screen_energy_gradients, select_operator)
 from oada.statevector import Ansatz, apply_ansatz, energy_and_gradient, prepare_hf
 
 
@@ -140,3 +141,38 @@ def test_stretched_beh2_plateau_and_compression(beh2_stretched):
                            e_ref=problem.e_fci)
     compressed_error = result.adapt_trace.final_energy - problem.e_fci
     assert compressed_error < plain_error / 3
+
+
+def test_select_operator_breaks_near_ties_to_the_lowest_id():
+    g = 0.0879615911
+    assert select_operator(np.array([0.01, g, -g * (1 + 1e-9), 0.02])) == 1
+    assert select_operator(np.array([0.01, -g * (1 - 1e-9), g, 0.02])) == 1
+    assert select_operator(np.array([0.01, g * (1 - 1e-4), -g, 0.02])) == 2
+    assert select_operator(np.array([0.01, -g, g * (1 - 1e-4), 0.02])) == 1
+
+
+def test_stretched_beh2_symmetry_twins_go_to_the_lower_id(beh2_stretched):
+    # after six operators the doubles 8 and 12 are symmetry twins whose
+    # gradients the optimizer's stopping point leaves a few 1e-9 apart
+    problem = beh2_stretched
+    ansatz, _ = run_adapt(problem.sector, problem.pool,
+                          n_electrons=problem.n_electrons, eps=1e-8, max_ops=6)
+    psi = apply_ansatz(ansatz, basis=problem.sector.basis)
+    grads = np.abs(screen_energy_gradients(psi, problem.sector, problem.pool))
+    assert abs(grads[8] - grads[12]) <= TIE_RTOL * grads[8]
+    assert problem.pool[select_operator(grads)].id == 8
+
+
+# Operators the 30-operator H6 cold start selects, identical with and
+# without the inverse Hessian carried between iterations.
+H6_ADAPT_30_IDS = [80, 116, 46, 33, 18, 94, 65, 33, 80, 102, 11, 50, 99, 63, 112,
+                   116, 11, 52, 80, 33, 46, 65, 13, 11, 80, 13, 94, 11, 6, 20]
+
+
+def test_h6_inverse_hessian_reuse_keeps_the_sequence_and_saves_evaluations(h6):
+    # restarting every solve from the identity takes 1,252 evaluations here;
+    # carrying the inverse Hessian takes about half
+    _, trace = run_adapt(h6.sector, h6.pool, n_electrons=h6.n_electrons,
+                         eps=1e-8, max_ops=30)
+    assert [r.op_id for r in trace.records] == H6_ADAPT_30_IDS
+    assert sum(r.n_evaluations for r in trace.records) < 900

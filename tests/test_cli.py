@@ -192,6 +192,33 @@ def test_reference_energy_from_sector_hamiltonian(h4_path, tmp_path, monkeypatch
     assert errors[1] == pytest.approx(errors[0], abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["h4_1.5", "beh2_3.0"])
+def test_fci_commands_solve_the_projected_sector_hamiltonian(name, tmp_path, monkeypatch,
+                                                             capsys):
+    # `fci` and `run --method fci` take the Jordan-Wigner sector matrix; the
+    # Slater-Condon one stays the oracle of `verify` and is not built
+    def refuse(*args, **kwargs):
+        raise AssertionError("Slater-Condon Hamiltonian built")
+
+    monkeypatch.setattr(oada.ci, "slater_condon_hamiltonian", refuse)
+    path = oada.fixture_path(name)
+    ref = oada.reference_energies(path)["REF_FCI"]
+    dets = tmp_path / "fci.dets"
+    for argv in (["fci", "--fcidump", path],
+                 ["run", "--method", "fci", "--fcidump", path,
+                  "--out-wavefunction", str(dets)]):
+        assert main(argv) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("E_FCI = "))
+        assert abs(float(line.split()[-1]) - ref) < 1e-10
+    mol = oada.to_spin_orbital(oada.read_fcidump(path))
+    h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(
+        oada.jw_hamiltonian(mol))
+    state = oada.export_statevector(oada.ci.read_wavefunction(str(dets)), h_sector.basis)
+    psi = state.amplitudes
+    assert abs(psi @ (h_sector.matrix @ psi) / (psi @ psi) - ref) < 1e-10
+
+
 def test_other_spin_sector_exit_code(h2_path, tmp_path, capsys):
     high_spin = tmp_path / "h2_ms2.fcidump"
     high_spin.write_text(open(h2_path).read().replace("MS2=0", "MS2=2"))

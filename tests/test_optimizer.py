@@ -109,3 +109,54 @@ def test_warm_start_never_worse(h4):
 def test_empty_parameter_vector():
     result = minimize(lambda t: (4.2, np.zeros(0)), np.zeros(0))
     assert result.converged and result.objective_value == 4.2
+
+
+def anisotropic_quadratic(curvatures, center):
+    curvatures, center = np.asarray(curvatures, float), np.asarray(center, float)
+
+    def objective(theta):
+        d = theta - center
+        return float(0.5 * d @ (curvatures * d)), curvatures * d
+    return objective
+
+
+def test_returned_hess_inv_cuts_the_next_solve():
+    objective = anisotropic_quadratic([1.0, 10.0, 100.0], [0.3, -0.2, 0.1])
+    first = minimize(objective, np.zeros(3), gtol=1e-10)
+    assert first.hess_inv.shape == (3, 3)
+    start = np.array([1.0, 1.0, -1.0])
+    cold = minimize(objective, start, gtol=1e-10)
+    warm = minimize(objective, start, gtol=1e-10, hess_inv0=first.hess_inv)
+    assert cold.converged and warm.converged
+    assert warm.n_evaluations < cold.n_evaluations
+    assert np.max(np.abs(warm.theta_opt - cold.theta_opt)) < 1e-9
+
+
+def test_smaller_hess_inv0_is_bordered_with_one():
+    # the exact inverse Hessian over the first two angles, bordered with 1
+    # for a third angle of unit curvature, is the exact inverse Hessian:
+    # one Newton step lands on the minimum
+    objective = anisotropic_quadratic([4.0, 25.0, 1.0], [0.5, -0.4, 0.3])
+    result = minimize(objective, np.zeros(3), gtol=1e-10,
+                      hess_inv0=np.diag([0.25, 0.04]))
+    assert result.converged
+    assert result.n_iterations == 1
+    with pytest.raises(ValueError, match="does not fit"):
+        minimize(objective, np.zeros(2), hess_inv0=np.eye(3))
+
+
+@pytest.mark.parametrize("hess_inv0", [-np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+def test_indefinite_hess_inv0_falls_back_to_identity(hess_inv0):
+    objective = anisotropic_quadratic([1.0, 10.0], [1.0, -1.0])
+    cold = minimize(objective, np.zeros(2), gtol=1e-10)
+    result = minimize(objective, np.zeros(2), gtol=1e-10, hess_inv0=hess_inv0)
+    assert result.converged
+    assert result.n_evaluations == cold.n_evaluations
+    assert np.array_equal(result.theta_opt, cold.theta_opt)
+
+
+def test_empty_parameter_vector_with_hess_inv0():
+    first = minimize(lambda t: (4.2, np.zeros(0)), np.zeros(0))
+    result = minimize(lambda t: (4.2, np.zeros(0)), np.zeros(0), hess_inv0=first.hess_inv)
+    assert result.converged and result.objective_value == 4.2
+    assert result.hess_inv.shape == (0, 0)
