@@ -7,7 +7,7 @@ restricted excitation pool, then run the adaptive loop (`run_adapt`), the
 overlap-guided loop (`run_overlap_adapt`), or a two-stage `pipeline`.
 """
 
-from .adapt import AdaptTrace, load_ansatz, run_adapt, save_ansatz, screen_energy_gradients
+from .adapt import GrowthTrace, load_ansatz, run_adapt, save_ansatz, screen_energy_gradients
 from .ci import (CipsiState, Determinant, DeterminantWavefunction,
                  export_statevector, fci_ground_state, run_cipsi, sector_ground_state,
                  slater_condon)
@@ -17,8 +17,8 @@ from .fcidump import (FcidumpData, FcidumpError, MolecularHamiltonian, dump_fcid
                       to_spin_orbital)
 from .fixtures import available_fixtures, fixture_path
 from .optimizer import OptimizeResult, minimize
-from .overlap_adapt import (OverlapTrace, four_angle_gradient, pipeline,
-                            run_overlap_adapt, screen_overlap_gradients)
+from .overlap_adapt import (four_angle_gradient, pipeline, run_overlap_adapt,
+                            screen_overlap_gradients)
 from .pauli import (PauliString, QubitOperator, format_operator, jw_annihilation,
                     jw_creation, jw_hamiltonian)
 from .pool import (DoubleExcitation, PoolOperator, SingleExcitation,

@@ -1,29 +1,33 @@
-"""Adaptive ansatz growth driven by energy-gradient screening.
+"""The adaptive growth loop, its trace, and the energy stage.
 
-Each iteration screens every pool operator by the commutator gradient at
-zero angle, appends the best one, and re-optimizes every angle from the
-previous optimum (warm start, new angle at 0, and the previous solve's
-inverse Hessian bordered with 1 for it). One shared H|psi> serves all
-candidates, so screening costs a single Hamiltonian application.
+Both stages run `grow`. Each iteration screens every pool operator by its
+gradient at zero angle, appends the best one, and re-optimizes every angle
+from the previous optimum (warm start, new angle at 0, and the previous
+solve's inverse Hessian bordered with 1 for it). The stages differ only in
+the screen, the objective and the threshold: `run_adapt` screens the
+energy gradient and minimizes the energy; `overlap_adapt.run_overlap_adapt`
+screens |<target|T|psi>| and maximizes the overlap. Energy screening
+shares one H|psi> across all candidates, so it costs a single Hamiltonian
+application.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .fcidump import FcidumpError
 from .optimizer import minimize
-from .pauli import QubitOperator
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts
 from .statevector import (Ansatz, Basis, ProjectedOperator, Statevector, _pair_bracket,
                           apply_ansatz, energy_and_gradient)
 
 __all__ = [
-    "AdaptRecord",
-    "AdaptTrace",
+    "EnergyRecord",
+    "GrowthTrace",
     "TIE_RTOL",
     "select_operator",
     "screen_energy_gradients",
@@ -35,8 +39,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-TRACE_COLUMNS = "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
-
 # Screening gradients within this relative distance of the largest count as
 # tied. Symmetry-equivalent operators have equal gradients in exact
 # arithmetic, but the optimizer's stopping point leaves them a few 1e-9
@@ -45,7 +47,9 @@ TIE_RTOL = 1e-6
 
 
 @dataclass
-class AdaptRecord:
+class EnergyRecord:
+    COLUMNS: ClassVar[str] = "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
+
     iteration: int
     op_id: int
     kind: str
@@ -65,12 +69,15 @@ class AdaptRecord:
 
 
 @dataclass
-class AdaptTrace:
+class GrowthTrace:
+    """One stage's records, one per appended operator, and why it stopped."""
+
+    columns: str
     records: list = field(default_factory=list)
     stop_reason: str = ""
 
     def to_csv(self):
-        return "\n".join([TRACE_COLUMNS] + [r.csv_row() for r in self.records]) + "\n"
+        return "\n".join([self.columns] + [r.csv_row() for r in self.records]) + "\n"
 
     def energies(self):
         return np.array([r.energy for r in self.records])
@@ -110,14 +117,61 @@ def sector_hamiltonian(hamiltonian, n_qubits, n_electrons) -> ProjectedOperator:
     return Basis.sector(n_qubits, n_electrons).project(hamiltonian)
 
 
+def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
+         trace: GrowthTrace, *, threshold, budget, gtol, max_opt_iter, stage):
+    """Grow `ansatz` in place until the gradient or budget stop fires.
+
+    Args:
+        ansatz: the starting ansatz; operators are appended to it and its
+            angles re-optimized.
+        basis: the basis the ansatz state is simulated in.
+        screen: state -> zero-angle gradient of every pool operator.
+        objective: angles -> (value, gradient) of `ansatz`, minimized.
+        make_record: (iteration, pool operator, |gradient|, OptimizeResult)
+            -> the trace record of that iteration.
+        trace: receives the records and the stop reason.
+        threshold: stop when the largest |gradient| is below this.
+        budget: stop when the ansatz holds this many operators (None: never).
+        stage: names the stage in the optimizer's near-miss log line.
+
+    Returns:
+        trace
+    """
+    iteration = len(ansatz)
+    hess_inv = None  # the stage's first solve starts from the identity
+    while True:
+        grads = screen(apply_ansatz(ansatz, basis=basis))
+        best = select_operator(grads)
+        gmax = float(abs(grads[best]))
+        if gmax < threshold:
+            trace.stop_reason = "gradient"
+            return trace
+        if budget is not None and len(ansatz) >= budget:
+            trace.stop_reason = "budget"
+            return trace
+        iteration += 1
+        ansatz.append(pool[best].excitation, 0.0)
+        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
+                          hess_inv0=hess_inv)
+        ansatz.thetas = [float(t) for t in result.theta_opt]
+        hess_inv = result.hess_inv
+        if not result.converged:
+            # Near-misses (line search giving up within 10x of gtol) are routine.
+            level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING
+            logger.log(level, "%s iteration %d: optimizer returned best-so-far "
+                       "(gradient norm %.2e)", stage, iteration, result.gradient_norm)
+        trace.records.append(make_record(iteration, pool[best], gmax, result))
+
+
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
               eps=1e-3, max_ops=None, gtol=1e-8, max_opt_iter=500,
               n_electrons=None, e_ref=None):
-    """Grow and optimize an ansatz until the gradient or budget stop fires.
+    """Grow and optimize an ansatz by energy-gradient screening until the
+    gradient or budget stop fires.
 
     Args:
-        hamiltonian: QubitOperator, its 2^N matrix, or an operator already
-            projected onto the Hartree-Fock sector (`sector_hamiltonian`).
+        hamiltonian: QubitOperator, or an operator already projected onto
+            the Hartree-Fock sector (`sector_hamiltonian`).
         pool: operators from `build_pool`.
         init: starting ansatz; None starts from Hartree-Fock (requires
             n_electrons).
@@ -126,62 +180,36 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
         e_ref: reference energy for the trace error column (NaN if absent).
 
     Returns:
-        (optimized Ansatz, AdaptTrace)
+        (optimized Ansatz, GrowthTrace of EnergyRecords)
     """
     if init is None:
         if n_electrons is None:
             raise ValueError("need init or n_electrons")
-        n_qubits = hamiltonian.n_qubits \
-            if isinstance(hamiltonian, (QubitOperator, ProjectedOperator)) \
-            else int(np.log2(hamiltonian.shape[0]))
-        init = Ansatz(n_qubits, n_electrons)
+        init = Ansatz(hamiltonian.n_qubits, n_electrons)
     ansatz = init.copy()
     h_eval = sector_hamiltonian(hamiltonian, ansatz.n_qubits, ansatz.n_electrons)
-    trace = AdaptTrace()
-    err_ref = e_ref if e_ref is not None else np.nan
-    iteration = len(ansatz)
-    hess_inv = None  # the stage's first solve starts from the identity
-    while True:
-        psi = apply_ansatz(ansatz, basis=h_eval.basis)
-        grads = screen_energy_gradients(psi, h_eval, pool)
-        best = select_operator(grads)
-        gmax = float(abs(grads[best]))
-        if gmax < eps:
-            trace.stop_reason = "gradient"
-            break
-        if max_ops is not None and len(ansatz) >= max_ops:
-            trace.stop_reason = "budget"
-            break
-        iteration += 1
-        ansatz.append(pool[best].excitation, 0.0)
+    e_ref = np.nan if e_ref is None else float(e_ref)
 
-        def objective(theta):
-            value, grad = energy_and_gradient(ansatz, h_eval, theta)
-            return value, grad
-
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
-                          hess_inv0=hess_inv)
-        ansatz.thetas = [float(t) for t in result.theta_opt]
-        hess_inv = result.hess_inv
-        if not result.converged:
-            # Near-misses (line search giving up within 10x of gtol) are routine.
-            level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING
-            logger.log(level, "ADAPT iteration %d: optimizer returned best-so-far "
-                       "(gradient norm %.2e)", iteration, result.gradient_norm)
-        _, _, cnots = ansatz_resource_counts(ansatz.excitations)
-        trace.records.append(AdaptRecord(
+    def record(iteration, op, gradient, result):
+        return EnergyRecord(
             iteration=iteration,
-            op_id=pool[best].id,
-            kind=pool[best].kind,
-            gradient=gmax,
+            op_id=op.id,
+            kind=op.kind,
+            gradient=gradient,
             energy=result.objective_value,
-            error_vs_ref=result.objective_value - err_ref,
+            error_vs_ref=result.objective_value - e_ref,
             n_params=len(ansatz),
-            cnots=cnots,
+            cnots=ansatz_resource_counts(ansatz.excitations)[2],
             n_evaluations=result.n_evaluations,
             optimizer_converged=result.converged,
             thetas=tuple(ansatz.thetas),
-        ))
+        )
+
+    trace = grow(ansatz, pool, h_eval.basis,
+                 lambda psi: screen_energy_gradients(psi, h_eval, pool),
+                 lambda theta: energy_and_gradient(ansatz, h_eval, theta),
+                 record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,
+                 budget=max_ops, gtol=gtol, max_opt_iter=max_opt_iter, stage="ADAPT")
     return ansatz, trace
 
 

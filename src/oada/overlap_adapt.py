@@ -5,7 +5,8 @@ squared overlap with a target wavefunction (exact ground state, selected-CI
 expansion, or a previously grown ansatz). The result then seeds a regular
 adaptive energy run, which is the practical two-stage algorithm: the
 overlap stage steers the operator selection past the energy plateaus that
-trap a cold start.
+trap a cold start. Both stages run the one growth loop, `adapt.grow`; this
+one differs only in its screen, objective and threshold.
 
 Screening uses the zero-angle overlap derivative |<ref|T|psi>|; the
 four-angle formula re-expresses that derivative through four overlap
@@ -14,23 +15,23 @@ magnitudes and is kept as a verification / measurement-model mode.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import ci
-from .adapt import AdaptTrace, run_adapt, sector_hamiltonian, select_operator
-from .optimizer import minimize
+from .adapt import GrowthTrace, grow, run_adapt, sector_hamiltonian
+# Not called here: the benchmark's tracer patches this name, so it must exist.
+from .optimizer import minimize  # noqa: F401
 from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
                           apply_excitation, energy_and_gradient, overlap,
                           overlap_and_gradient)
 
 __all__ = [
     "OverlapRecord",
-    "OverlapTrace",
     "screen_overlap_gradients",
     "four_angle_gradient",
     "run_overlap_adapt",
@@ -38,14 +39,13 @@ __all__ = [
     "PipelineResult",
 ]
 
-logger = logging.getLogger(__name__)
-
-OVERLAP_TRACE_COLUMNS = "iter,op_id,kind,grad,infidelity,energy,params"
 DEFAULT_GTOL_OVERLAP = 1e-7
 
 
 @dataclass
 class OverlapRecord:
+    COLUMNS: ClassVar[str] = "iter,op_id,kind,grad,infidelity,energy,params"
+
     iteration: int
     op_id: int
     kind: str
@@ -58,20 +58,6 @@ class OverlapRecord:
     def csv_row(self):
         return (f"{self.iteration},{self.op_id},{self.kind},{self.gradient!r},"
                 f"{self.infidelity!r},{self.energy!r},{self.n_params}")
-
-
-@dataclass
-class OverlapTrace:
-    records: list = field(default_factory=list)
-    stop_reason: str = ""
-
-    def to_csv(self):
-        return "\n".join([OVERLAP_TRACE_COLUMNS]
-                         + [r.csv_row() for r in self.records]) + "\n"
-
-    @property
-    def final_infidelity(self):
-        return self.records[-1].infidelity if self.records else np.nan
 
 
 def screen_overlap_gradients(reference: Statevector, state: Statevector, pool):
@@ -129,7 +115,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
     it is already projected; the reference is extracted into it once.
 
     Returns:
-        (optimized Ansatz, OverlapTrace)
+        (optimized Ansatz, GrowthTrace of OverlapRecords)
     """
     if init is None:
         if n_electrons is None:
@@ -142,49 +128,29 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
     else:
         h_eval, basis = None, Basis.sector(ansatz.n_qubits, ansatz.n_electrons)
     target = basis.extract(reference)
-    trace = OverlapTrace()
-    iteration = len(ansatz)
-    hess_inv = None  # the stage's first solve starts from the identity
-    while True:
-        psi = apply_ansatz(ansatz, basis=basis)
-        grads = screen_overlap_gradients(target, psi, pool)
-        best = select_operator(grads)
-        gmax = float(grads[best])
-        if gmax < gtol_overlap:
-            trace.stop_reason = "gradient"
-            break
-        if p_max is not None and len(ansatz) >= p_max:
-            trace.stop_reason = "budget"
-            break
-        iteration += 1
-        ansatz.append(pool[best].excitation, 0.0)
 
-        def objective(theta):
-            value, grad = overlap_and_gradient(ansatz, target, theta)
-            return 1.0 - value, -grad
+    def objective(theta):
+        value, grad = overlap_and_gradient(ansatz, target, theta)
+        return 1.0 - value, -grad
 
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
-                          hess_inv0=hess_inv)
-        ansatz.thetas = [float(t) for t in result.theta_opt]
-        hess_inv = result.hess_inv
-        if not result.converged:
-            level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING
-            logger.log(level, "overlap iteration %d: optimizer returned best-so-far "
-                       "(gradient norm %.2e)", iteration, result.gradient_norm)
-        if h_eval is not None:
-            energy, _ = energy_and_gradient(ansatz, h_eval)
-        else:
-            energy = np.nan
-        trace.records.append(OverlapRecord(
+    def record(iteration, op, gradient, result):
+        energy = energy_and_gradient(ansatz, h_eval)[0] if h_eval is not None else np.nan
+        return OverlapRecord(
             iteration=iteration,
-            op_id=pool[best].id,
-            kind=pool[best].kind,
-            gradient=gmax,
+            op_id=op.id,
+            kind=op.kind,
+            gradient=gradient,
             infidelity=result.objective_value,
             energy=energy,
             n_params=len(ansatz),
             thetas=tuple(ansatz.thetas),
-        ))
+        )
+
+    trace = grow(ansatz, pool, basis,
+                 lambda psi: screen_overlap_gradients(target, psi, pool),
+                 objective, record, GrowthTrace(OverlapRecord.COLUMNS),
+                 threshold=gtol_overlap, budget=p_max, gtol=gtol,
+                 max_opt_iter=max_opt_iter, stage="overlap")
     return ansatz, trace
 
 
@@ -193,8 +159,8 @@ class PipelineResult:
     """Outcome of `pipeline`. `target_state` lies in the Hartree-Fock sector."""
 
     ansatz: Ansatz
-    adapt_trace: AdaptTrace
-    overlap_trace: OverlapTrace
+    adapt_trace: GrowthTrace
+    overlap_trace: GrowthTrace
     target_state: Statevector
     target_energy: float = np.nan
 

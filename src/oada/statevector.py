@@ -46,7 +46,6 @@ __all__ = [
     "Ansatz",
     "prepare_hf",
     "apply_excitation",
-    "apply_generator",
     "apply_ansatz",
     "expectation",
     "overlap",
@@ -296,9 +295,6 @@ class Statevector:
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self):
-        return Statevector(self.n_qubits, self.amplitudes / self.norm(), self.basis)
-
 
 def prepare_hf(n_qubits: int, n_electrons: int, basis: Basis = None) -> Statevector:
     """Hartree-Fock reference: amplitude 1 on the lowest-n-bits occupation mask."""
@@ -328,15 +324,6 @@ def apply_excitation(state: Statevector, excitation, theta: float) -> Statevecto
     return out
 
 
-def apply_generator(state: Statevector, excitation) -> Statevector:
-    """Return T|state>: +|dst><src| - |src><dst| on the coupled pairs."""
-    src, dst = state.basis.pairs(excitation)
-    out = np.zeros_like(state.amplitudes)
-    out[dst] = state.amplitudes[src]
-    out[src] = -state.amplitudes[dst]
-    return Statevector(state.n_qubits, out, state.basis)
-
-
 @dataclass
 class Ansatz:
     """Ordered (excitation, angle) list applied to the Hartree-Fock state.
@@ -357,10 +344,6 @@ class Ansatz:
     def copy(self):
         return Ansatz(self.n_qubits, self.n_electrons,
                       list(self.excitations), list(self.thetas))
-
-    def with_thetas(self, thetas):
-        return Ansatz(self.n_qubits, self.n_electrons,
-                      list(self.excitations), [float(t) for t in thetas])
 
     def __len__(self):
         return len(self.excitations)

@@ -96,10 +96,17 @@ def test_warm_start_continuation(h4):
 
 
 def test_csv_header_and_shape(h2):
-    _, trace = run_adapt(h2.ham, h2.pool, n_electrons=2, eps=1e-8, max_ops=2)
-    lines = trace.to_csv().splitlines()
-    assert lines[0] == "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
-    assert all(len(line.split(",")) == 9 for line in lines[1:])
+    numpy_e_ref = np.linalg.eigvalsh(h2.ham.to_dense_matrix())[0]
+    for e_ref in (None, numpy_e_ref):
+        _, trace = run_adapt(h2.ham, h2.pool, n_electrons=2, eps=1e-8, max_ops=2,
+                             e_ref=e_ref)
+        lines = trace.to_csv().splitlines()
+        assert lines[0] == "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
+        assert all(len(line.split(",")) == 9 for line in lines[1:])
+        for line in lines[1:]:
+            for column, cell in enumerate(line.split(",")):
+                if column != 2:  # kind
+                    float(cell)
 
 
 def test_ansatz_file_round_trip(tmp_path, h4):

@@ -134,6 +134,29 @@ def test_pipeline_hf_target_equals_plain_adapt(h4):
     assert result.adapt_trace.to_csv() == plain.to_csv()
 
 
+def test_each_stage_starts_from_the_identity_and_carries_the_inverse_hessian(
+        h4, monkeypatch):
+    solves = []  # (angles, hess_inv0, returned hess_inv) per solve
+    solve = oada.adapt.minimize
+
+    def recording(objective, theta0, **kwargs):
+        result = solve(objective, theta0, **kwargs)
+        solves.append((len(theta0), kwargs["hess_inv0"], result.hess_inv))
+        return result
+
+    monkeypatch.setattr(oada.adapt, "minimize", recording)
+    result = pipeline(h4.mol, h4.ham, h4.pool, "fci", 3, 6)
+    n_overlap = len(result.overlap_trace.records)
+    assert n_overlap == 3 and len(result.adapt_trace.records) == 3
+    assert len(solves) == n_overlap + len(result.adapt_trace.records)
+    for k, (m, hess_inv0, _) in enumerate(solves):
+        if k in (0, n_overlap):
+            assert hess_inv0 is None
+        else:
+            assert hess_inv0 is solves[k - 1][2]
+            assert hess_inv0.shape == (m - 1, m - 1)
+
+
 def test_pipeline_fci_target_h2(h2):
     result = pipeline(h2.mol, h2.ham, h2.pool, "fci", 3, 3, e_ref=h2.e_fci)
     assert abs(result.target_energy - h2.e_fci) < 1e-10
