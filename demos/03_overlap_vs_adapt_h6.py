@@ -11,7 +11,7 @@ Writes adapt_h6.csv and overlap_h6.csv next to the script's cwd.
 """
 
 import oada
-from oada.statevector import Ansatz, Basis, apply_ansatz, overlap
+from oada.statevector import Ansatz, apply_ansatz, overlap
 
 path = oada.fixture_path("h6_3.0")
 mol = oada.to_spin_orbital(oada.read_fcidump(path))
@@ -19,9 +19,8 @@ ham = oada.jw_hamiltonian(mol)
 pool = oada.build_pool(mol.n_spin_orbitals, mol.n_electrons)
 print(f"H6 at 3.0 A: {mol.n_spin_orbitals} qubits, pool of {len(pool)} operators")
 
-e_fci, wavefn = oada.fci_ground_state(mol)
-sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons)
-target = oada.export_statevector(wavefn, sector)  # the 400-determinant sector
+e_fci, target = oada.fci_ground_state(mol)
+sector = target.basis  # the 400-determinant sector
 print(f"E_FCI = {e_fci:.10f}")
 
 print("\nrunning plain adaptive growth to 50 operators ...")

@@ -10,7 +10,7 @@ recovers most of the correlation energy of this strongly correlated chain.
 """
 
 import oada
-from oada.ci import Determinant, cipsi_initial_state, cipsi_iterate
+from oada.ci import cipsi_initial_state, cipsi_iterate, mask_to_strings
 from oada.statevector import Basis
 
 path = oada.fixture_path("h6_3.0")
@@ -35,5 +35,5 @@ print(f"\nE_CIPSI = E_v + E2 = {state.e_cipsi:.10f}")
 print("dominant determinants:")
 ranked = sorted(zip(state.coefficients, state.dets), key=lambda t: -abs(t[0]))
 for c, position in ranked[:8]:
-    det = Determinant.from_spin_orbital_mask(int(sector.masks[position]))
-    print(f"  alpha={det.alpha:06b} beta={det.beta:06b}  c = {c:+.6f}")
+    alpha, beta = mask_to_strings(int(sector.masks[position]))
+    print(f"  alpha={alpha:06b} beta={beta:06b}  c = {c:+.6f}")

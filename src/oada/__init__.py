@@ -8,9 +8,8 @@ overlap-guided loop (`run_overlap_adapt`), or a two-stage `pipeline`.
 """
 
 from .adapt import GrowthTrace, load_ansatz, run_adapt, save_ansatz, screen_energy_gradients
-from .ci import (CipsiState, Determinant, DeterminantWavefunction,
-                 export_statevector, fci_ground_state, run_cipsi, sector_ground_state,
-                 slater_condon)
+from .ci import (CipsiState, export_statevector, fci_ground_state, run_cipsi,
+                 sector_ground_state, slater_condon)
 from .errors import ConvergenceError, DimensionCapError, ObjectiveError
 from .fcidump import (FcidumpData, FcidumpError, MolecularHamiltonian, dump_fcidump,
                       parse_fcidump, read_fcidump, reference_energies,

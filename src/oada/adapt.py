@@ -21,7 +21,7 @@ import numpy as np
 
 from .fcidump import FcidumpError
 from .optimizer import minimize
-from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts
+from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts, check_excitation
 from .statevector import (Ansatz, Basis, ProjectedOperator, Statevector, _pair_bracket,
                           apply_ansatz, energy_and_gradient)
 
@@ -226,7 +226,9 @@ def load_ansatz(path) -> Ansatz:
     """Read the text form of `save_ansatz`.
 
     Raises:
-        FcidumpError: on a malformed header or excitation line.
+        FcidumpError: on a malformed header or excitation line, or an
+            excitation that breaks `build_pool`'s rules for the header's
+            n_qubits (`pool.check_excitation`).
     """
     with open(path) as fh:
         try:
@@ -241,14 +243,18 @@ def load_ansatz(path) -> Ansatz:
                 continue
             try:
                 if tokens[0] == "single" and len(tokens) == 4:
-                    ansatz.append(SingleExcitation(int(tokens[1]), int(tokens[2])),
-                                  float(tokens[3]))
+                    excitation = SingleExcitation(int(tokens[1]), int(tokens[2]))
                 elif tokens[0] == "double" and len(tokens) == 6:
-                    ansatz.append(DoubleExcitation(*(int(t) for t in tokens[1:5])),
-                                  float(tokens[5]))
+                    excitation = DoubleExcitation(*(int(t) for t in tokens[1:5]))
                 else:
                     raise ValueError
+                theta = float(tokens[-1])
             except ValueError:
                 raise FcidumpError(f"{path}:{number}: expected 'single p q theta' or "
                                    "'double p q r s theta'") from None
+            try:
+                check_excitation(excitation, ansatz.n_qubits)
+            except ValueError as exc:
+                raise FcidumpError(f"{path}:{number}: {line.strip()!r}: {exc}") from None
+            ansatz.append(excitation, theta)
     return ansatz

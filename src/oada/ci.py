@@ -9,12 +9,14 @@ Slater-Condon matrix, built in those coordinates, with
 Jordan-Wigner Hamiltonian. CIPSI takes such a projected Hamiltonian and
 keeps its space as sector positions.
 
-Determinants are (alpha_mask, beta_mask) bitmask pairs over spatial
-orbitals, kept for the `.dets` text format and the Slater-Condon oracle;
-under the interleaved spin-orbital convention they map to the single
-N-bit occupation mask 2*i (alpha) / 2*i+1 (beta) of a basis state. All
-fermionic phases follow the Jordan-Wigner ordering of that mask, so
-matrix elements here agree entrywise with the qubit Hamiltonian.
+A CI state is a `Statevector` in that sector. A determinant is the
+occupation mask of a basis state: interleaved spin orbitals, bit 2*i
+(alpha) and 2*i+1 (beta) of spatial orbital i. Only the `.dets` text
+format (`write_wavefunction`, `read_wavefunction`) spells a determinant
+as an (alpha, beta) pair of spatial-orbital strings, through
+`mask_to_strings` and `strings_to_mask`. All fermionic phases follow the
+Jordan-Wigner ordering of the mask, so matrix elements here agree
+entrywise with the qubit Hamiltonian.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,14 +33,12 @@ from .fcidump import FcidumpError
 from .statevector import Basis, ProjectedOperator, Statevector
 
 __all__ = [
-    "Determinant",
-    "DeterminantWavefunction",
     "CipsiState",
-    "hartree_fock_determinant",
+    "strings_to_mask",
+    "mask_to_strings",
     "slater_condon",
     "slater_condon_hamiltonian",
     "fci_ground_state",
-    "ground_state_wavefunction",
     "sector_ground_state",
     "cipsi_initial_state",
     "cipsi_iterate",
@@ -55,38 +54,30 @@ logger = logging.getLogger(__name__)
 INTRUDER_THRESHOLD = 1e-10
 
 
-class Determinant(NamedTuple):
-    alpha: int
-    beta: int
-
-    def spin_orbital_mask(self):
-        mask = 0
-        a, b = self.alpha, self.beta
-        i = 0
-        while a or b:
-            mask |= ((a & 1) << (2 * i)) | ((b & 1) << (2 * i + 1))
-            a >>= 1
-            b >>= 1
-            i += 1
-        return mask
-
-    @classmethod
-    def from_spin_orbital_mask(cls, mask):
-        alpha = beta = 0
-        i = 0
-        while mask:
-            alpha |= (mask & 1) << i
-            beta |= ((mask >> 1) & 1) << i
-            mask >>= 2
-            i += 1
-        return cls(alpha, beta)
-
-    def n_electrons(self):
-        return self.alpha.bit_count() + self.beta.bit_count()
+def strings_to_mask(alpha, beta):
+    """Interleaved spin-orbital occupation mask of an (alpha, beta) pair of
+    spatial-orbital strings."""
+    mask = 0
+    i = 0
+    while alpha or beta:
+        mask |= ((alpha & 1) << (2 * i)) | ((beta & 1) << (2 * i + 1))
+        alpha >>= 1
+        beta >>= 1
+        i += 1
+    return mask
 
 
-def hartree_fock_determinant(n_alpha, n_beta) -> Determinant:
-    return Determinant((1 << n_alpha) - 1, (1 << n_beta) - 1)
+def mask_to_strings(mask):
+    """(alpha, beta) spatial-orbital strings of an interleaved spin-orbital
+    occupation mask."""
+    alpha = beta = 0
+    i = 0
+    while mask:
+        alpha |= (mask & 1) << i
+        beta |= ((mask >> 1) & 1) << i
+        mask >>= 2
+        i += 1
+    return alpha, beta
 
 
 def _so_integrals(mol):
@@ -127,33 +118,32 @@ def _phase_double(mask, i, j, a, b):
     return -1.0 if count & 1 else 1.0
 
 
-def slater_condon(mol, det_i: Determinant, det_j: Determinant) -> float:
-    """<I|H|J> by the Slater-Condon rules (core energy included on the diagonal)."""
+def slater_condon(mol, mask_i: int, mask_j: int) -> float:
+    """<I|H|J> by the Slater-Condon rules (core energy included on the
+    diagonal), for determinants given as interleaved spin-orbital masks."""
     h1, g2 = _so_integrals(mol)
-    mi = det_i.spin_orbital_mask()
-    mj = det_j.spin_orbital_mask()
-    diff = mi ^ mj
+    diff = mask_i ^ mask_j
     degree = diff.bit_count() // 2
     if degree > 2:
         return 0.0
     if degree == 0:
-        occ = _bits(mj)
+        occ = _bits(mask_j)
         val = mol.core_energy + sum(h1[p, p] for p in occ)
         for a, p in enumerate(occ):
             for q in occ[a + 1:]:
                 val += g2[p, q, p, q]
         return float(val)
     if degree == 1:
-        i = (diff & mj).bit_length() - 1
-        a = (diff & mi).bit_length() - 1
-        common = _bits(mj & mi)
+        i = (diff & mask_j).bit_length() - 1
+        a = (diff & mask_i).bit_length() - 1
+        common = _bits(mask_j & mask_i)
         val = h1[a, i] + sum(g2[a, k, i, k] for k in common)
-        return float(_phase_single(mj, i, a) * val)
-    hole = _bits(diff & mj)
-    part = _bits(diff & mi)
+        return float(_phase_single(mask_j, i, a) * val)
+    hole = _bits(diff & mask_j)
+    part = _bits(diff & mask_i)
     i, j = hole
     a, b = part
-    return float(_phase_double(mj, i, j, a, b) * g2[a, b, i, j])
+    return float(_phase_double(mask_j, i, j, a, b) * g2[a, b, i, j])
 
 
 def slater_condon_hamiltonian(mol) -> ProjectedOperator:
@@ -171,7 +161,7 @@ def slater_condon_hamiltonian(mol) -> ProjectedOperator:
     """
     basis = Basis.sector(mol.n_spin_orbitals, mol.n_electrons)
     masks = basis.masks
-    dets = _determinants(basis)
+    dets = masks.tolist()
     diag = np.array([slater_condon(mol, d, d) for d in dets])
     rows, cols, vals = [], [], []
     for jcol, det in enumerate(dets):
@@ -186,49 +176,19 @@ def slater_condon_hamiltonian(mol) -> ProjectedOperator:
     return ProjectedOperator(basis, (upper + upper.T + sp.diags(diag)).tocsr())
 
 
-def _determinants(basis):
-    return [Determinant.from_spin_orbital_mask(int(mask)) for mask in basis.masks]
-
-
-@dataclass
-class DeterminantWavefunction:
-    """Sparse determinant expansion with real coefficients."""
-
-    norb: int
-    coefficients: dict
-    energy: float | None = None
-
-    def normalized(self):
-        norm = math.sqrt(sum(c * c for c in self.coefficients.values()))
-        return DeterminantWavefunction(
-            self.norb, {d: c / norm for d, c in self.coefficients.items()}, self.energy)
-
-
 def fci_ground_state(mol):
     """Lowest eigenpair of the Slater-Condon Hamiltonian in the molecule's
     (N_alpha, N_beta) sector, by `sector_ground_state`.
 
     Returns:
-        (energy, DeterminantWavefunction)
+        (energy, normalized float64 Statevector in the molecule's
+        `Basis.sector`)
 
     Raises:
         DimensionCapError: when the sector exceeds `MAX_SECTOR_DIM`.
         ConvergenceError: when Davidson does not converge.
     """
-    return ground_state_wavefunction(slater_condon_hamiltonian(mol))
-
-
-def ground_state_wavefunction(h_sector: ProjectedOperator):
-    """`sector_ground_state` of a Hamiltonian projected onto a determinant
-    sector, as a determinant expansion (amplitudes above 1e-14 in magnitude).
-
-    Returns:
-        (energy, DeterminantWavefunction)
-    """
-    energy, state = sector_ground_state(h_sector)
-    coeffs = {d: float(c) for d, c in zip(_determinants(state.basis), state.amplitudes)
-              if abs(c) > 1e-14}
-    return energy, DeterminantWavefunction(state.n_qubits // 2, coeffs, energy)
+    return sector_ground_state(slater_condon_hamiltonian(mol))
 
 
 def sector_ground_state(h_sector: ProjectedOperator):
@@ -321,14 +281,6 @@ class CipsiState:
         amplitudes[self.dets] = self.coefficients
         return Statevector(basis.n_qubits, amplitudes, basis)
 
-    def wavefunction(self, basis: Basis) -> DeterminantWavefunction:
-        masks = basis.masks[self.dets].tolist()
-        return DeterminantWavefunction(
-            basis.n_qubits // 2,
-            {Determinant.from_spin_orbital_mask(m): float(c)
-             for m, c in zip(masks, self.coefficients)},
-            self.e_variational).normalized()
-
 
 def cipsi_initial_state(h_sector: ProjectedOperator) -> CipsiState:
     """The Hartree-Fock determinant alone: position 0 of the sector.
@@ -416,50 +368,51 @@ def run_cipsi(h_sector: ProjectedOperator, target_e2=None, max_dets=None,
     return state
 
 
-def export_statevector(wavefunction: DeterminantWavefunction, basis: Basis) -> Statevector:
-    """Embed a determinant expansion into `basis` as a normalized state.
+def export_statevector(state: Statevector, basis: Basis) -> Statevector:
+    """The state embedded into `basis` and normalized.
 
-    Determinants outside the basis are dropped, as `Basis.extract` drops
-    weight outside it.
+    Weight outside the basis is dropped, as `Basis.extract` drops it.
 
     Raises:
-        ValueError: when a determinant does not fit the basis's qubits, or
-            no weight is left in the basis.
+        ValueError: when no weight is left in the basis.
     """
-    masks = []
-    for det in wavefunction.coefficients:
-        mask = det.spin_orbital_mask()
-        if mask >> basis.n_qubits:
-            raise ValueError(f"determinant {det} does not fit in {basis.n_qubits} qubits")
-        masks.append(mask)
-    pos = basis.index(np.array(masks, dtype=np.int64))
-    inside = pos >= 0
-    amplitudes = np.zeros(basis.dim)
-    amplitudes[pos[inside]] = np.fromiter(wavefunction.coefficients.values(), float,
-                                          len(masks))[inside]
+    amplitudes = basis.extract(state).amplitudes
     norm = np.linalg.norm(amplitudes)
     if norm == 0.0:
         raise ValueError("the wavefunction has no weight in the basis")
     return Statevector(basis.n_qubits, amplitudes / norm, basis)
 
 
-def write_wavefunction(wavefunction: DeterminantWavefunction, path):
-    """Text format: header line, then `coeff alpha_mask_hex beta_mask_hex`."""
-    nelec = next(iter(wavefunction.coefficients)).n_electrons() \
-        if wavefunction.coefficients else 0
+def write_wavefunction(state: Statevector, path):
+    """Write a real state's determinant expansion as text.
+
+    A `norb=<int> nelec=<int>` header, then one `coeff alpha_hex beta_hex`
+    line per amplitude above 1e-14 in magnitude, in ascending (alpha, beta)
+    order.
+    """
+    kept = np.flatnonzero(np.abs(state.amplitudes) > 1e-14)
+    masks = state.basis.masks[kept].tolist()
+    nelec = masks[0].bit_count() if masks else 0
+    lines = sorted((mask_to_strings(mask), float(c))
+                   for mask, c in zip(masks, state.amplitudes[kept]))
     with open(path, "w") as fh:
-        fh.write(f"norb={wavefunction.norb} nelec={nelec}\n")
-        for det in sorted(wavefunction.coefficients):
-            c = wavefunction.coefficients[det]
-            fh.write(f"{c!r} {det.alpha:x} {det.beta:x}\n")
+        fh.write(f"norb={state.n_qubits // 2} nelec={nelec}\n")
+        for (alpha, beta), c in lines:
+            fh.write(f"{c!r} {alpha:x} {beta:x}\n")
 
 
-def read_wavefunction(path) -> DeterminantWavefunction:
-    """Read the text format of `write_wavefunction`.
+def read_wavefunction(path, basis: Basis) -> Statevector:
+    """Read the text format of `write_wavefunction` as a state in `basis`,
+    the molecule's sector.
+
+    The amplitudes are the stored coefficients, not rescaled, so a written
+    state reads back bit for bit; `export_statevector` normalizes.
 
     Raises:
-        FcidumpError: on a malformed line, or a determinant that does not
-            fit the header's norb or holds other than its nelec electrons.
+        FcidumpError: on a malformed line, a header whose norb or nelec
+            does not fit the basis, a determinant that does not fit the
+            header or lies outside the basis, a determinant listed twice,
+            or no nonzero coefficient.
     """
     with open(path) as fh:
         try:
@@ -467,18 +420,33 @@ def read_wavefunction(path) -> DeterminantWavefunction:
             norb, nelec = int(header["norb"]), int(header["nelec"])
         except (KeyError, ValueError):
             raise FcidumpError(f"{path}: header must read 'norb=<int> nelec=<int>'") from None
-        coeffs = {}
+        # A sector holds the Hartree-Fock mask of its electron count only.
+        if 2 * norb != basis.n_qubits or not 0 <= nelec <= basis.n_qubits \
+                or basis.index(np.array([(1 << nelec) - 1]))[0] < 0:
+            raise FcidumpError(f"{path}: norb={norb} nelec={nelec} does not fit the "
+                               f"molecule's {basis.n_qubits}-spin-orbital sector")
+        amplitudes = np.zeros(basis.dim)
+        listed = set()
         for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
                 c, a, b = line.split()
-                det = Determinant(int(a, 16), int(b, 16))
-                coeffs[det] = float(c)
+                coeff, alpha, beta = float(c), int(a, 16), int(b, 16)
             except ValueError:
                 raise FcidumpError(f"{path}:{number}: expected 'coeff alpha_hex beta_hex'") \
                     from None
-            if (det.alpha | det.beta) >> norb or det.n_electrons() != nelec:
+            if (alpha | beta) >> norb or alpha.bit_count() + beta.bit_count() != nelec:
                 raise FcidumpError(f"{path}:{number}: determinant does not fit "
                                    f"norb={norb} nelec={nelec}")
-    return DeterminantWavefunction(norb, coeffs)
+            pos = int(basis.index(np.array([strings_to_mask(alpha, beta)]))[0])
+            if pos < 0:
+                raise FcidumpError(f"{path}:{number}: determinant {a} {b} does not fit the "
+                                   "molecule's (N_alpha, N_beta) sector")
+            if pos in listed:
+                raise FcidumpError(f"{path}:{number}: determinant {a} {b} is listed twice")
+            listed.add(pos)
+            amplitudes[pos] = coeff
+    if not np.any(amplitudes):
+        raise FcidumpError(f"{path}: no determinant has a nonzero coefficient")
+    return Statevector(basis.n_qubits, amplitudes, basis)

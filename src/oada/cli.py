@@ -23,7 +23,7 @@ from .fcidump import FcidumpError, read_fcidump, reference_energies, to_spin_orb
 from .overlap_adapt import pipeline
 from .pauli import format_operator, jw_hamiltonian
 from .pool import ansatz_resource_counts, build_pool, format_pool
-from .statevector import Basis, apply_ansatz, energy_and_gradient, format_state
+from .statevector import apply_ansatz, energy_and_gradient, format_state
 from .verify import run_verification
 
 METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
@@ -90,14 +90,14 @@ def _solve_fci(mol, refs):
     """FCI on the Jordan-Wigner Hamiltonian projected onto the Hartree-Fock
     sector, printed with the fixture's REF_FCI when it has one. `verify`
     checks that matrix against the Slater-Condon one, which is not built
-    here."""
+    here. Returns the ground state in the sector."""
     h_sector = sector_hamiltonian(jw_hamiltonian(mol), mol.n_spin_orbitals,
                                   mol.n_electrons)
-    energy, wavefn = ci.ground_state_wavefunction(h_sector)
+    energy, state = ci.sector_ground_state(h_sector)
     print(f"E_FCI = {energy:.12f}")
     if "REF_FCI" in refs:
         print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")
-    return wavefn
+    return state
 
 
 def _cipsi_trace(h_sector, args):
@@ -117,18 +117,6 @@ def _summary_line(method, energy, e_ref, excitations):
     err = energy - e_ref if e_ref is not None else math.nan
     return (f"method={method} final_energy={energy:.12f} error_vs_fci={err:.6e} "
             f"params={len(excitations)} SQ={sq} DQ={dq} CNOTS={cnots}")
-
-
-def _check_wavefunction(wavefn, path, mol):
-    """A stored target must be written for the molecule's orbitals and sector."""
-    norb = mol.n_spin_orbitals // 2
-    if wavefn.norb != norb:
-        raise FcidumpError(f"{path}: norb={wavefn.norb}, the molecule has norb={norb}")
-    sector = (mol.n_alpha, mol.n_beta)
-    found = {(d.alpha.bit_count(), d.beta.bit_count()) for d in wavefn.coefficients}
-    if found != {sector}:
-        raise FcidumpError(f"{path}: determinants with (N_alpha, N_beta) in "
-                           f"{sorted(found)}, the molecule's sector is {sector}")
 
 
 def _check_ansatz(ansatz, path, mol):
@@ -154,11 +142,10 @@ def cmd_run(args):
     n = mol.n_spin_orbitals
 
     if args.method == "fci":
-        wavefn = _solve_fci(mol, refs)
+        state = _solve_fci(mol, refs)
         if args.out_wavefunction:
-            ci.write_wavefunction(wavefn, args.out_wavefunction)
+            ci.write_wavefunction(state, args.out_wavefunction)
         if args.dump_state:
-            state = ci.export_statevector(wavefn, Basis.sector(n, mol.n_electrons))
             _write(args.dump_state, format_state(state) + "\n")
         return 0
 
@@ -173,7 +160,7 @@ def cmd_run(args):
         _write(args.out_trace, "\n".join(rows) + "\n")
         _print_cipsi(state)
         if args.out_wavefunction:
-            ci.write_wavefunction(state.wavefunction(h_sector.basis), args.out_wavefunction)
+            ci.write_wavefunction(state.statevector(h_sector.basis), args.out_wavefunction)
         return 0
 
     e_ref = None
@@ -204,8 +191,8 @@ def cmd_run(args):
         if args.target_wavefunction:
             # a stored determinant expansion replaces the in-process target
             source = "wavefunction"
-            target_wavefunction = ci.read_wavefunction(args.target_wavefunction)
-            _check_wavefunction(target_wavefunction, args.target_wavefunction, mol)
+            target_wavefunction = ci.read_wavefunction(args.target_wavefunction,
+                                                       h_sector.basis)
         if source == "cipsi" and args.cipsi_max_dets is None \
                 and args.cipsi_target_e2 is None:
             raise FcidumpError("overlap-adapt-cipsi needs --cipsi-max-dets "
@@ -255,7 +242,7 @@ def cmd_run_cipsi(args):
     state = ci.run_cipsi(h_sector, target_e2=args.target_e2, max_dets=args.max_dets)
     _print_cipsi(state)
     if args.out:
-        ci.write_wavefunction(state.wavefunction(h_sector.basis), args.out)
+        ci.write_wavefunction(state.statevector(h_sector.basis), args.out)
     return 0
 
 

@@ -173,8 +173,9 @@ def build_target(ref_source, h_sector, *, cipsi_max_dets=None, cipsi_target_e2=N
     (`sector_hamiltonian`); every target is built in its basis.
     ref_source 'fci' takes its lowest eigenpair (`ci.sector_ground_state`);
     'cipsi' runs the selected-CI loop on it and embeds the variational
-    state; 'adapt-ansatz' applies a stored ansatz; 'wavefunction' embeds a
-    determinant expansion loaded from the determinant text format.
+    state; 'adapt-ansatz' applies a stored ansatz; 'wavefunction' embeds
+    `target_wavefunction`, a Statevector such as `ci.read_wavefunction`
+    returns, and normalizes it. The energy is NaN for the last two.
 
     Raises:
         ValueError: for an unknown source, or a wavefunction with no weight
@@ -193,9 +194,7 @@ def build_target(ref_source, h_sector, *, cipsi_max_dets=None, cipsi_target_e2=N
     elif ref_source == "wavefunction":
         if target_wavefunction is None:
             raise ValueError("ref_source 'wavefunction' needs target_wavefunction")
-        target = ci.export_statevector(target_wavefunction, basis)
-        energy = target_wavefunction.energy if target_wavefunction.energy is not None \
-            else np.nan
+        target, energy = ci.export_statevector(target_wavefunction, basis), np.nan
     else:
         raise ValueError(f"unknown ref_source {ref_source!r}")
     return target, energy

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-import scipy.sparse as sp
-
 __all__ = [
     "PauliString",
     "QubitOperator",
@@ -151,45 +148,11 @@ class QubitOperator:
         return len(self.terms)
 
     def to_sparse_matrix(self):
-        """CSR matrix in the computational basis (index bit p = orbital p).
+        """CSR matrix in the computational basis (index bit p = orbital p),
+        real when every entry is: `Basis._project_terms` on the full basis."""
+        from .statevector import Basis  # statevector imports this module
 
-        Terms sharing an x_mask scatter to the same positions, so they are
-        grouped and emitted together; groups are accumulated in chunks to
-        bound peak memory.
-        """
-        dim = 1 << self.n_qubits
-        idx = np.arange(dim, dtype=np.int64)
-        groups = {}
-        for s, c in self.sorted_terms():
-            groups.setdefault(s.x_mask, []).append((s.z_mask, c))
-        mat = sp.csr_matrix((dim, dim), dtype=np.complex128)
-        chunk_rows, chunk_cols, chunk_data, chunk_count = [], [], [], 0
-        for x_mask in sorted(groups):
-            rows = idx ^ x_mask
-            data = np.zeros(dim, dtype=np.complex128)
-            for z_mask, c in groups[x_mask]:
-                phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]
-                signs = 1.0 - 2.0 * (np.bitwise_count(rows & z_mask) & 1)
-                data += (c * phase) * signs
-            chunk_rows.append(rows)
-            chunk_cols.append(idx)
-            chunk_data.append(data)
-            chunk_count += 1
-            if chunk_count >= 128:
-                mat = mat + sp.coo_matrix(
-                    (np.concatenate(chunk_data),
-                     (np.concatenate(chunk_rows), np.concatenate(chunk_cols))),
-                    shape=(dim, dim)).tocsr()
-                chunk_rows, chunk_cols, chunk_data, chunk_count = [], [], [], 0
-        if chunk_count:
-            mat = mat + sp.coo_matrix(
-                (np.concatenate(chunk_data),
-                 (np.concatenate(chunk_rows), np.concatenate(chunk_cols))),
-                shape=(dim, dim)).tocsr()
-        if mat.nnz and np.max(np.abs(mat.data.imag)) < 1e-13:
-            mat = sp.csr_matrix((mat.data.real, mat.indices, mat.indptr),
-                                shape=mat.shape)
-        return mat
+        return Basis(self.n_qubits)._project_terms(self)
 
     def to_dense_matrix(self):
         if self.n_qubits > 14:

@@ -18,6 +18,7 @@ __all__ = [
     "DoubleExcitation",
     "PoolOperator",
     "build_pool",
+    "check_excitation",
     "cnot_count",
     "ansatz_resource_counts",
     "format_pool",
@@ -94,15 +95,38 @@ def build_pool(n_qubits: int, n_electrons: int) -> list[PoolOperator]:
     excitations = []
     for q in occupied:
         for p in virtual:
-            if p % 2 == q % 2:
-                excitations.append(SingleExcitation(p, q))
+            excitations.append(SingleExcitation(p, q))
     for i, r in enumerate(occupied):
         for s in list(occupied)[i + 1:]:
             for j, p in enumerate(virtual):
                 for q in list(virtual)[j + 1:]:
-                    if (p % 2 + q % 2) == (r % 2 + s % 2):
-                        excitations.append(DoubleExcitation(p, q, r, s))
+                    excitations.append(DoubleExcitation(p, q, r, s))
+    excitations = [exc for exc in excitations if _conserves_sz(exc)]
     return [PoolOperator(i, exc, cnot_count(exc)) for i, exc in enumerate(excitations)]
+
+
+def _conserves_sz(excitation):
+    """A single keeps its spin; a double creates as many beta (odd) spin
+    orbitals as it empties."""
+    indices = excitation.indices()
+    half = len(indices) // 2
+    return sum(i % 2 for i in indices[:half]) == sum(i % 2 for i in indices[half:])
+
+
+def check_excitation(excitation, n_qubits):
+    """Apply `build_pool`'s rules to an excitation read from outside.
+
+    Raises:
+        ValueError: unless its orbital indices lie in [0, n_qubits), are
+            distinct, and conserve S_z.
+    """
+    indices = excitation.indices()
+    if not all(0 <= i < n_qubits for i in indices):
+        raise ValueError(f"orbital index outside [0, {n_qubits})")
+    if len(set(indices)) != len(indices):
+        raise ValueError("repeated orbital index")
+    if not _conserves_sz(excitation):
+        raise ValueError("does not conserve S_z")
 
 
 def ansatz_resource_counts(excitations) -> tuple[int, int, int]:

@@ -208,28 +208,42 @@ class Basis:
         return ProjectedOperator(self, matrix)
 
     def _project_terms(self, operator):
-        # Terms sharing an x_mask send each basis state to the same image;
-        # images outside the basis are dropped.
+        """The QubitOperator's CSR matrix in this basis, real when its
+        entries are; `QubitOperator.to_sparse_matrix` is this on the full
+        basis.
+
+        Terms sharing an x_mask send each basis state to the same image, so
+        they are grouped and emitted together; images outside the basis are
+        dropped. Groups are accumulated 128 at a time to bound the peak
+        memory of a 2^N build.
+        """
         groups = {}
         for s, c in operator.sorted_terms():
             groups.setdefault(s.x_mask, []).append((s.z_mask, c))
+        x_masks = sorted(groups)
+        shape = (self.dim, self.dim)
+        masks = self.masks
         columns = np.arange(self.dim)
-        rows, cols, data = [], [], []
-        for x_mask in sorted(groups):
-            images = self._masks ^ x_mask
-            row = self.index(images)
-            inside = row >= 0
-            images = images[inside]
-            values = np.zeros(len(images), dtype=np.complex128)
-            for z_mask, c in groups[x_mask]:
-                phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]
-                values += (c * phase) * (1.0 - 2.0 * (np.bitwise_count(images & z_mask) & 1))
-            rows.append(row[inside])
-            cols.append(columns[inside])
-            data.append(values)
-        matrix = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                       np.concatenate(cols))),
-                               shape=(self.dim, self.dim))
+        matrix = sp.csr_matrix(shape, dtype=np.complex128)
+        for start in range(0, len(x_masks), 128):
+            rows, cols, data = [], [], []
+            for x_mask in x_masks[start:start + 128]:
+                images = masks ^ x_mask
+                row, col = self.index(images), columns
+                if not self.is_full:
+                    inside = row >= 0
+                    images, row, col = images[inside], row[inside], col[inside]
+                values = np.zeros(len(images), dtype=np.complex128)
+                for z_mask, c in groups[x_mask]:
+                    phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]
+                    signs = 1.0 - 2.0 * (np.bitwise_count(images & z_mask) & 1)
+                    values += (c * phase) * signs
+                rows.append(row)
+                cols.append(col)
+                data.append(values)
+            matrix = matrix + sp.coo_matrix(
+                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                shape=shape).tocsr()
         if matrix.nnz and np.max(np.abs(matrix.data.imag)) < 1e-13:
             matrix = sp.csr_matrix((matrix.data.real, matrix.indices, matrix.indptr),
                                    shape=matrix.shape)

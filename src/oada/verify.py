@@ -73,8 +73,8 @@ def run_verification(fcidump_path, rng_seed=7):
 
     hf = prepare_hf(n, mol.n_electrons)
     e_hf = expectation(hf, h_sparse)
-    hf_det = ci.hartree_fock_determinant(mol.n_alpha, mol.n_beta)
-    dev = abs(e_hf - ci.slater_condon(mol, hf_det, hf_det))
+    hf_mask = (1 << mol.n_electrons) - 1
+    dev = abs(e_hf - ci.slater_condon(mol, hf_mask, hf_mask))
     detail = f"E_HF = {e_hf:.10f}"
     ok = dev < 1e-10
     if "REF_HF" in refs:

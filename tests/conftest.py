@@ -49,7 +49,7 @@ class Problem:
 
     @property
     def fci(self):
-        """(energy, DeterminantWavefunction), cached."""
+        """(energy, Slater-Condon ground state in the sector), cached."""
         if self._fci is None:
             self._fci = oada.fci_ground_state(self.mol)
         return self._fci
@@ -59,7 +59,7 @@ class Problem:
         return self.fci[0]
 
     def fci_state(self):
-        return oada.export_statevector(self.fci[1], Basis.full(self.n))
+        return Basis.full(self.n).extract(self.fci[1])
 
 
 @pytest.fixture(scope="session")

@@ -6,28 +6,25 @@ import pytest
 
 import oada
 from oada import statevector
-from oada.ci import (Determinant, cipsi_initial_state, cipsi_iterate,
-                     export_statevector, fci_ground_state,
-                     hartree_fock_determinant, read_wavefunction, run_cipsi,
-                     slater_condon, slater_condon_hamiltonian, write_wavefunction,
-                     DeterminantWavefunction)
+from oada.ci import (cipsi_initial_state, cipsi_iterate, export_statevector,
+                     fci_ground_state, mask_to_strings, read_wavefunction, run_cipsi,
+                     slater_condon, slater_condon_hamiltonian, strings_to_mask,
+                     write_wavefunction)
 from oada.fcidump import FcidumpData, to_spin_orbital
 from oada.pauli import jw_hamiltonian
-from oada.statevector import Basis, expectation, prepare_hf
+from oada.statevector import Basis, Statevector, expectation, prepare_hf
 
 
 def test_hf_diagonal_matches_reference(h2, h4):
     for problem in (h2, h4):
-        det = hartree_fock_determinant(problem.mol.n_alpha, problem.mol.n_beta)
-        assert abs(slater_condon(problem.mol, det, det)
-                   - problem.refs["REF_HF"]) < 1e-8
+        hf = (1 << problem.n_electrons) - 1
+        assert abs(slater_condon(problem.mol, hf, hf) - problem.refs["REF_HF"]) < 1e-8
 
 
 def test_triple_excitation_vanishes(h4):
-    bra = Determinant(0b1100, 0b0101)  # two alpha moves and one beta move
-    ket = Determinant(0b0011, 0b0011)
-    diff = (bra.spin_orbital_mask() ^ ket.spin_orbital_mask()).bit_count()
-    assert diff // 2 == 3
+    bra = strings_to_mask(0b1100, 0b0101)  # two alpha moves and one beta move
+    ket = strings_to_mask(0b0011, 0b0011)
+    assert (bra ^ ket).bit_count() // 2 == 3
     assert slater_condon(h4.mol, bra, ket) == 0.0
 
 
@@ -35,14 +32,10 @@ def test_matrix_elements_match_dense_qubit_hamiltonian(h2, h4):
     # the key cross-module consistency check, full sector, N <= 8
     for problem in (h2, h4):
         dense = problem.ham.to_dense_matrix()
-        dets = [Determinant.from_spin_orbital_mask(int(mask))
-                for mask in Basis.sector(problem.n, problem.n_electrons).masks]
-        for bra in dets:
-            i = bra.spin_orbital_mask()
-            for ket in dets:
-                j = ket.spin_orbital_mask()
-                assert abs(slater_condon(problem.mol, bra, ket)
-                           - dense[i, j].real) < 1e-10
+        masks = Basis.sector(problem.n, problem.n_electrons).masks.tolist()
+        for i in masks:
+            for j in masks:
+                assert abs(slater_condon(problem.mol, i, j) - dense[i, j].real) < 1e-10
 
 
 def test_fci_matches_reference(h2, h4, h6):
@@ -54,9 +47,9 @@ def test_davidson_agrees_with_dense(h4, h6):
     for problem in (h4, h6):
         matrix = slater_condon_hamiltonian(problem.mol).matrix.toarray()
         dense_e = np.linalg.eigvalsh(matrix)[0]
-        davidson_e, wavefn = fci_ground_state(problem.mol)
+        davidson_e, state = fci_ground_state(problem.mol)
         assert abs(dense_e - davidson_e) < 1e-9
-        state = export_statevector(wavefn, Basis.full(problem.n))
+        state = Basis.full(problem.n).extract(state)
         assert abs(expectation(state, problem.sparse) - dense_e) < 1e-8
 
 
@@ -179,9 +172,8 @@ def test_intruder_determinant_force_selected(caplog):
 
 
 def test_export_statevector_hf(h4):
-    wavefn = DeterminantWavefunction(
-        h4.n // 2, {hartree_fock_determinant(h4.mol.n_alpha, h4.mol.n_beta): 1.0})
-    state = export_statevector(wavefn, Basis.full(h4.n))
+    hf = prepare_hf(h4.n, h4.n_electrons, Basis.sector(h4.n, h4.n_electrons))
+    state = export_statevector(hf, Basis.full(h4.n))
     assert np.array_equal(state.amplitudes,
                           prepare_hf(h4.n, h4.n_electrons).amplitudes)
 
@@ -192,28 +184,22 @@ def test_export_statevector_fci_energy(h6):
 
 
 def test_export_statevector_ratio_and_norm():
-    wavefn = DeterminantWavefunction(
-        2, {Determinant(0b01, 0b01): 3.0, Determinant(0b10, 0b10): 4.0})
-    state = export_statevector(wavefn, Basis.full(4))
+    a_mask, b_mask = strings_to_mask(0b01, 0b01), strings_to_mask(0b10, 0b10)
+    amplitudes = np.zeros(16)
+    amplitudes[[a_mask, b_mask]] = 3.0, 4.0
+    state = export_statevector(Statevector(4, amplitudes), Basis.sector(4, 2))
     assert abs(state.norm() - 1.0) < 1e-12
-    a = state.amplitudes[Determinant(0b01, 0b01).spin_orbital_mask()]
-    b = state.amplitudes[Determinant(0b10, 0b10).spin_orbital_mask()]
+    a, b = state.amplitudes[state.basis.index(np.array([a_mask, b_mask]))]
     assert abs(a / b - 0.75) < 1e-12
 
 
-def test_export_statevector_overflow():
-    wavefn = DeterminantWavefunction(4, {Determinant(0b1000, 0): 1.0})
-    with pytest.raises(ValueError, match="fit"):
-        export_statevector(wavefn, Basis.full(4))
-
-
 def test_wavefunction_file_round_trip(tmp_path, h4):
-    _, wavefn = h4.fci
+    _, state = h4.fci
     path = tmp_path / "wf.dets"
-    write_wavefunction(wavefn, path)
-    loaded = read_wavefunction(path)
-    assert loaded.norb == wavefn.norb
-    assert loaded.coefficients == wavefn.coefficients
+    write_wavefunction(state, path)
+    loaded = read_wavefunction(path, state.basis)
+    assert loaded.basis == state.basis
+    assert np.array_equal(loaded.amplitudes, state.amplitudes)
 
 
 @pytest.mark.parametrize("text, match", [
@@ -221,16 +207,21 @@ def test_wavefunction_file_round_trip(tmp_path, h4):
     ("norb=2 nelec=2\n1.0 1\n", ":2:"),
     ("norb=2 nelec=2\n1.0 1 0\n", "does not fit"),
     ("norb=2 nelec=2\n1.0 4 1\n", "does not fit"),
+    ("norb=2 nelec=2\n1.0 3 0\n", ":2: .*does not fit"),
+    ("norb=3 nelec=2\n1.0 1 1\n", "does not fit"),
+    ("norb=2 nelec=2\n0.6 1 1\n0.8 1 1\n", ":3: .*listed twice"),
+    ("norb=2 nelec=2\n0.0 1 1\n", "nonzero"),
 ])
 def test_read_wavefunction_rejects_bad_files(tmp_path, text, match):
     path = tmp_path / "wf.dets"
     path.write_text(text)
     with pytest.raises(oada.FcidumpError, match=match):
-        read_wavefunction(path)
+        read_wavefunction(path, Basis.sector(4, 2))
 
 
 def test_interleaved_mask_round_trip():
-    det = Determinant(0b1011, 0b0110)
-    mask = det.spin_orbital_mask()
-    assert Determinant.from_spin_orbital_mask(mask) == det
-    assert mask.bit_count() == det.n_electrons()
+    alpha, beta = 0b1011, 0b0110
+    mask = strings_to_mask(alpha, beta)
+    assert mask == 0b01101101
+    assert mask_to_strings(mask) == (alpha, beta)
+    assert mask.bit_count() == alpha.bit_count() + beta.bit_count()

@@ -99,9 +99,8 @@ def test_run_cipsi_subcommand(h4_path, tmp_path):
                       "--out", "wf.dets"], tmp_path)
     assert result.returncode == 0, result.stderr
     assert "E_v =" in result.stdout
-    from oada.ci import read_wavefunction
-    wavefn = read_wavefunction(tmp_path / "wf.dets")
-    assert len(wavefn.coefficients) == 6
+    state = oada.ci.read_wavefunction(tmp_path / "wf.dets", Basis.sector(8, 4))
+    assert np.count_nonzero(state.amplitudes) == 6
 
 
 def test_stored_wavefunction_as_overlap_target(h4_path, tmp_path):
@@ -214,8 +213,7 @@ def test_fci_commands_solve_the_projected_sector_hamiltonian(name, tmp_path, mon
     mol = oada.to_spin_orbital(oada.read_fcidump(path))
     h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(
         oada.jw_hamiltonian(mol))
-    state = oada.export_statevector(oada.ci.read_wavefunction(str(dets)), h_sector.basis)
-    psi = state.amplitudes
+    psi = oada.ci.read_wavefunction(str(dets), h_sector.basis).amplitudes
     assert abs(psi @ (h_sector.matrix @ psi) / (psi @ psi) - ref) < 1e-10
 
 
@@ -316,8 +314,8 @@ def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
     assert main(["run", "--method", "fci", "--fcidump", h4_path,
                  "--dump-state", str(dump)]) == 0
     mol = oada.to_spin_orbital(oada.read_fcidump(h4_path))
-    _, wavefn = oada.fci_ground_state(mol)
-    full = oada.export_statevector(wavefn, Basis.full(mol.n_spin_orbitals)).amplitudes
+    _, state = oada.fci_ground_state(mol)
+    full = Basis.full(mol.n_spin_orbitals).extract(state).amplitudes
     masks, values = _state_lines(dump.read_text())
     assert masks == np.flatnonzero(full).tolist()
     assert np.max(np.abs(values[:, 0] - full[masks].real)) < 1e-14
@@ -339,6 +337,20 @@ def test_wrong_molecule_ansatz_target_exit_code(h2_path, tmp_path):
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
     assert "n_qubits=8" in result.stderr
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("double 2 9 0 1 0.1", "orbital index outside [0, 4)"),
+    ("single 2 1 0.1", "does not conserve S_z"),
+    ("double 2 2 0 1 0.1", "repeated orbital index"),
+])
+def test_bad_stored_excitation_exit_code(h2_path, tmp_path, capsys, line, problem):
+    (tmp_path / "a.txt").write_text(f"n_qubits=4 n_electrons=2\n{line}\n")
+    assert main(["run", "--method", "overlap-adapt-ansatz", "--fcidump", h2_path,
+                 "--target-ansatz", str(tmp_path / "a.txt"), "--p-total", "2",
+                 "--out-trace", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and ":2:" in err[0] and problem in err[0]
 
 
 def test_davidson_failure_exit_code_in_process(h2_path, tmp_path, monkeypatch, capsys):

@@ -130,7 +130,7 @@ def test_no_solver_path_allocates_the_full_space(h4, tmp_path, monkeypatch, caps
     def refuse(*args):
         raise AssertionError("2^N basis allocated")
 
-    wavefunction = ci.run_cipsi(h4.sector, max_dets=8).wavefunction(h4.sector.basis)
+    wavefunction = ci.run_cipsi(h4.sector, max_dets=8).statevector(h4.sector.basis)
     ansatz = Ansatz(h4.n, h4.n_electrons, [op.excitation for op in h4.pool[:3]],
                     [0.1, -0.2, 0.3])
     monkeypatch.setattr(Basis, "full", refuse)
@@ -163,7 +163,8 @@ def test_sector_ground_state_is_the_fci_target(name, dim, request):
     energy, target = ci.sector_ground_state(sector.project(problem.ham))
     assert target.basis is sector and sector.dim == dim
     assert target.amplitudes.dtype == np.float64
-    exact = ci.export_statevector(problem.fci[1], sector)
+    exact = problem.fci[1]
+    assert exact.basis == sector
     assert abs(np.vdot(target.amplitudes, exact.amplitudes)) ** 2 >= 1 - 1e-10
     assert abs(energy - problem.e_fci) < 1e-10
 
@@ -186,7 +187,8 @@ def test_pipeline_cipsi_target_lies_in_the_sector(h4):
 
 
 def test_target_without_sector_weight_is_rejected(h2):
-    wrong = ci.DeterminantWavefunction(2, {ci.Determinant(1, 0): 1.0})
+    wrong = Statevector(4)
+    wrong.amplitudes[ci.strings_to_mask(0b1, 0)] = 1.0  # one electron: outside the sector
     with pytest.raises(ValueError, match="no weight"):
         pipeline(h2.mol, h2.ham, h2.pool, "wavefunction", 2, 3, target_wavefunction=wrong)
 
