@@ -22,8 +22,8 @@ import numpy as np
 from .fcidump import FcidumpError
 from .optimizer import minimize
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts, check_excitation
-from .statevector import (Ansatz, Basis, ProjectedOperator, Statevector, _pair_bracket,
-                          apply_ansatz, energy_and_gradient)
+from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
+                          energy_and_gradient)
 
 __all__ = [
     "EnergyRecord",
@@ -31,7 +31,6 @@ __all__ = [
     "TIE_RTOL",
     "select_operator",
     "screen_energy_gradients",
-    "sector_hamiltonian",
     "run_adapt",
     "save_ansatz",
     "load_ansatz",
@@ -109,16 +108,8 @@ def select_operator(grads) -> int:
     return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
 
 
-def sector_hamiltonian(hamiltonian, n_qubits, n_electrons) -> ProjectedOperator:
-    """The Hamiltonian in the Hartree-Fock sector, where the adaptive loops
-    run; an operator already projected is used as it is."""
-    if isinstance(hamiltonian, ProjectedOperator):
-        return hamiltonian
-    return Basis.sector(n_qubits, n_electrons).project(hamiltonian)
-
-
 def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
-         trace: GrowthTrace, *, threshold, budget, gtol, max_opt_iter, stage):
+         trace: GrowthTrace, *, threshold, budget, gtol, stage):
     """Grow `ansatz` in place until the gradient or budget stop fires.
 
     Args:
@@ -151,8 +142,7 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
             return trace
         iteration += 1
         ansatz.append(pool[best].excitation, 0.0)
-        result = minimize(objective, ansatz.thetas, gtol=gtol, max_iter=max_opt_iter,
-                          hess_inv0=hess_inv)
+        result = minimize(objective, ansatz.thetas, gtol=gtol, hess_inv0=hess_inv)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         hess_inv = result.hess_inv
         if not result.converged:
@@ -164,14 +154,13 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
 
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
-              eps=1e-3, max_ops=None, gtol=1e-8, max_opt_iter=500,
-              n_electrons=None, e_ref=None):
+              eps=1e-3, max_ops=None, gtol=1e-8, n_electrons=None, e_ref=None):
     """Grow and optimize an ansatz by energy-gradient screening until the
     gradient or budget stop fires.
 
     Args:
         hamiltonian: QubitOperator, or an operator already projected onto
-            the Hartree-Fock sector (`sector_hamiltonian`).
+            the Hartree-Fock sector (`Basis.sector(...).project`).
         pool: operators from `build_pool`.
         init: starting ansatz; None starts from Hartree-Fock (requires
             n_electrons).
@@ -187,7 +176,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
             raise ValueError("need init or n_electrons")
         init = Ansatz(hamiltonian.n_qubits, n_electrons)
     ansatz = init.copy()
-    h_eval = sector_hamiltonian(hamiltonian, ansatz.n_qubits, ansatz.n_electrons)
+    h_eval = Basis.sector(ansatz.n_qubits, ansatz.n_electrons).project(hamiltonian)
     e_ref = np.nan if e_ref is None else float(e_ref)
 
     def record(iteration, op, gradient, result):
@@ -209,7 +198,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
                  lambda psi: screen_energy_gradients(psi, h_eval, pool),
                  lambda theta: energy_and_gradient(ansatz, h_eval, theta),
                  record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,
-                 budget=max_ops, gtol=gtol, max_opt_iter=max_opt_iter, stage="ADAPT")
+                 budget=max_ops, gtol=gtol, stage="ADAPT")
     return ansatz, trace
 
 

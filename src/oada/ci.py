@@ -52,6 +52,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 INTRUDER_THRESHOLD = 1e-10
+# A CIPSI run stops after this many enlargement steps if no other rule fires.
+CIPSI_MAX_ITER = 50
 
 
 def strings_to_mask(alpha, beta):
@@ -287,9 +289,11 @@ def cipsi_initial_state(h_sector: ProjectedOperator) -> CipsiState:
 
     Raises:
         ValueError: unless the Hamiltonian is real and projected onto a
-            determinant sector (`Basis.sector`).
+            determinant sector (`Basis.sector`), a basis whose masks all
+            hold the same number of electrons.
     """
-    if h_sector.basis.is_full or np.iscomplexobj(h_sector.matrix):
+    electrons = np.bitwise_count(h_sector.basis.masks)
+    if np.any(electrons != electrons[0]) or np.iscomplexobj(h_sector.matrix):
         raise ValueError("CIPSI needs a real Hamiltonian projected onto a determinant sector")
     return CipsiState(np.array([0]), np.array([1.0]), float(h_sector.matrix[0, 0]))
 
@@ -336,19 +340,19 @@ def cipsi_iterate(state: CipsiState, h_sector: ProjectedOperator, max_total=None
                       state.iteration + 1, state.forced_intruders + n_forced)
 
 
-def cipsi_states(h_sector: ProjectedOperator, target_e2=None, max_dets=None, max_iter=50):
+def cipsi_states(h_sector: ProjectedOperator, target_e2=None, max_dets=None):
     """The states of a CIPSI run from the Hartree-Fock reference, in order.
 
     Yields the initial state, then the result of each `cipsi_iterate`
     step until a stop rule fires: |E2| <= target_e2, the space reaching
     max_dets, or a step that adds no determinant (yielded last, with
-    E2 = 0), or max_iter steps.
+    E2 = 0), or `CIPSI_MAX_ITER` steps.
     """
     if target_e2 is None and max_dets is None:
         raise ValueError("need a stopping rule: target_e2 and/or max_dets")
     state = cipsi_initial_state(h_sector)
     yield state
-    for _ in range(max_iter):
+    for _ in range(CIPSI_MAX_ITER):
         if target_e2 is not None and abs(state.e_pt2) <= target_e2:
             return
         if max_dets is not None and len(state.dets) >= max_dets:
@@ -360,10 +364,9 @@ def cipsi_states(h_sector: ProjectedOperator, target_e2=None, max_dets=None, max
         state = new_state
 
 
-def run_cipsi(h_sector: ProjectedOperator, target_e2=None, max_dets=None,
-              max_iter=50) -> CipsiState:
+def run_cipsi(h_sector: ProjectedOperator, target_e2=None, max_dets=None) -> CipsiState:
     """The last of `cipsi_states`: iterate CIPSI until a stop rule fires."""
-    for state in cipsi_states(h_sector, target_e2, max_dets, max_iter):
+    for state in cipsi_states(h_sector, target_e2, max_dets):
         pass
     return state
 

@@ -17,13 +17,13 @@ import math
 import sys
 
 from . import ci
-from .adapt import load_ansatz, run_adapt, save_ansatz, sector_hamiltonian
+from .adapt import load_ansatz, run_adapt, save_ansatz
 from .errors import ConvergenceError, DimensionCapError, ObjectiveError
 from .fcidump import FcidumpError, read_fcidump, reference_energies, to_spin_orbital
 from .overlap_adapt import pipeline
 from .pauli import format_operator, jw_hamiltonian
 from .pool import ansatz_resource_counts, build_pool, format_pool
-from .statevector import apply_ansatz, energy_and_gradient, format_state
+from .statevector import Basis, apply_ansatz, energy_and_gradient, format_state
 from .verify import run_verification
 
 METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
@@ -56,27 +56,29 @@ def _read_config(path):
     return values
 
 
-def _merge_config(args, parser):
-    """Fill arguments the user left unset from the config file, typed."""
-    if not getattr(args, "config", None):
-        return args
-    config = _read_config(args.config)
-    for action in parser._actions:
-        key = action.dest
-        if key in ("help", "config") or key not in config:
-            continue
-        raw = config.pop(key)
-        if getattr(args, key) is not None and getattr(args, key) != action.default:
-            continue  # explicit flag wins
-        if action.type is not None:
-            setattr(args, key, action.type(raw))
-        elif isinstance(action.default, bool) or action.const is True:
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        else:
-            setattr(args, key, raw)
-    if config:
-        raise FcidumpError(f"unknown config keys: {', '.join(sorted(config))}")
-    return args
+def _config_defaults(path, parser):
+    """The config file's values, typed and checked like the `parser` flags
+    they name; `main` installs them as that parser's defaults, so a flag
+    on the command line wins."""
+    config = _read_config(path)
+    actions = {action.dest: action for action in parser._actions
+               if action.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(actions))
+    if unknown:
+        raise FcidumpError(f"unknown config keys: {', '.join(unknown)}")
+    values = {}
+    for key, raw in config.items():
+        action = actions[key]
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except ValueError:
+            raise FcidumpError(f"config key {key}: {raw!r} is not a valid "
+                               f"{action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise FcidumpError(f"config key {key}: {raw!r} is not one of "
+                               f"{', '.join(action.choices)}")
+        values[key] = value
+    return values
 
 
 def _load_problem(args):
@@ -91,8 +93,7 @@ def _solve_fci(mol, refs):
     sector, printed with the fixture's REF_FCI when it has one. `verify`
     checks that matrix against the Slater-Condon one, which is not built
     here. Returns the ground state in the sector."""
-    h_sector = sector_hamiltonian(jw_hamiltonian(mol), mol.n_spin_orbitals,
-                                  mol.n_electrons)
+    h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(jw_hamiltonian(mol))
     energy, state = ci.sector_ground_state(h_sector)
     print(f"E_FCI = {energy:.12f}")
     if "REF_FCI" in refs:
@@ -152,8 +153,7 @@ def cmd_run(args):
     if args.method == "cipsi" and args.cipsi_max_dets is None \
             and args.cipsi_target_e2 is None:
         raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
-    ham = jw_hamiltonian(mol)
-    h_sector = sector_hamiltonian(ham, n, mol.n_electrons)
+    h_sector = Basis.sector(n, mol.n_electrons).project(jw_hamiltonian(mol))
 
     if args.method == "cipsi":
         state, rows = _cipsi_trace(h_sector, args)
@@ -163,14 +163,8 @@ def cmd_run(args):
             ci.write_wavefunction(state.statevector(h_sector.basis), args.out_wavefunction)
         return 0
 
-    e_ref = None
-    if not args.no_reference:
-        e_ref = refs["REF_FCI"] if "REF_FCI" in refs else ci.sector_ground_state(h_sector)[0]
+    e_ref = refs["REF_FCI"] if "REF_FCI" in refs else ci.sector_ground_state(h_sector)[0]
     pool = build_pool(n, mol.n_electrons)
-    if args.dump_pool:
-        _write(args.dump_pool, format_pool(pool) + "\n")
-    if args.dump_hamiltonian:
-        _write(args.dump_hamiltonian, format_operator(ham) + "\n")
 
     budget = args.p_total if args.p_total is not None else args.max_ops
     eps = args.eps if args.eps is not None else (1e-8 if budget is not None else 1e-3)
@@ -238,7 +232,7 @@ def cmd_fci(args):
 
 def cmd_run_cipsi(args):
     mol, _ = _load_problem(args)
-    h_sector = sector_hamiltonian(jw_hamiltonian(mol), mol.n_spin_orbitals, mol.n_electrons)
+    h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(jw_hamiltonian(mol))
     state = ci.run_cipsi(h_sector, target_e2=args.target_e2, max_dets=args.max_dets)
     _print_cipsi(state)
     if args.out:
@@ -291,15 +285,11 @@ def build_parser():
     run.add_argument("--target-ansatz")
     run.add_argument("--target-wavefunction",
                      help="stored determinant expansion to use as the overlap target")
-    run.add_argument("--no-reference", action="store_true",
-                     help="skip the FCI reference for the error column")
     run.add_argument("--out-trace", default="trace.csv")
     run.add_argument("--out-overlap-trace", default="overlap_trace.csv")
     run.add_argument("--out-ansatz")
     run.add_argument("--out-wavefunction")
     run.add_argument("--dump-state")
-    run.add_argument("--dump-pool")
-    run.add_argument("--dump-hamiltonian")
     run.add_argument("--gnuplot", help="write a ready-to-plot gnuplot script")
     run.set_defaults(func=cmd_run)
 
@@ -335,7 +325,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            args = _merge_config(args, parser.run_parser)
+            if args.config:
+                parser.run_parser.set_defaults(**_config_defaults(args.config,
+                                                                  parser.run_parser))
+                args = parser.parse_args(argv)
             if args.fcidump is None:
                 raise FcidumpError("run needs --fcidump (flag or config)")
             if args.method is None:

@@ -71,14 +71,6 @@ class FcidumpData:
     def two_body_value(self, i, j, k, l):
         return self.two_body.get(_canonical_two_body(i, j, k, l), 0.0)
 
-    @property
-    def n_alpha(self):
-        return (self.nelec + self.ms2) // 2
-
-    @property
-    def n_beta(self):
-        return self.nelec - self.n_alpha
-
 
 @dataclass
 class MolecularHamiltonian:
@@ -95,15 +87,6 @@ class MolecularHamiltonian:
     core_energy: float
     h_pq: np.ndarray
     h_pqrs: np.ndarray
-    ms2: int = 0
-
-    @property
-    def n_alpha(self):
-        return (self.n_electrons + self.ms2) // 2
-
-    @property
-    def n_beta(self):
-        return self.n_electrons - self.n_alpha
 
     def antisymmetrized_two_body(self):
         """<pq||rs> in physicists' notation, used by the determinant solvers."""
@@ -275,5 +258,4 @@ def to_spin_orbital(data: FcidumpData) -> MolecularHamiltonian:
         core_energy=data.core_energy,
         h_pq=h_pq,
         h_pqrs=h_pqrs,
-        ms2=data.ms2,
     )

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import ci
-from .adapt import GrowthTrace, grow, run_adapt, sector_hamiltonian
+from .adapt import GrowthTrace, grow, run_adapt
 # Not called here: the benchmark's tracer patches this name, so it must exist.
 from .optimizer import minimize  # noqa: F401
 from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
@@ -101,10 +101,10 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
     return abs(combo) / (2.0 * abs(c0))
 
 
-def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, *,
-                      gtol_overlap=DEFAULT_GTOL_OVERLAP, gtol=1e-8,
-                      max_opt_iter=500, n_electrons=None, hamiltonian=None):
-    """Grow an ansatz to maximize |<ref|psi>|^2, up to p_max operators.
+def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons,
+                      gtol_overlap=DEFAULT_GTOL_OVERLAP, gtol=1e-8, hamiltonian=None):
+    """Grow an ansatz from Hartree-Fock to maximize |<ref|psi>|^2, up to
+    p_max operators.
 
     The objective minimized at each step is the infidelity
     1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum and
@@ -117,16 +117,12 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
     Returns:
         (optimized Ansatz, GrowthTrace of OverlapRecords)
     """
-    if init is None:
-        if n_electrons is None:
-            raise ValueError("need init or n_electrons")
-        init = Ansatz(reference.n_qubits, n_electrons)
-    ansatz = init.copy()
+    ansatz = Ansatz(reference.n_qubits, n_electrons)
+    basis = Basis.sector(ansatz.n_qubits, n_electrons)
+    h_eval = None
     if hamiltonian is not None:
-        h_eval = sector_hamiltonian(hamiltonian, ansatz.n_qubits, ansatz.n_electrons)
-        basis = h_eval.basis
-    else:
-        h_eval, basis = None, Basis.sector(ansatz.n_qubits, ansatz.n_electrons)
+        h_eval = basis.project(hamiltonian)
+        basis = h_eval.basis  # an operator passed through keeps its pair cache
     target = basis.extract(reference)
 
     def objective(theta):
@@ -149,8 +145,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, init: Ansatz = None, 
     trace = grow(ansatz, pool, basis,
                  lambda psi: screen_overlap_gradients(target, psi, pool),
                  objective, record, GrowthTrace(OverlapRecord.COLUMNS),
-                 threshold=gtol_overlap, budget=p_max, gtol=gtol,
-                 max_opt_iter=max_opt_iter, stage="overlap")
+                 threshold=gtol_overlap, budget=p_max, gtol=gtol, stage="overlap")
     return ansatz, trace
 
 
@@ -169,8 +164,8 @@ def build_target(ref_source, h_sector, *, cipsi_max_dets=None, cipsi_target_e2=N
                  target_ansatz=None, target_wavefunction=None):
     """Assemble the target state of a pipeline run, in the Hartree-Fock sector.
 
-    `h_sector` is the Hamiltonian projected onto that sector
-    (`sector_hamiltonian`); every target is built in its basis.
+    `h_sector` is the Hamiltonian projected onto that sector; every target
+    is built in its basis.
     ref_source 'fci' takes its lowest eigenpair (`ci.sector_ground_state`);
     'cipsi' runs the selected-CI loop on it and embeds the variational
     state; 'adapt-ansatz' applies a stored ansatz; 'wavefunction' embeds
@@ -208,13 +203,13 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
     minimization to p_total.
 
     The Hamiltonian is projected onto the Hartree-Fock sector once (an
-    operator already projected is used as it is); the target and both
-    stages live in that sector.
+    operator already projected onto it is used as it is); the target and
+    both stages live in that sector.
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
     """
-    h_sector = sector_hamiltonian(hamiltonian, mol.n_spin_orbitals, mol.n_electrons)
+    h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(hamiltonian)
     target, target_energy = build_target(
         ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,

@@ -17,7 +17,6 @@ from typing import NamedTuple
 __all__ = [
     "PauliString",
     "QubitOperator",
-    "multiply",
     "jw_annihilation",
     "jw_creation",
     "jw_hamiltonian",
@@ -34,13 +33,6 @@ _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 class PauliString(NamedTuple):
     x_mask: int
     z_mask: int
-
-    @property
-    def y_mask(self):
-        return self.x_mask & self.z_mask
-
-    def weight(self):
-        return (self.x_mask | self.z_mask).bit_count()
 
     def word(self):
         """Human-readable form like 'X0 Z1 Y3'; 'I' for the identity."""
@@ -126,6 +118,7 @@ class QubitOperator:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """Operator product with Pauli phase tracking; the result is pruned."""
         self._check_size(other)
         terms = {}
         for s1, c1 in self.terms.items():
@@ -152,7 +145,7 @@ class QubitOperator:
         real when every entry is: `Basis._project_terms` on the full basis."""
         from .statevector import Basis  # statevector imports this module
 
-        return Basis(self.n_qubits)._project_terms(self)
+        return Basis.full(self.n_qubits)._project_terms(self)
 
     def to_dense_matrix(self):
         if self.n_qubits > 14:
@@ -161,11 +154,6 @@ class QubitOperator:
 
     def __repr__(self):
         return f"QubitOperator(n_qubits={self.n_qubits}, n_terms={len(self.terms)})"
-
-
-def multiply(a: QubitOperator, b: QubitOperator) -> QubitOperator:
-    """Operator product with Pauli phase tracking; result is pruned."""
-    return a @ b
 
 
 def format_operator(op: QubitOperator) -> str:

@@ -1,9 +1,9 @@
 """Statevector simulation of qubit excitation evolutions over a basis.
 
-A basis is an ordered set of occupation masks (bit p set = spin orbital p
-occupied). It is either the full 2^N computational basis, the oracle for
-arbitrary states, or the fixed-(N_alpha, N_beta) sector that holds the
-Hartree-Fock reference. Every pool excitation conserves N and S_z, so the
+A basis is a sorted array of occupation masks (bit p set = spin orbital p
+occupied): the full 2^N computational basis, the oracle for arbitrary
+states, or the fixed-(N_alpha, N_beta) sector that holds the Hartree-Fock
+reference. Every pool excitation conserves N and S_z, so the
 adaptive loops simulate only that sector, with real amplitudes: 400 of the
 4,096 basis states for H6, 1,225 of 16,384 for BeH2. The basis owns the
 mask -> position lookup, the index pairs each excitation couples and the
@@ -92,19 +92,19 @@ class Basis:
     excitations applied in it.
     """
 
-    def __init__(self, n_qubits, masks=None):
+    def __init__(self, n_qubits, masks):
         self.n_qubits = n_qubits
-        self._masks = masks  # None: the full space, where mask == position
-        self.dim = (1 << n_qubits) if masks is None else len(masks)
+        self.masks = masks  # ascending int64 occupation masks, one per position
+        self.dim = len(masks)
         self._pairs = {}
 
     @classmethod
     def full(cls, n_qubits):
-        """All 2^N computational basis states."""
+        """All 2^N computational basis states, where mask == position."""
         if n_qubits > MAX_QUBITS:
             raise DimensionCapError(
                 f"{n_qubits} qubits exceeds the {MAX_QUBITS}-qubit dense-simulation cap")
-        return cls(n_qubits)
+        return cls(n_qubits, np.arange(1 << n_qubits, dtype=np.int64))
 
     @classmethod
     def sector(cls, n_qubits, n_electrons):
@@ -127,30 +127,14 @@ class Basis:
         masks = strings(n_even, n_alpha, 0)[:, None] | strings(n_odd, n_beta, 1)[None, :]
         return cls(n_qubits, np.sort(masks.ravel()))
 
-    @property
-    def is_full(self):
-        return self._masks is None
-
-    @property
-    def masks(self):
-        """Occupation mask of each basis position, ascending."""
-        return np.arange(self.dim, dtype=np.int64) if self._masks is None else self._masks
-
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Basis) or self.n_qubits != other.n_qubits:
-            return False
-        if self.is_full or other.is_full:
-            return self.is_full and other.is_full
-        return np.array_equal(self._masks, other._masks)
+        return self is other or (isinstance(other, Basis) and self.n_qubits == other.n_qubits
+                                 and np.array_equal(self.masks, other.masks))
 
     def index(self, masks):
         """Positions of occupation masks in this basis; -1 marks a mask outside it."""
-        if self._masks is None:
-            return masks
-        pos = np.minimum(np.searchsorted(self._masks, masks), self.dim - 1)
-        return np.where(self._masks[pos] == masks, pos, -1)
+        pos = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
+        return np.where(self.masks[pos] == masks, pos, -1)
 
     def pairs(self, excitation):
         """(source, destination) positions the excitation couples, as arrays.
@@ -186,26 +170,19 @@ class Basis:
     def project(self, operator) -> ProjectedOperator:
         """The operator's matrix in this basis, real when its entries are.
 
-        Accepts a QubitOperator, a 2^N matrix (sparse or dense) or an
-        operator already projected onto this basis. A QubitOperator is
-        projected term group by term group, without the 2^N matrix.
+        Accepts a QubitOperator, projected term group by term group without
+        the 2^N matrix, or an operator already projected onto an equal
+        basis, which is returned as it is.
         """
         if isinstance(operator, ProjectedOperator):
             if operator.basis != self:
                 raise ValueError("operator was projected onto another basis")
             return operator
-        if isinstance(operator, QubitOperator):
-            if operator.n_qubits != self.n_qubits:
-                raise ValueError("qubit-count mismatch between operator and state")
-            matrix = operator.to_sparse_matrix() if self.is_full else self._project_terms(operator)
-        elif sp.issparse(operator) or isinstance(operator, np.ndarray):
-            if operator.shape != (1 << self.n_qubits,) * 2:
-                raise ValueError("operator dimension does not match the state")
-            matrix = operator if self.is_full \
-                else sp.csr_matrix(operator)[self._masks][:, self._masks]
-        else:
+        if not isinstance(operator, QubitOperator):
             raise TypeError(f"unsupported operator type {type(operator).__name__}")
-        return ProjectedOperator(self, matrix)
+        if operator.n_qubits != self.n_qubits:
+            raise ValueError("qubit-count mismatch between operator and state")
+        return ProjectedOperator(self, self._project_terms(operator))
 
     def _project_terms(self, operator):
         """The QubitOperator's CSR matrix in this basis, real when its
@@ -220,19 +197,17 @@ class Basis:
         groups = {}
         for s, c in operator.sorted_terms():
             groups.setdefault(s.x_mask, []).append((s.z_mask, c))
-        x_masks = sorted(groups)
+        x_keys = sorted(groups)
         shape = (self.dim, self.dim)
-        masks = self.masks
         columns = np.arange(self.dim)
         matrix = sp.csr_matrix(shape, dtype=np.complex128)
-        for start in range(0, len(x_masks), 128):
+        for start in range(0, len(x_keys), 128):
             rows, cols, data = [], [], []
-            for x_mask in x_masks[start:start + 128]:
-                images = masks ^ x_mask
-                row, col = self.index(images), columns
-                if not self.is_full:
-                    inside = row >= 0
-                    images, row, col = images[inside], row[inside], col[inside]
+            for x_mask in x_keys[start:start + 128]:
+                images = self.masks ^ x_mask
+                row = self.index(images)
+                inside = row >= 0
+                images, row, col = images[inside], row[inside], columns[inside]
                 values = np.zeros(len(images), dtype=np.complex128)
                 for z_mask, c in groups[x_mask]:
                     phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]
@@ -254,8 +229,7 @@ class Basis:
         """The state's amplitudes on this basis, as a state in it.
 
         Weight outside the basis is dropped, so overlaps with states of
-        this basis are unchanged. The result is real when the state's
-        amplitudes are.
+        this basis are unchanged. The amplitudes keep their dtype.
         """
         if state.basis is self:
             return state
@@ -263,8 +237,6 @@ class Basis:
             raise ValueError("statevector size mismatch")
         pos = state.basis.index(self.masks)
         amplitudes = np.where(pos >= 0, state.amplitudes[pos], 0.0)
-        if np.iscomplexobj(amplitudes) and not np.any(amplitudes.imag):
-            amplitudes = amplitudes.real
         return Statevector(self.n_qubits, amplitudes, self)
 
 
@@ -282,8 +254,7 @@ class ProjectedOperator(NamedTuple):
 class Statevector:
     """Amplitude vector over a basis, the full 2^N space unless one is given.
 
-    Full-space amplitudes are complex128. In any other basis they are
-    float64 unless complex ones are given.
+    Amplitudes are float64 unless complex ones are given.
     """
 
     def __init__(self, n_qubits: int, amplitudes=None, basis: Basis = None):
@@ -293,8 +264,7 @@ class Statevector:
             raise ValueError("basis and statevector disagree on the qubit count")
         self.n_qubits = n_qubits
         self.basis = basis
-        complex_ = basis.is_full or np.iscomplexobj(amplitudes)
-        dtype = np.complex128 if complex_ else np.float64
+        dtype = np.complex128 if np.iscomplexobj(amplitudes) else np.float64
         if amplitudes is None:
             self.amplitudes = np.zeros(basis.dim, dtype=dtype)
         else:
@@ -372,13 +342,6 @@ def apply_ansatz(ansatz: Ansatz, thetas=None, basis: Basis = None) -> Statevecto
     return state
 
 
-def _projected(operator, n_qubits) -> ProjectedOperator:
-    """A projected operator as it is; anything else in the full 2^N basis."""
-    if isinstance(operator, ProjectedOperator):
-        return operator
-    return Basis.full(n_qubits).project(operator)
-
-
 def expectation(state: Statevector, operator) -> float:
     """<state|H|state> for a hermitian operator; imaginary residue is rejected."""
     matrix = state.basis.project(operator).matrix
@@ -421,17 +384,22 @@ def _reverse_brackets(ansatz, thetas, basis, psi, left):
     return brackets
 
 
-def energy_and_gradient(ansatz: Ansatz, operator, thetas=None):
+def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
     """E(theta) = <psi|H|psi> and dE/dtheta_k for all k via a reverse sweep.
 
-    The simulation runs in the basis of a `ProjectedOperator`, otherwise in
-    the full 2^N space. The backward pass un-applies each evolution from
+    The simulation runs in the basis the Hamiltonian is projected onto
+    (`Basis.project`). The backward pass un-applies each evolution from
     both |psi> and lambda = H|psi>, reading off
     dE/dtheta_k = 2 Re <lambda_k|T_k|psi_k>; total cost is one Hamiltonian
     application plus O(m) excitation applications.
+
+    Raises:
+        TypeError: when `h` is not a ProjectedOperator.
     """
+    if not isinstance(h, ProjectedOperator):
+        raise TypeError(f"energy_and_gradient needs a ProjectedOperator, "
+                        f"not {type(h).__name__}")
     thetas = ansatz.thetas if thetas is None else list(thetas)
-    h = _projected(operator, ansatz.n_qubits)
     psi = apply_ansatz(ansatz, thetas, h.basis).amplitudes
     lam = h.matrix @ psi
     energy = np.vdot(psi, lam)
@@ -455,10 +423,8 @@ def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
     return float(abs(c) ** 2), 2.0 * (np.conjugate(c) * brackets).real
 
 
-def format_state(state: Statevector, cutoff=0.0) -> str:
-    """`mask amplitude_re amplitude_im` lines for debugging dumps."""
-    lines = []
-    for mask, a in zip(state.basis.masks, state.amplitudes):
-        if abs(a) > cutoff:
-            lines.append(f"{mask} {a.real: .16e} {a.imag: .16e}")
-    return "\n".join(lines)
+def format_state(state: Statevector) -> str:
+    """`mask amplitude_re amplitude_im` lines of the nonzero amplitudes, for
+    debugging dumps."""
+    return "\n".join(f"{mask} {a.real: .16e} {a.imag: .16e}"
+                     for mask, a in zip(state.basis.masks, state.amplitudes) if abs(a) > 0.0)

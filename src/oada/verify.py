@@ -16,10 +16,12 @@ from . import ci
 from .fcidump import dump_fcidump, parse_fcidump, read_fcidump, reference_energies, to_spin_orbital
 from .pauli import PauliString, QubitOperator, jw_hamiltonian
 from .pool import build_pool
-from .statevector import apply_ansatz, expectation, prepare_hf
-from .statevector import Ansatz
+from .statevector import Ansatz, Basis, apply_ansatz, expectation, prepare_hf
 
 __all__ = ["run_verification"]
+
+# Seed of the random angles of the exponential-identity and norm checks.
+RNG_SEED = 7
 
 
 def _number_operator(n):
@@ -38,9 +40,9 @@ def _sz_operator(n):
     return QubitOperator(n, terms)
 
 
-def run_verification(fcidump_path, rng_seed=7):
+def run_verification(fcidump_path):
     checks = []
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(RNG_SEED)
 
     data = read_fcidump(fcidump_path)
     refs = reference_energies(fcidump_path)
@@ -57,7 +59,8 @@ def run_verification(fcidump_path, rng_seed=7):
     checks.append(("qubit Hamiltonian hermitian",
                    ham.is_hermitian(1e-12), f"{len(ham)} terms"))
 
-    h_sparse = ham.to_sparse_matrix()
+    h_full = Basis.full(n).project(ham)
+    h_sparse = h_full.matrix
     for name, sym in (("particle number", _number_operator(n)), ("S_z", _sz_operator(n))):
         s_sparse = sym.to_sparse_matrix()
         comm = h_sparse @ s_sparse - s_sparse @ h_sparse
@@ -72,7 +75,7 @@ def run_verification(fcidump_path, rng_seed=7):
                    dev < 1e-10, f"dim {h_sc.basis.dim}, max dev = {dev:.2e}"))
 
     hf = prepare_hf(n, mol.n_electrons)
-    e_hf = expectation(hf, h_sparse)
+    e_hf = expectation(hf, h_full)
     hf_mask = (1 << mol.n_electrons) - 1
     dev = abs(e_hf - ci.slater_condon(mol, hf_mask, hf_mask))
     detail = f"E_HF = {e_hf:.10f}"

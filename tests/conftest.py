@@ -16,7 +16,7 @@ class Problem:
         self.n = self.mol.n_spin_orbitals
         self.n_electrons = self.mol.n_electrons
         self._ham = None
-        self._sparse = None
+        self._full = None
         self._sector = None
         self._pool = None
         self._fci = None
@@ -28,10 +28,11 @@ class Problem:
         return self._ham
 
     @property
-    def sparse(self):
-        if self._sparse is None:
-            self._sparse = self.ham.to_sparse_matrix()
-        return self._sparse
+    def full(self):
+        """The Jordan-Wigner Hamiltonian projected onto the full 2^N basis."""
+        if self._full is None:
+            self._full = Basis.full(self.n).project(self.ham)
+        return self._full
 
     @property
     def sector(self):

@@ -96,15 +96,15 @@ def test_criterion_3_gradient_correctness(h2, h4):
             op = problem.pool[int(rng.integers(len(problem.pool)))]
             ansatz.append(op.excitation, float(rng.uniform(-1.2, 1.2)))
 
-        _, e_grad = energy_and_gradient(ansatz, problem.sparse)
+        _, e_grad = energy_and_gradient(ansatz, problem.full)
         _, f_grad = overlap_and_gradient(ansatz, target)
         for k in range(m):
             up = list(ansatz.thetas)
             up[k] += step
             down = list(ansatz.thetas)
             down[k] -= step
-            ep, _ = energy_and_gradient(ansatz, problem.sparse, up)
-            em, _ = energy_and_gradient(ansatz, problem.sparse, down)
+            ep, _ = energy_and_gradient(ansatz, problem.full, up)
+            em, _ = energy_and_gradient(ansatz, problem.full, down)
             worst_fd = max(worst_fd, abs(e_grad[k] - (ep - em) / (2 * step)))
             fp, _ = overlap_and_gradient(ansatz, target, up)
             fm, _ = overlap_and_gradient(ansatz, target, down)

@@ -8,13 +8,13 @@ from oada.statevector import Ansatz, apply_ansatz, energy_and_gradient, prepare_
 
 
 def test_screening_vanishes_at_eigenstate(h2):
-    grads = screen_energy_gradients(h2.fci_state(), h2.sparse, h2.pool)
+    grads = screen_energy_gradients(h2.fci_state(), h2.full, h2.pool)
     assert np.max(np.abs(grads)) < 1e-8
 
 
 def test_h2_hf_screening_selects_double_channel(h2):
     hf = prepare_hf(4, 2)
-    grads = screen_energy_gradients(hf, h2.sparse, h2.pool)
+    grads = screen_energy_gradients(hf, h2.full, h2.pool)
     dense = h2.ham.to_dense_matrix()
     for op, g in zip(h2.pool, grads):
         t = op.generator(4).to_dense_matrix()
@@ -32,16 +32,16 @@ def test_screening_matches_finite_difference(h4):
     for k in rng.integers(len(h4.pool), size=4):
         base.append(h4.pool[int(k)].excitation, rng.uniform(-0.7, 0.7))
     state = apply_ansatz(base)
-    grads = screen_energy_gradients(state, h4.sparse, h4.pool)
+    grads = screen_energy_gradients(state, h4.full, h4.pool)
     step = 1e-5
     for k in (0, 7, len(h4.pool) - 1):
         probe = base.copy()
         probe.append(h4.pool[k].excitation, 0.0)
         thetas = list(probe.thetas)
         thetas[-1] = step
-        ep, _ = energy_and_gradient(probe, h4.sparse, thetas)
+        ep, _ = energy_and_gradient(probe, h4.full, thetas)
         thetas[-1] = -step
-        em, _ = energy_and_gradient(probe, h4.sparse, thetas)
+        em, _ = energy_and_gradient(probe, h4.full, thetas)
         assert abs(grads[k] - (ep - em) / (2 * step)) < 1e-6
 
 
@@ -60,6 +60,13 @@ def test_huge_eps_returns_init_unchanged(h2):
     assert ansatz.excitations == init.excitations
     assert ansatz.thetas == init.thetas
     assert trace.stop_reason == "gradient"
+
+
+def test_loops_reject_an_operator_on_another_basis(h2):
+    with pytest.raises(ValueError, match="another basis"):
+        run_adapt(h2.full, h2.pool, n_electrons=2)
+    with pytest.raises(ValueError, match="another basis"):
+        oada.run_overlap_adapt(h2.fci_state(), h2.pool, 2, n_electrons=2, hamiltonian=h2.full)
 
 
 def test_trace_invariants(h4):

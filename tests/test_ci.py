@@ -50,7 +50,7 @@ def test_davidson_agrees_with_dense(h4, h6):
         davidson_e, state = fci_ground_state(problem.mol)
         assert abs(dense_e - davidson_e) < 1e-9
         state = Basis.full(problem.n).extract(state)
-        assert abs(expectation(state, problem.sparse) - dense_e) < 1e-8
+        assert abs(expectation(state, problem.full) - dense_e) < 1e-8
 
 
 def test_dimension_cap(h6, monkeypatch):
@@ -64,6 +64,11 @@ def test_cipsi_initial_state_is_hf(h4):
     assert len(state.dets) == 1
     assert abs(state.e_variational - h4.refs["REF_HF"]) < 1e-8
     assert math.isinf(state.e_pt2)
+
+
+def test_cipsi_rejects_a_basis_of_mixed_electron_counts(h2):
+    with pytest.raises(ValueError, match="determinant sector"):
+        cipsi_initial_state(h2.full)
 
 
 def test_cipsi_full_sector_terminates_at_fci(h2):
@@ -180,7 +185,7 @@ def test_export_statevector_hf(h4):
 
 def test_export_statevector_fci_energy(h6):
     state = export_statevector(h6.fci[1], Basis.full(h6.n))
-    assert abs(expectation(state, h6.sparse) - h6.e_fci) < 1e-9
+    assert abs(expectation(state, h6.full) - h6.e_fci) < 1e-9
 
 
 def test_export_statevector_ratio_and_norm():

@@ -382,6 +382,27 @@ def test_config_file_with_flag_override(h2_path, tmp_path):
     assert "bogus" in result.stderr
 
 
+@pytest.mark.parametrize("line, flags, code, message", [
+    ("method=bogus", [], 2, "config key method: 'bogus' is not one of"),
+    ("max_ops=abc", [], 2, "config key max_ops: 'abc' is not a valid int"),
+    ("dump_pool=pool.txt", [], 2, "unknown config keys: dump_pool"),
+    ("out_trace=c.csv", ["--out-trace", "trace.csv"], 0, ""),
+])
+def test_config_values_are_typed_and_flags_win(h2_path, tmp_path, monkeypatch, capsys,
+                                               line, flags, code, message):
+    monkeypatch.chdir(tmp_path)
+    key = line.split("=")[0]
+    base = {"fcidump": h2_path, "method": "adapt", "max_ops": "1"}
+    text = "".join(f"{k}={v}\n" for k, v in base.items() if k != key) + line + "\n"
+    (tmp_path / "exp.conf").write_text(text)
+    assert main(["run", "--config", "exp.conf", *flags]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if code:
+        assert len(err) == 1 and message in err[0]
+    else:
+        assert (tmp_path / "trace.csv").exists() and not (tmp_path / "c.csv").exists()
+
+
 def test_config_seed_is_an_unknown_key(h2_path, tmp_path, capsys):
     config = tmp_path / "exp.conf"
     config.write_text(f"fcidump={h2_path}\nmethod=adapt\nseed=1\n")

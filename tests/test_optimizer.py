@@ -28,7 +28,7 @@ def test_h2_single_parameter_curve_reaches_fci(h2):
     ansatz.append(double.excitation, 0.0)
 
     def objective(theta):
-        return energy_and_gradient(ansatz, h2.sparse, theta)
+        return energy_and_gradient(ansatz, h2.full, theta)
 
     result = minimize(objective, np.zeros(1), gtol=1e-10)
     assert abs(result.objective_value - h2.refs["REF_FCI"]) < 1e-8
@@ -93,14 +93,14 @@ def test_warm_start_never_worse(h4):
     ansatz.append(pool[-1].excitation, 0.0)
 
     def objective(theta):
-        return energy_and_gradient(ansatz, h4.sparse, theta)
+        return energy_and_gradient(ansatz, h4.full, theta)
 
     first = minimize(objective, np.zeros(1), gtol=1e-10)
     ansatz.thetas = list(first.theta_opt)
     ansatz.append(pool[0].excitation, 0.0)
 
     def objective2(theta):
-        return energy_and_gradient(ansatz, h4.sparse, theta)
+        return energy_and_gradient(ansatz, h4.full, theta)
 
     second = minimize(objective2, list(first.theta_opt) + [0.0], gtol=1e-10)
     assert second.objective_value <= first.objective_value + 1e-12

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from oada.pauli import (PauliString, QubitOperator, double_excitation_generator,
                         format_operator, jw_annihilation, jw_creation,
-                        jw_hamiltonian, multiply, single_excitation_generator)
+                        jw_hamiltonian, single_excitation_generator)
 from oada.fcidump import FcidumpData, to_spin_orbital
 
 
@@ -52,25 +52,25 @@ def test_pauli_multiplication_table():
     x = QubitOperator.from_word(1, [("X", 0)])
     y = QubitOperator.from_word(1, [("Y", 0)])
     z = QubitOperator.from_word(1, [("Z", 0)])
-    assert op_equal(multiply(x, y), z * 1j)
-    assert op_equal(multiply(y, z), x * 1j)
-    assert op_equal(multiply(z, x), y * 1j)
-    assert op_equal(multiply(x, x), QubitOperator.identity(1))
+    assert op_equal(x @ y, z * 1j)
+    assert op_equal(y @ z, x * 1j)
+    assert op_equal(z @ x, y * 1j)
+    assert op_equal(x @ x, QubitOperator.identity(1))
 
 
 def test_identity_multiplication():
     rng = np.random.default_rng(3)
     op = _random_operator(rng, n=3, n_terms=5)
-    assert op_equal(multiply(QubitOperator.identity(3), op), op)
+    assert op_equal(QubitOperator.identity(3) @ op, op)
 
 
 def test_qubit_count_mismatch():
     with pytest.raises(ValueError):
-        multiply(QubitOperator.identity(2), QubitOperator.identity(3))
+        QubitOperator.identity(2) @ QubitOperator.identity(3)
 
 
 def test_product_matches_dense_oracle():
-    op = multiply(jw_creation(0, 2), jw_annihilation(1, 2))
+    op = jw_creation(0, 2) @ jw_annihilation(1, 2)
     dense = jw_creation(0, 2).to_dense_matrix() @ jw_annihilation(1, 2).to_dense_matrix()
     assert np.max(np.abs(op.to_dense_matrix() - dense)) < 1e-14
 
@@ -87,8 +87,8 @@ def test_multiply_associative_dense_oracle():
     rng = np.random.default_rng(11)
     for _ in range(5):
         ops = [_random_operator(rng, 3, 4) for _ in range(3)]
-        left = multiply(multiply(ops[0], ops[1]), ops[2])
-        right = multiply(ops[0], multiply(ops[1], ops[2]))
+        left = (ops[0] @ ops[1]) @ ops[2]
+        right = ops[0] @ (ops[1] @ ops[2])
         assert op_equal(left, right, tol=1e-12)
         dense = ops[0].to_dense_matrix() @ ops[1].to_dense_matrix() @ ops[2].to_dense_matrix()
         assert np.max(np.abs(left.to_dense_matrix() - dense)) < 1e-12
@@ -183,4 +183,4 @@ def test_format_operator_deterministic():
 
 def test_sparse_matches_dense(h2):
     dense = h2.ham.to_dense_matrix()
-    assert np.max(np.abs(h2.sparse.toarray() - dense)) < 1e-13
+    assert np.max(np.abs(h2.ham.to_sparse_matrix().toarray() - dense)) < 1e-13

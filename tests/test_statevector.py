@@ -5,7 +5,7 @@ from scipy.linalg import expm
 import oada
 from oada.pauli import QubitOperator
 from oada.pool import DoubleExcitation, SingleExcitation
-from oada.statevector import (Ansatz, Statevector, apply_ansatz, apply_excitation,
+from oada.statevector import (Ansatz, Basis, Statevector, apply_ansatz, apply_excitation,
                               energy_and_gradient, expectation, format_state,
                               overlap, overlap_and_gradient, prepare_hf)
 
@@ -75,9 +75,9 @@ def test_one_operator_ansatz_dense_oracle():
 def test_expectation_hf_and_fci(h2):
     hf = prepare_hf(4, 2)
     assert abs(expectation(hf, h2.ham) - h2.refs["REF_HF"]) < 1e-10
-    assert abs(expectation(hf, h2.sparse) - h2.refs["REF_HF"]) < 1e-10
+    assert abs(expectation(hf, h2.full) - h2.refs["REF_HF"]) < 1e-10
     ground = h2.fci_state()
-    assert abs(expectation(ground, h2.sparse) - h2.refs["REF_FCI"]) < 1e-8
+    assert abs(expectation(ground, h2.full) - h2.refs["REF_FCI"]) < 1e-8
 
 
 def test_expectation_identity_scaling():
@@ -132,7 +132,7 @@ def test_energy_gradient_zero_matches_commutator(h2):
     ansatz = Ansatz(4, 2)
     for op in pool:
         ansatz.append(op.excitation, 0.0)
-    _, grad = energy_and_gradient(ansatz, h2.sparse)
+    _, grad = energy_and_gradient(ansatz, h2.full)
     dense = h2.ham.to_dense_matrix()
     hf = prepare_hf(4, 2).amplitudes
     for k, op in enumerate(pool):
@@ -144,24 +144,42 @@ def test_energy_gradient_zero_matches_commutator(h2):
 def test_energy_gradient_finite_difference(h4):
     rng = np.random.default_rng(21)
     ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 3)
-    value, grad = energy_and_gradient(ansatz, h4.sparse)
+    value, grad = energy_and_gradient(ansatz, h4.full)
     for k in range(len(ansatz)):
         step = 1e-5
         up = list(ansatz.thetas)
         up[k] += step
         down = list(ansatz.thetas)
         down[k] -= step
-        ep, _ = energy_and_gradient(ansatz, h4.sparse, up)
-        em, _ = energy_and_gradient(ansatz, h4.sparse, down)
+        ep, _ = energy_and_gradient(ansatz, h4.full, up)
+        em, _ = energy_and_gradient(ansatz, h4.full, down)
         assert abs(grad[k] - (ep - em) / (2 * step)) < 1e-6
 
 
 def test_energy_gradient_identity_hamiltonian():
     ansatz = Ansatz(4, 2)
     ansatz.append(DoubleExcitation(2, 3, 0, 1), 0.4)
-    value, grad = energy_and_gradient(ansatz, QubitOperator.identity(4, 3.0))
+    identity = Basis.full(4).project(QubitOperator.identity(4, 3.0))
+    value, grad = energy_and_gradient(ansatz, identity)
     assert abs(value - 3.0) < 1e-12
     assert np.max(np.abs(grad)) < 1e-12
+
+
+def test_energy_gradient_type_error(h2):
+    ansatz = Ansatz(4, 2)
+    ansatz.append(DoubleExcitation(2, 3, 0, 1), 0.4)
+    for operator in (h2.ham, h2.full.matrix, h2.full.matrix.toarray()):
+        with pytest.raises(TypeError, match="ProjectedOperator"):
+            energy_and_gradient(ansatz, operator)
+
+
+def test_project_takes_qubit_operators_and_its_own_projections(h2):
+    full = Basis.full(4)
+    assert full.project(h2.full) is h2.full
+    with pytest.raises(TypeError, match="unsupported operator type"):
+        full.project(h2.full.matrix)
+    with pytest.raises(ValueError, match="another basis"):
+        Basis.sector(4, 2).project(h2.full)
 
 
 def test_overlap_gradient_trivial_and_fd(h4):
@@ -220,5 +238,5 @@ def test_inverse_rotation_roundtrip(h4):
 
 def test_format_state():
     state = prepare_hf(2, 1)
-    lines = format_state(state, cutoff=1e-12).splitlines()
+    lines = format_state(state).splitlines()
     assert lines == [f"1 {1.0: .16e} {0.0: .16e}"]
