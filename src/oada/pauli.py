@@ -14,6 +14,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
+from .errors import DimensionCapError
+
 __all__ = [
     "PauliString",
     "QubitOperator",
@@ -180,40 +184,114 @@ def jw_creation(p: int, n_qubits: int) -> QubitOperator:
     return jw_annihilation(p, n_qubits).adjoint()
 
 
+# Occupation and Pauli masks are int64 (statevector shares this cap).
+MAX_MASK_QUBITS = 62
+
+
+def _ladder_products(ops, daggers):
+    """Pauli expansions of products of Jordan-Wigner ladder operators.
+
+    Row k of `ops` holds the spin-orbital indices of one product, left to
+    right; `daggers[j]` tells whether factor j is a creation operator. Each
+    factor is two strings, (x, z) = (1<<i, (1<<i)-1) and (1<<i, (1<<i)-1 |
+    1<<i), of weight 1/2 and +-i/2, so a product of m factors is 2^m
+    strings that share one x mask. Strings of a row with equal z masks are
+    summed and exact zeros dropped, as `QubitOperator.__matmul__` would;
+    the weights are multiples of 2^-m, so these sums are exact.
+
+    Returns (row, x, z, coeff) per remaining string, rows ascending.
+    """
+    m = ops.shape[1]
+    width = 1 << m
+    bits = 1 << ops
+    x = np.bitwise_xor.reduce(bits, axis=1)
+    choice = (np.arange(width)[:, None] >> np.arange(m)) & 1  # 1 picks the Y string
+    factor_z = (bits - 1)[:, None, :] | (choice * bits[:, None, :])
+    z = np.bitwise_xor.reduce(factor_z, axis=2)
+    # The phase of _string_product extended to m factors, i^(|z&x| - sum_j b_j
+    # + 2 sum_{i<j} |x_i & z_j|) with b_j = choice[:, j], times the factor
+    # weights i^b_j (annihilation) and (-i)^b_j (creation).
+    power = np.bitwise_count(z & x[:, None]).astype(np.int64)
+    power -= 2 * choice[:, list(daggers)].sum(axis=1)
+    for j in range(1, m):
+        for i in range(j):
+            power += 2 * np.bitwise_count(bits[:, i, None] & factor_z[:, :, j])
+    power &= 3
+
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1).ravel()
+    power = np.take_along_axis(power, order, axis=1).ravel()
+    first = np.ones(len(z), dtype=bool)
+    first[1:] = z[1:] != z[:-1]
+    first[::width] = True
+    starts = np.flatnonzero(first)
+    coeff = np.add.reduceat(np.array(_I_POWERS)[power], starts) / width
+    keep = coeff != 0
+    starts, coeff = starts[keep], coeff[keep]
+    row = starts // width
+    return row, x[row], z[starts], coeff
+
+
 def jw_hamiltonian(mol) -> QubitOperator:
     """Jordan-Wigner image of the second-quantized molecular Hamiltonian.
 
     sum_pq h_pq a_p^ a_q + sum_pqrs h_pqrs a_p^ a_r^ a_s a_q + core * I,
-    assembled term-by-term from the stored spin-orbital integrals.
+    over the integrals of magnitude at least COEFF_CUTOFF (terms with p = r
+    or s = q vanish and are skipped).
+
+    The ladder products are expanded with array arithmetic by
+    `_ladder_products`, one creation index p per chunk of the two-body sum
+    to bound the temporaries, scaled by their integrals and added into one
+    running total per Pauli string with `np.add.at`, which adds in index
+    order. Contributions arrive as in a term-by-term loop: the core, then
+    the one-body terms in (p, q) order, then the two-body terms in (p, r,
+    s, q) order. So every string's coefficient is the same floating-point
+    sum, bit for bit, as accumulating the products one term at a time.
+
+    Raises:
+        DimensionCapError: above MAX_MASK_QUBITS spin orbitals, before
+            anything is allocated.
+        ValueError: when the assembled operator is not hermitian.
     """
     n = mol.n_spin_orbitals
-    create = [jw_creation(p, n) for p in range(n)]
-    annih = [jw_annihilation(p, n) for p in range(n)]
-    total = {PauliString(0, 0): complex(mol.core_energy)}
+    if n > MAX_MASK_QUBITS:
+        raise DimensionCapError(
+            f"{n} spin orbitals exceeds the {MAX_MASK_QUBITS}-bit mask cap")
+    ids = {(0, 0): 0}  # (x_mask, z_mask) -> position in total
+    total = np.array([mol.core_energy], dtype=np.complex128)
 
-    def accumulate(op, coeff):
-        for s, c in op.terms.items():
-            total[s] = total.get(s, 0.0) + coeff * c
+    def accumulate(ops, daggers, values):
+        nonlocal total
+        if not len(values):
+            return
+        row, x, z, coeff = _ladder_products(ops, daggers)
+        order = np.lexsort((z, x))
+        x, z = x[order], z[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+        group = np.empty_like(order)
+        group[order] = np.cumsum(new) - 1
+        position = np.array([ids.setdefault(key, len(ids))
+                             for key in zip(x[new].tolist(), z[new].tolist())],
+                            dtype=np.int64)
+        if len(ids) > len(total):
+            total = np.concatenate([total, np.zeros(len(ids) - len(total), np.complex128)])
+        np.add.at(total, position[group], values[row] * coeff)
 
     h1 = mol.h_pq
-    for p in range(n):
-        for q in range(n):
-            if abs(h1[p, q]) >= COEFF_CUTOFF:
-                accumulate(create[p] @ annih[q], h1[p, q])
+    p, q = np.nonzero(np.abs(h1) >= COEFF_CUTOFF)
+    accumulate(np.stack([p, q], axis=1), (True, False), h1[p, q])
     g = mol.h_pqrs
+    diagonal = np.arange(n)
     for p in range(n):
-        for r in range(n):
-            if p == r:
-                continue
-            pr = create[p] @ create[r]
-            for s in range(n):
-                for q in range(n):
-                    if s == q:
-                        continue
-                    v = g[p, q, r, s]
-                    if abs(v) >= COEFF_CUTOFF:
-                        accumulate(pr @ (annih[s] @ annih[q]), v)
-    ham = QubitOperator(n, total)
+        g_p = g[p].transpose(1, 2, 0)  # g_p[r, s, q] = g[p, q, r, s]
+        keep = np.abs(g_p) >= COEFF_CUTOFF
+        keep[p] = False
+        keep[:, diagonal, diagonal] = False
+        r, s, q = np.nonzero(keep)
+        accumulate(np.stack([np.full_like(r, p), r, s, q], axis=1),
+                   (True, True, False, False), g_p[r, s, q])
+    ham = QubitOperator(n, {PauliString(*key): c for key, c in zip(ids, total.tolist())})
     if not ham.is_hermitian(1e-12):
         raise ValueError("assembled Hamiltonian is not hermitian")
     return ham

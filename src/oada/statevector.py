@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionCapError
-from .pauli import _I_POWERS, QubitOperator
+from .pauli import _I_POWERS, MAX_MASK_QUBITS, QubitOperator
 from .pool import SingleExcitation
 
 __all__ = [
@@ -58,8 +58,6 @@ MAX_QUBITS = 24
 # A sector may hold as many amplitudes as the full space at the qubit cap;
 # this is also the size limit of the determinant solvers' FCI.
 MAX_SECTOR_DIM = 1 << MAX_QUBITS
-# Occupation masks are int64.
-MAX_MASK_QUBITS = 62
 
 
 def sector_dimension(n_qubits, n_electrons):
@@ -133,6 +131,8 @@ class Basis:
 
     def index(self, masks):
         """Positions of occupation masks in this basis; -1 marks a mask outside it."""
+        if self.dim == 1 << self.n_qubits:  # the full basis, where mask == position
+            return np.where((masks >= 0) & (masks < self.dim), masks, -1)
         pos = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
         return np.where(self.masks[pos] == masks, pos, -1)
 

@@ -240,3 +240,14 @@ def test_format_state():
     state = prepare_hf(2, 1)
     lines = format_state(state).splitlines()
     assert lines == [f"1 {1.0: .16e} {0.0: .16e}"]
+
+
+@pytest.mark.parametrize("n_qubits", [0, 1, 4])
+def test_full_basis_index_matches_search(n_qubits):
+    basis = Basis.full(n_qubits)
+    masks = np.array([-(1 << 40), -1, 0, 1, 3, 15, 16, 17, 1 << 40, (1 << 62) + 5],
+                     dtype=np.int64)
+    pos = np.minimum(np.searchsorted(basis.masks, masks), basis.dim - 1)
+    expected = np.where(basis.masks[pos] == masks, pos, -1)
+    assert np.array_equal(basis.index(masks), expected)
+    assert np.array_equal(basis.index(basis.masks), np.arange(basis.dim))
