@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fcidump import FcidumpError
-from .optimizer import minimize
+from .optimizer import NEAR_MISS, minimize
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts, check_excitation
 from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
                           energy_and_gradient)
@@ -146,10 +146,12 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
         ansatz.thetas = [float(t) for t in result.theta_opt]
         hess_inv = result.hess_inv
         if not result.converged:
-            # Near-misses (line search giving up within 10x of gtol) are routine.
-            level = logging.DEBUG if result.gradient_norm < 10 * gtol else logging.WARNING
-            logger.log(level, "%s iteration %d: optimizer returned best-so-far "
-                       "(gradient norm %.2e)", stage, iteration, result.gradient_norm)
+            # Floor stops and other near-misses (within NEAR_MISS x gtol) are routine.
+            routine = result.stop == "floor" or result.gradient_norm < NEAR_MISS * gtol
+            logger.log(logging.DEBUG if routine else logging.WARNING,
+                       "%s iteration %d: optimizer stopped by %s "
+                       "(gradient norm %.2e)", stage, iteration, result.stop,
+                       result.gradient_norm)
         trace.records.append(make_record(iteration, pool[best], gmax, result))
 
 

@@ -207,7 +207,9 @@ class Basis:
                 images = self.masks ^ x_mask
                 row = self.index(images)
                 inside = row >= 0
-                images, row, col = images[inside], row[inside], columns[inside]
+                col = columns
+                if not inside.all():  # always inside on the full basis
+                    images, row, col = images[inside], row[inside], columns[inside]
                 values = np.zeros(len(images), dtype=np.complex128)
                 for z_mask, c in groups[x_mask]:
                     phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oada
-from oada.optimizer import minimize
+from oada.optimizer import FLOOR_K, NEAR_MISS, minimize
 from oada.statevector import Ansatz, energy_and_gradient
 
 
@@ -160,3 +160,61 @@ def test_empty_parameter_vector_with_hess_inv0():
     result = minimize(lambda t: (4.2, np.zeros(0)), np.zeros(0), hess_inv0=first.hess_inv)
     assert result.converged and result.objective_value == 4.2
     assert result.hess_inv.shape == (0, 0)
+
+
+BOWL_CURVATURES = np.array([0.1, 0.25, 0.63, 1.6, 4.0, 10.0])
+BOWL_CENTER = np.array([1.0, 0.54, -0.42, -0.99, -0.65, 0.28])
+
+
+def offset_bowl(theta):
+    """A quadratic bowl sitting at -15, the scale of the BeH2 energy. Its
+    value is summed through a large term that cancels, so, like a summed
+    energy, it carries rounding errors of a few ulps that do not shrink
+    with the step; the gradient is exact."""
+    d = theta - BOWL_CENTER
+    cancelling = 20.0 * np.sum(theta)
+    value = ((-15.0 + cancelling) + np.sum(0.5 * BOWL_CURVATURES * d * d)) - cancelling
+    return float(value), BOWL_CURVATURES * d
+
+
+def test_floor_stop_ends_a_solve_whose_decreases_are_rounding():
+    accepted = []
+    result = minimize(offset_bowl, np.zeros(6), gtol=1e-8, callback=accepted.append)
+    assert result.stop == "floor" and not result.converged
+    assert 1e-8 < result.gradient_norm < NEAR_MISS * 1e-8
+    # Without the floor stop this solve takes 49 evaluations: its last line
+    # search fails on values that differ by rounding alone.
+    assert result.n_evaluations < 49
+    # the caller's callback still sees every accepted iterate, the last too
+    assert len(accepted) == result.n_iterations
+    assert np.array_equal(accepted[-1], result.theta_opt)
+
+
+def steep_cusp(theta):
+    """Minimum at BOWL_CENTER[:3] where max|g| falls only as |d|^0.2, so
+    value differences reach the floor while the gradient is still large."""
+    d = theta - BOWL_CENTER[:3]
+    return float(1.0 + np.sum(np.abs(d) ** 1.2)), 1.2 * np.sign(d) * np.abs(d) ** 0.2
+
+
+def test_floor_stop_needs_a_small_gradient():
+    values, gnorms = [steep_cusp(np.zeros(3))[0]], []
+
+    def callback(theta):
+        value, grad = steep_cusp(theta)
+        values.append(value)
+        gnorms.append(np.max(np.abs(grad)))
+
+    result = minimize(steep_cusp, np.zeros(3), gtol=1e-8, callback=callback)
+    decreases = -np.diff(values)
+    eps = np.finfo(float).eps
+    # several accepted steps lowered the value by no more than the floor ...
+    assert np.any(decreases <= FLOOR_K * eps * np.abs(values[1:]))
+    # ... but max|g| never came near gtol, so the solve ran on
+    assert min(gnorms) > NEAR_MISS * 1e-8
+    assert result.stop == "line search" and not result.converged
+
+
+def test_stop_names_gtol_and_max_iter():
+    assert minimize(quadratic(np.ones(3)), np.zeros(3), gtol=1e-9).stop == "gtol"
+    assert minimize(offset_bowl, np.zeros(6), max_iter=2).stop == "max_iter"

@@ -157,6 +157,17 @@ def test_each_stage_starts_from_the_identity_and_carries_the_inverse_hessian(
             assert hess_inv0.shape == (m - 1, m - 1)
 
 
+def test_beh2_pipeline_energy_stage_stops_at_the_floor(beh2_stretched):
+    # the beh2_fci_pipeline benchmark workload. Without the optimizer's
+    # floor stop its energy stage took 232 evaluations to the same energy.
+    problem = beh2_stretched
+    result = pipeline(problem.mol, problem.ham, problem.pool, "fci", 10, 20)
+    records = result.adapt_trace.records
+    assert records[-1].n_params == 20
+    assert sum(r.n_evaluations for r in records) <= 150
+    assert abs(result.adapt_trace.final_energy - (-15.319940034061378)) < 1e-10
+
+
 def test_pipeline_fci_target_h2(h2):
     result = pipeline(h2.mol, h2.ham, h2.pool, "fci", 3, 3, e_ref=h2.e_fci)
     assert abs(result.target_energy - h2.e_fci) < 1e-10
