@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fcidump import FcidumpError
-from .optimizer import NEAR_MISS, minimize
+from .optimizer import GTOL, NEAR_MISS, minimize
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts, check_excitation
 from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
                           energy_and_gradient)
@@ -109,7 +109,7 @@ def select_operator(grads) -> int:
 
 
 def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
-         trace: GrowthTrace, *, threshold, budget, gtol, stage):
+         trace: GrowthTrace, *, threshold, budget, stage):
     """Grow `ansatz` in place until the gradient or budget stop fires.
 
     Args:
@@ -127,7 +127,14 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
 
     Returns:
         trace
+
+    Raises:
+        ValueError: when threshold is not positive and budget is None, so
+            that no stop could ever fire.
     """
+    if not threshold > 0 and budget is None:
+        raise ValueError(f"need a stopping rule: {stage} threshold {threshold} "
+                         "with no budget never stops")
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
     while True:
@@ -142,12 +149,12 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
             return trace
         iteration += 1
         ansatz.append(pool[best].excitation, 0.0)
-        result = minimize(objective, ansatz.thetas, gtol=gtol, hess_inv0=hess_inv)
+        result = minimize(objective, ansatz.thetas, hess_inv0=hess_inv)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         hess_inv = result.hess_inv
         if not result.converged:
-            # Floor stops and other near-misses (within NEAR_MISS x gtol) are routine.
-            routine = result.stop == "floor" or result.gradient_norm < NEAR_MISS * gtol
+            # Floor stops and other near-misses (within NEAR_MISS x GTOL) are routine.
+            routine = result.stop == "floor" or result.gradient_norm < NEAR_MISS * GTOL
             logger.log(logging.DEBUG if routine else logging.WARNING,
                        "%s iteration %d: optimizer stopped by %s "
                        "(gradient norm %.2e)", stage, iteration, result.stop,
@@ -156,7 +163,7 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
 
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
-              eps=1e-3, max_ops=None, gtol=1e-8, n_electrons=None, e_ref=None):
+              eps=1e-3, max_ops=None, n_electrons=None, e_ref=None):
     """Grow and optimize an ansatz by energy-gradient screening until the
     gradient or budget stop fires.
 
@@ -166,7 +173,8 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
         pool: operators from `build_pool`.
         init: starting ansatz; None starts from Hartree-Fock (requires
             n_electrons).
-        eps: stop when the largest screening-gradient magnitude is below this.
+        eps: stop when the largest screening-gradient magnitude is below
+            this; it must be positive unless max_ops is given (ValueError).
         max_ops: stop when the ansatz holds this many operators.
         e_ref: reference energy for the trace error column (NaN if absent).
 
@@ -200,7 +208,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
                  lambda psi: screen_energy_gradients(psi, h_eval, pool),
                  lambda theta: energy_and_gradient(ansatz, h_eval, theta),
                  record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,
-                 budget=max_ops, gtol=gtol, stage="ADAPT")
+                 budget=max_ops, stage="ADAPT")
     return ansatz, trace
 
 

@@ -1,8 +1,10 @@
 """Experiment driver: reproduce the convergence studies as CSV traces.
 
-Subcommands: run, fci, run-cipsi, dump-pool, dump-hamiltonian, verify.
-`run` accepts a plain key=value config file; command-line flags win over
-config values.
+Subcommands: run, dump-pool, dump-hamiltonian, verify. `run` does every
+computation, chosen by --method: FCI, CIPSI, the adaptive energy loop or
+one of the overlap-guided pipelines. It accepts a plain key=value config
+file; command-line flags win over config values. The other three print
+the pool, the qubit Hamiltonian or the invariant checks of an input.
 
 Exit codes follow the exception type, each with a one-line diagnostic:
 2 bad input (FcidumpError, a missing file), 3 a dimension cap
@@ -88,19 +90,6 @@ def _load_problem(args):
     return mol, refs
 
 
-def _solve_fci(mol, refs):
-    """FCI on the Jordan-Wigner Hamiltonian projected onto the Hartree-Fock
-    sector, printed with the fixture's REF_FCI when it has one. `verify`
-    checks that matrix against the Slater-Condon one, which is not built
-    here. Returns the ground state in the sector."""
-    h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(jw_hamiltonian(mol))
-    energy, state = ci.sector_ground_state(h_sector)
-    print(f"E_FCI = {energy:.12f}")
-    if "REF_FCI" in refs:
-        print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")
-    return state
-
-
 def _cipsi_trace(h_sector, args):
     """Run CIPSI to the stop rule; (final state, trace CSV rows)."""
     rows = ["iter,dets,e_v,e2,e_cipsi"]
@@ -133,32 +122,33 @@ def _write(path, text):
         fh.write(text)
 
 
-def _print_cipsi(state):
-    print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
-          f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
-
-
 def cmd_run(args):
     mol, refs = _load_problem(args)
     n = mol.n_spin_orbitals
+    if args.method == "cipsi" and args.cipsi_max_dets is None \
+            and args.cipsi_target_e2 is None:
+        raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
+    # Every method works on the Jordan-Wigner Hamiltonian projected onto the
+    # Hartree-Fock sector; `verify` checks it against the Slater-Condon
+    # matrix, which is not built here.
+    h_sector = Basis.sector(n, mol.n_electrons).project(jw_hamiltonian(mol))
 
     if args.method == "fci":
-        state = _solve_fci(mol, refs)
+        energy, state = ci.sector_ground_state(h_sector)
+        print(f"E_FCI = {energy:.12f}")
+        if "REF_FCI" in refs:
+            print(f"REF_FCI = {refs['REF_FCI']:.12f} (diff {energy - refs['REF_FCI']:.2e})")
         if args.out_wavefunction:
             ci.write_wavefunction(state, args.out_wavefunction)
         if args.dump_state:
             _write(args.dump_state, format_state(state) + "\n")
         return 0
 
-    if args.method == "cipsi" and args.cipsi_max_dets is None \
-            and args.cipsi_target_e2 is None:
-        raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
-    h_sector = Basis.sector(n, mol.n_electrons).project(jw_hamiltonian(mol))
-
     if args.method == "cipsi":
         state, rows = _cipsi_trace(h_sector, args)
         _write(args.out_trace, "\n".join(rows) + "\n")
-        _print_cipsi(state)
+        print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
+              f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
         if args.out_wavefunction:
             ci.write_wavefunction(state.statevector(h_sector.basis), args.out_wavefunction)
         return 0
@@ -166,21 +156,20 @@ def cmd_run(args):
     e_ref = refs["REF_FCI"] if "REF_FCI" in refs else ci.sector_ground_state(h_sector)[0]
     pool = build_pool(n, mol.n_electrons)
 
-    budget = args.p_total if args.p_total is not None else args.max_ops
-    eps = args.eps if args.eps is not None else (1e-8 if budget is not None else 1e-3)
+    eps = args.eps if args.eps is not None else (1e-8 if args.max_ops is not None else 1e-3)
     if args.method == "adapt":
         ansatz, trace = run_adapt(h_sector, pool, n_electrons=mol.n_electrons,
-                                  eps=eps, max_ops=budget, gtol=args.gtol, e_ref=e_ref)
+                                  eps=eps, max_ops=args.max_ops, e_ref=e_ref)
         overlap_trace = None
     else:
         source = {"overlap-adapt-fci": "fci",
                   "overlap-adapt-cipsi": "cipsi",
                   "overlap-adapt-ansatz": "adapt-ansatz"}[args.method]
-        if budget is None:
-            raise FcidumpError("overlap methods need --p-total (or --max-ops)")
+        if args.max_ops is None:
+            raise FcidumpError("overlap methods need --max-ops")
         p_overlap = args.p_overlap
         if p_overlap is None:
-            p_overlap = max(1, round(0.45 * budget))  # 40-50% rule of thumb
+            p_overlap = max(1, round(0.45 * args.max_ops))  # 40-50% rule of thumb
         target_wavefunction = None
         if args.target_wavefunction:
             # a stored determinant expansion replaces the in-process target
@@ -197,12 +186,11 @@ def cmd_run(args):
             _check_ansatz(target_ansatz, args.target_ansatz, mol)
         if source == "adapt-ansatz" and target_ansatz is None:
             raise FcidumpError("overlap-adapt-ansatz needs --target-ansatz")
-        result = pipeline(mol, h_sector, pool, source, p_overlap, budget,
+        result = pipeline(mol, h_sector, pool, source, p_overlap, args.max_ops,
                           cipsi_max_dets=args.cipsi_max_dets,
                           cipsi_target_e2=args.cipsi_target_e2,
                           target_ansatz=target_ansatz,
-                          target_wavefunction=target_wavefunction, eps=eps,
-                          gtol=args.gtol, gtol_overlap=args.gtol_overlap, e_ref=e_ref)
+                          target_wavefunction=target_wavefunction, eps=eps, e_ref=e_ref)
         ansatz, trace, overlap_trace = result.ansatz, result.adapt_trace, result.overlap_trace
 
     _write(args.out_trace, trace.to_csv())
@@ -222,21 +210,6 @@ def cmd_run(args):
         # No operator was added in the last stage: report the ansatz as it stands.
         final_energy, _ = energy_and_gradient(ansatz, h_sector)
     print(_summary_line(args.method, final_energy, e_ref, ansatz.excitations))
-    return 0
-
-
-def cmd_fci(args):
-    _solve_fci(*_load_problem(args))
-    return 0
-
-
-def cmd_run_cipsi(args):
-    mol, _ = _load_problem(args)
-    h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(jw_hamiltonian(mol))
-    state = ci.run_cipsi(h_sector, target_e2=args.target_e2, max_dets=args.max_dets)
-    _print_cipsi(state)
-    if args.out:
-        ci.write_wavefunction(state.statevector(h_sector.basis), args.out)
     return 0
 
 
@@ -275,11 +248,8 @@ def build_parser():
     run.add_argument("--method", choices=METHODS)
     run.add_argument("--max-ops", type=int)
     run.add_argument("--p-overlap", type=int)
-    run.add_argument("--p-total", type=int)
     run.add_argument("--eps", type=float,
-                     help="gradient stop; default 1e-3, or 1e-8 when a budget is given")
-    run.add_argument("--gtol", type=float, default=1e-8)
-    run.add_argument("--gtol-overlap", type=float, default=1e-7)
+                     help="gradient stop; default 1e-3, or 1e-8 when --max-ops is given")
     run.add_argument("--cipsi-max-dets", type=int)
     run.add_argument("--cipsi-target-e2", type=float)
     run.add_argument("--target-ansatz")
@@ -292,17 +262,6 @@ def build_parser():
     run.add_argument("--dump-state")
     run.add_argument("--gnuplot", help="write a ready-to-plot gnuplot script")
     run.set_defaults(func=cmd_run)
-
-    fci = sub.add_parser("fci", help="exact sector ground-state energy")
-    fci.add_argument("--fcidump", required=True)
-    fci.set_defaults(func=cmd_fci)
-
-    cip = sub.add_parser("run-cipsi", help="selected-CI loop")
-    cip.add_argument("--fcidump", required=True)
-    cip.add_argument("--max-dets", type=int)
-    cip.add_argument("--target-e2", type=float)
-    cip.add_argument("--out", help="write the determinant wavefunction here")
-    cip.set_defaults(func=cmd_run_cipsi)
 
     dp = sub.add_parser("dump-pool", help="print the operator pool")
     dp.add_argument("--fcidump", required=True)
@@ -333,9 +292,9 @@ def main(argv=None):
                 raise FcidumpError("run needs --fcidump (flag or config)")
             if args.method is None:
                 raise FcidumpError("run needs --method (flag or config)")
-            for name in ("max_ops", "p_overlap", "p_total"):
+            for name in ("max_ops", "p_overlap", "eps"):
                 value = getattr(args, name)
-                if value is not None and value <= 0:
+                if value is not None and not value > 0:  # NaN is not positive
                     raise FcidumpError(f"--{name.replace('_', '-')} must be positive")
         return args.func(args)
     except (FcidumpError, FileNotFoundError) as exc:

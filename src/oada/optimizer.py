@@ -26,7 +26,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import ObjectiveError
 
-__all__ = ["FLOOR_K", "NEAR_MISS", "OptimizeResult", "minimize"]
+__all__ = ["FLOOR_K", "GTOL", "NEAR_MISS", "OptimizeResult", "minimize"]
 
 # The floor stop's decrease bound, in units of eps * |f|, chosen by
 # measurement. On the 50-operator beh2_3.0 cold start (eps=1e-8) every K
@@ -35,6 +35,9 @@ __all__ = ["FLOOR_K", "NEAR_MISS", "OptimizeResult", "minimize"]
 # K = 32, 128 and 256 end at 1.189765e-3 Ha above FCI, as without the floor
 # stop; K = 16, 64, 512 and 1024 end at 1.232424e-3 Ha.
 FLOOR_K = 256
+# The gradient infinity norm at which a solve converges; both growth stages
+# solve to it.
+GTOL = 1e-8
 # A solve that ends with max|g| below NEAR_MISS * gtol missed gtol only by
 # rounding; the floor stop fires only there, and `adapt.grow` logs nothing
 # louder than DEBUG for it.
@@ -76,7 +79,7 @@ def _initial_hess_inv(hess_inv0, n):
     return matrix
 
 
-def minimize(objective, theta0, gtol=1e-8, max_iter=500, callback=None,
+def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
              hess_inv0=None) -> OptimizeResult:
     """Minimize `objective(theta) -> (value, gradient)` from theta0 with BFGS.
 

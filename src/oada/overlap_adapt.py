@@ -39,7 +39,9 @@ __all__ = [
     "PipelineResult",
 ]
 
-DEFAULT_GTOL_OVERLAP = 1e-7
+# The overlap stage stops when the largest overlap-gradient magnitude falls
+# below this.
+GTOL_OVERLAP = 1e-7
 
 
 @dataclass
@@ -101,10 +103,10 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
     return abs(combo) / (2.0 * abs(c0))
 
 
-def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons,
-                      gtol_overlap=DEFAULT_GTOL_OVERLAP, gtol=1e-8, hamiltonian=None):
+def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamiltonian=None):
     """Grow an ansatz from Hartree-Fock to maximize |<ref|psi>|^2, up to
-    p_max operators.
+    p_max operators or until the largest overlap gradient is below
+    `GTOL_OVERLAP`.
 
     The objective minimized at each step is the infidelity
     1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum and
@@ -145,7 +147,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons,
     trace = grow(ansatz, pool, basis,
                  lambda psi: screen_overlap_gradients(target, psi, pool),
                  objective, record, GrowthTrace(OverlapRecord.COLUMNS),
-                 threshold=gtol_overlap, budget=p_max, gtol=gtol, stage="overlap")
+                 threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
     return ansatz, trace
 
 
@@ -197,8 +199,7 @@ def build_target(ref_source, h_sector, *, cipsi_max_dets=None, cipsi_target_e2=N
 
 def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
              cipsi_max_dets=None, cipsi_target_e2=None, target_ansatz=None,
-             target_wavefunction=None, eps=1e-8, gtol=1e-8,
-             gtol_overlap=DEFAULT_GTOL_OVERLAP, e_ref=None) -> PipelineResult:
+             target_wavefunction=None, eps=1e-8, e_ref=None) -> PipelineResult:
     """Two-stage run: overlap-guided growth to p_overlap, then energy
     minimization to p_total.
 
@@ -215,9 +216,7 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
         target_wavefunction=target_wavefunction)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
-        target, pool, p_overlap, n_electrons=mol.n_electrons,
-        gtol_overlap=gtol_overlap, gtol=gtol, hamiltonian=h_sector)
+        target, pool, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector)
     ansatz, adapt_trace = run_adapt(
-        h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total,
-        gtol=gtol, e_ref=e_ref)
+        h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total, e_ref=e_ref)
     return PipelineResult(ansatz, adapt_trace, overlap_trace, target, target_energy)

@@ -62,6 +62,16 @@ def test_huge_eps_returns_init_unchanged(h2):
     assert trace.stop_reason == "gradient"
 
 
+def test_threshold_without_budget_needs_to_be_positive(h2):
+    # a gradient stop at eps <= 0 never fires, so without max_ops the loop
+    # would append operators forever
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="need a stopping rule"):
+            run_adapt(h2.ham, h2.pool, n_electrons=2, eps=eps)
+    _, trace = run_adapt(h2.ham, h2.pool, n_electrons=2, eps=0.0, max_ops=2)
+    assert trace.stop_reason == "budget"
+
+
 def test_loops_reject_an_operator_on_another_basis(h2):
     with pytest.raises(ValueError, match="another basis"):
         run_adapt(h2.full, h2.pool, n_electrons=2)

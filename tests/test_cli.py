@@ -18,11 +18,12 @@ from oada.statevector import Basis, apply_ansatz
 SOURCE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(oada.__file__)))
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SOURCE_DIR, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "oada.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=timeout)
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +34,6 @@ def h2_path():
 @pytest.fixture(scope="module")
 def h4_path():
     return oada.fixture_path("h4_1.5")
-
-
-def test_fci_subcommand(h2_path, tmp_path):
-    result = run_cli(["fci", "--fcidump", h2_path], tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert "E_FCI = -1.137270174828" in result.stdout
 
 
 def test_run_method_fci(h2_path, tmp_path):
@@ -75,6 +70,16 @@ def test_run_adapt_empty_trace_reports_hf_energy(h2_path, tmp_path):
     assert abs(float(fields["error_vs_fci"]) - (refs["REF_HF"] - refs["REF_FCI"])) < 1e-7
 
 
+def test_run_adapt_nonpositive_eps_exits_with_one_line(h2_path, tmp_path):
+    # with no budget, a gradient stop at eps <= 0 could never fire: the run
+    # must be refused, not left appending operators until it is killed
+    result = run_cli(["run", "--method", "adapt", "--fcidump", h2_path, "--eps", "0"],
+                     tmp_path, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == ["error: --eps must be positive"]
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_run_deterministic_traces(h4_path, tmp_path):
     args = ["run", "--method", "adapt", "--fcidump", h4_path,
             "--max-ops", "5", "--out-trace", "t{}.csv"]
@@ -86,7 +91,7 @@ def test_run_deterministic_traces(h4_path, tmp_path):
 
 def test_run_overlap_adapt_fci(h2_path, tmp_path):
     result = run_cli(["run", "--method", "overlap-adapt-fci", "--fcidump", h2_path,
-                      "--p-overlap", "2", "--p-total", "3",
+                      "--p-overlap", "2", "--max-ops", "3",
                       "--out-trace", "t.csv", "--out-overlap-trace", "o.csv"],
                      tmp_path)
     assert result.returncode == 0, result.stderr
@@ -94,9 +99,9 @@ def test_run_overlap_adapt_fci(h2_path, tmp_path):
     assert overlap_trace.splitlines()[0] == "iter,op_id,kind,grad,infidelity,energy,params"
 
 
-def test_run_cipsi_subcommand(h4_path, tmp_path):
-    result = run_cli(["run-cipsi", "--fcidump", h4_path, "--max-dets", "6",
-                      "--out", "wf.dets"], tmp_path)
+def test_run_method_cipsi_writes_the_wavefunction(h4_path, tmp_path):
+    result = run_cli(["run", "--method", "cipsi", "--fcidump", h4_path,
+                      "--cipsi-max-dets", "6", "--out-wavefunction", "wf.dets"], tmp_path)
     assert result.returncode == 0, result.stderr
     assert "E_v =" in result.stdout
     state = oada.ci.read_wavefunction(tmp_path / "wf.dets", Basis.sector(8, 4))
@@ -104,19 +109,19 @@ def test_run_cipsi_subcommand(h4_path, tmp_path):
 
 
 def test_stored_wavefunction_as_overlap_target(h4_path, tmp_path):
-    r1 = run_cli(["run-cipsi", "--fcidump", h4_path, "--max-dets", "8",
-                  "--out", "wf.dets"], tmp_path)
+    r1 = run_cli(["run", "--method", "cipsi", "--fcidump", h4_path,
+                  "--cipsi-max-dets", "8", "--out-wavefunction", "wf.dets"], tmp_path)
     assert r1.returncode == 0, r1.stderr
     r2 = run_cli(["run", "--method", "overlap-adapt-cipsi", "--fcidump", h4_path,
                   "--target-wavefunction", "wf.dets",
-                  "--p-overlap", "2", "--p-total", "4"], tmp_path)
+                  "--p-overlap", "2", "--max-ops", "4"], tmp_path)
     assert r2.returncode == 0, r2.stderr
     assert "method=overlap-adapt-cipsi" in r2.stdout
 
 
 def test_overlap_adapt_cipsi_requires_stop(h4_path, tmp_path):
     result = run_cli(["run", "--method", "overlap-adapt-cipsi",
-                      "--fcidump", h4_path, "--p-total", "4"], tmp_path)
+                      "--fcidump", h4_path, "--max-ops", "4"], tmp_path)
     assert result.returncode == 2
     assert "cipsi" in result.stderr
 
@@ -183,7 +188,7 @@ def test_reference_energy_from_sector_hamiltonian(h4_path, tmp_path, monkeypatch
     for fcidump in (h4_path, str(stripped)):
         trace = tmp_path / "t.csv"
         assert main(["run", "--method", "overlap-adapt-fci", "--fcidump", fcidump,
-                     "--p-overlap", "2", "--p-total", "3", "--out-trace", str(trace),
+                     "--p-overlap", "2", "--max-ops", "3", "--out-trace", str(trace),
                      "--out-overlap-trace", str(tmp_path / "o.csv")]) == 0
         errors.append([float(line.split(",")[5])
                        for line in trace.read_text().splitlines()[1:]])
@@ -194,7 +199,7 @@ def test_reference_energy_from_sector_hamiltonian(h4_path, tmp_path, monkeypatch
 @pytest.mark.parametrize("name", ["h4_1.5", "beh2_3.0"])
 def test_fci_commands_solve_the_projected_sector_hamiltonian(name, tmp_path, monkeypatch,
                                                              capsys):
-    # `fci` and `run --method fci` take the Jordan-Wigner sector matrix; the
+    # `run --method fci` takes the Jordan-Wigner sector matrix; the
     # Slater-Condon one stays the oracle of `verify` and is not built
     def refuse(*args, **kwargs):
         raise AssertionError("Slater-Condon Hamiltonian built")
@@ -203,13 +208,11 @@ def test_fci_commands_solve_the_projected_sector_hamiltonian(name, tmp_path, mon
     path = oada.fixture_path(name)
     ref = oada.reference_energies(path)["REF_FCI"]
     dets = tmp_path / "fci.dets"
-    for argv in (["fci", "--fcidump", path],
-                 ["run", "--method", "fci", "--fcidump", path,
-                  "--out-wavefunction", str(dets)]):
-        assert main(argv) == 0
-        line = next(line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("E_FCI = "))
-        assert abs(float(line.split()[-1]) - ref) < 1e-10
+    assert main(["run", "--method", "fci", "--fcidump", path,
+                 "--out-wavefunction", str(dets)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("E_FCI = "))
+    assert abs(float(line.split()[-1]) - ref) < 1e-10
     mol = oada.to_spin_orbital(oada.read_fcidump(path))
     h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(
         oada.jw_hamiltonian(mol))
@@ -220,7 +223,7 @@ def test_fci_commands_solve_the_projected_sector_hamiltonian(name, tmp_path, mon
 def test_other_spin_sector_exit_code(h2_path, tmp_path, capsys):
     high_spin = tmp_path / "h2_ms2.fcidump"
     high_spin.write_text(open(h2_path).read().replace("MS2=0", "MS2=2"))
-    assert main(["fci", "--fcidump", str(high_spin)]) == 2
+    assert main(["run", "--method", "fci", "--fcidump", str(high_spin)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "MS2=2" in err[0]
 
@@ -249,7 +252,7 @@ def test_verify_subcommand(h2_path, tmp_path):
 
 
 def test_missing_file_single_line_diagnostic(tmp_path):
-    result = run_cli(["fci", "--fcidump", "nope.fcidump"], tmp_path)
+    result = run_cli(["run", "--method", "fci", "--fcidump", "nope.fcidump"], tmp_path)
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
 
@@ -257,7 +260,7 @@ def test_missing_file_single_line_diagnostic(tmp_path):
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.fcidump"
     bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nnot_a_number 1 1 0 0\n")
-    result = run_cli(["fci", "--fcidump", str(bad)], tmp_path)
+    result = run_cli(["run", "--method", "fci", "--fcidump", str(bad)], tmp_path)
     assert result.returncode == 2
     assert "line" in result.stderr
 
@@ -265,14 +268,14 @@ def test_parse_error_exit_code(tmp_path):
 def test_dimension_cap_exit_code(tmp_path):
     big = tmp_path / "big.fcidump"
     big.write_text("&FCI NORB=30,NELEC=30,MS2=0,\n&END\n0.0 0 0 0 0\n")
-    result = run_cli(["fci", "--fcidump", str(big)], tmp_path)
+    result = run_cli(["run", "--method", "fci", "--fcidump", str(big)], tmp_path)
     assert result.returncode == 3
     assert "exceeds cap" in result.stderr
 
 
 def _exit_code_and_peak_rss_kb(fcidump, cwd):
     script = ("import resource; from oada.cli import main; "
-              f"code = main(['fci', '--fcidump', {str(fcidump)!r}]); "
+              f"code = main(['run', '--method', 'fci', '--fcidump', {str(fcidump)!r}]); "
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SOURCE_DIR, os.environ.get("PYTHONPATH")])))
@@ -324,7 +327,7 @@ def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
 def test_wrong_sector_wavefunction_target_exit_code(h2_path, tmp_path):
     (tmp_path / "wf.dets").write_text("norb=2 nelec=1\n1.0 1 0\n")
     result = run_cli(["run", "--method", "overlap-adapt-cipsi", "--fcidump", h2_path,
-                      "--target-wavefunction", "wf.dets", "--p-total", "2"], tmp_path)
+                      "--target-wavefunction", "wf.dets", "--max-ops", "2"], tmp_path)
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
     assert "sector" in result.stderr
@@ -333,7 +336,7 @@ def test_wrong_sector_wavefunction_target_exit_code(h2_path, tmp_path):
 def test_wrong_molecule_ansatz_target_exit_code(h2_path, tmp_path):
     (tmp_path / "a.txt").write_text("n_qubits=8 n_electrons=4\ndouble 4 5 0 1 0.1\n")
     result = run_cli(["run", "--method", "overlap-adapt-ansatz", "--fcidump", h2_path,
-                      "--target-ansatz", "a.txt", "--p-total", "2"], tmp_path)
+                      "--target-ansatz", "a.txt", "--max-ops", "2"], tmp_path)
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
     assert "n_qubits=8" in result.stderr
@@ -347,7 +350,7 @@ def test_wrong_molecule_ansatz_target_exit_code(h2_path, tmp_path):
 def test_bad_stored_excitation_exit_code(h2_path, tmp_path, capsys, line, problem):
     (tmp_path / "a.txt").write_text(f"n_qubits=4 n_electrons=2\n{line}\n")
     assert main(["run", "--method", "overlap-adapt-ansatz", "--fcidump", h2_path,
-                 "--target-ansatz", str(tmp_path / "a.txt"), "--p-total", "2",
+                 "--target-ansatz", str(tmp_path / "a.txt"), "--max-ops", "2",
                  "--out-trace", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and ":2:" in err[0] and problem in err[0]
@@ -359,7 +362,7 @@ def test_davidson_failure_exit_code_in_process(h2_path, tmp_path, monkeypatch, c
 
     monkeypatch.setattr(oada.ci, "_davidson", no_convergence)
     code = main(["run", "--method", "overlap-adapt-fci", "--fcidump", h2_path,
-                 "--p-total", "2", "--out-trace", str(tmp_path / "t.csv"),
+                 "--max-ops", "2", "--out-trace", str(tmp_path / "t.csv"),
                  "--out-overlap-trace", str(tmp_path / "o.csv")])
     assert code == 1
     assert capsys.readouterr().err.strip().splitlines() == [
@@ -387,6 +390,8 @@ def test_config_file_with_flag_override(h2_path, tmp_path):
     ("max_ops=abc", [], 2, "config key max_ops: 'abc' is not a valid int"),
     ("dump_pool=pool.txt", [], 2, "unknown config keys: dump_pool"),
     ("out_trace=c.csv", ["--out-trace", "trace.csv"], 0, ""),
+    ("gtol=1e-9", [], 2, "unknown config keys: gtol"),
+    ("p_total=3", [], 2, "unknown config keys: p_total"),
 ])
 def test_config_values_are_typed_and_flags_win(h2_path, tmp_path, monkeypatch, capsys,
                                                line, flags, code, message):
@@ -411,6 +416,6 @@ def test_config_seed_is_an_unknown_key(h2_path, tmp_path, capsys):
 
 
 def test_main_entry_in_process(h2_path, capsys):
-    assert main(["fci", "--fcidump", h2_path]) == 0
+    assert main(["run", "--method", "fci", "--fcidump", h2_path]) == 0
     out = capsys.readouterr().out
     assert "E_FCI" in out

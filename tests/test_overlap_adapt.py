@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import oada
 from oada.overlap_adapt import (four_angle_gradient, pipeline, run_overlap_adapt,
@@ -79,18 +78,6 @@ def test_four_angle_complex_phase_warns():
     with pytest.warns(UserWarning, match="real overlap gradient"):
         value = four_angle_gradient(ref, state, exc)
     assert abs(value - abs(direct)) > 1e-8  # documented mismatch
-
-
-def test_appendix_exponential_identity(h4):
-    # exp(-i theta B) = I + (cos t - 1) B^2 - i sin t B for every pool generator
-    rng = np.random.default_rng(12)
-    eye = np.eye(1 << h4.n)
-    for op in h4.pool[:12]:
-        b = 1j * op.generator(h4.n).to_dense_matrix()
-        for theta in rng.uniform(-np.pi, np.pi, size=20):
-            lhs = expm(-1j * theta * b)
-            rhs = eye + (np.cos(theta) - 1) * (b @ b) - 1j * np.sin(theta) * b
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_hf_target_stops_immediately(h4):

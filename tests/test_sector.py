@@ -141,9 +141,8 @@ def test_no_solver_path_allocates_the_full_space(h4, tmp_path, monkeypatch, caps
         assert result.target_state.basis == _sector(h4)
     path = oada.fixture_path("h4_1.5")
     assert main(["run", "--method", "cipsi", "--fcidump", path, "--cipsi-max-dets", "8",
-                 "--out-trace", str(tmp_path / "t.csv")]) == 0
-    assert main(["run-cipsi", "--fcidump", path, "--max-dets", "8",
-                 "--out", str(tmp_path / "wf.dets")]) == 0
+                 "--out-trace", str(tmp_path / "t.csv"),
+                 "--out-wavefunction", str(tmp_path / "wf.dets")]) == 0
     assert capsys.readouterr().err == ""
 
 
