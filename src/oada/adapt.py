@@ -22,7 +22,7 @@ import numpy as np
 from .fcidump import FcidumpError
 from .optimizer import GTOL, NEAR_MISS, minimize
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts, check_excitation
-from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
+from .statevector import (Ansatz, Basis, Statevector, _pool_brackets, apply_ansatz,
                           energy_and_gradient)
 
 __all__ = [
@@ -90,14 +90,14 @@ def screen_energy_gradients(state: Statevector, hamiltonian, pool):
     """d/dtheta <psi|U^ H U|psi> at theta=0 for every pool operator.
 
     Equals <psi|[H, T]|psi> = 2 Re <H psi|T psi> for the anti-hermitian
-    generator T; the single H|psi> is shared across all candidates. The
+    generator T; the single H|psi> is shared across all candidates, and all
+    brackets are taken in one pass (`statevector._pool_brackets`). The
     Hamiltonian is taken in the state's basis.
     """
     basis = state.basis
     h_psi = basis.project(hamiltonian).matrix @ state.amplitudes
-    return np.array([2.0 * _pair_bracket(h_psi, state.amplitudes,
-                                         basis.pairs(op.excitation)).real
-                     for op in pool])
+    return 2.0 * _pool_brackets(h_psi, state.amplitudes, basis,
+                                [op.excitation for op in pool]).real
 
 
 def select_operator(grads) -> int:

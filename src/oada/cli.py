@@ -31,6 +31,19 @@ from .verify import run_verification
 METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
            "overlap-adapt-ansatz", "cipsi", "fci")
 
+# The `run` flags without a default that each method reads. A method given
+# another one, by flag or config key, exits 2 rather than ignore it.
+_ADAPT_FLAGS = {"max_ops", "eps", "out_ansatz", "dump_state", "gnuplot"}
+_OVERLAP_FLAGS = _ADAPT_FLAGS | {"p_overlap", "target_wavefunction"}
+METHOD_FLAGS = {
+    "fci": {"out_wavefunction", "dump_state"},
+    "cipsi": {"cipsi_max_dets", "cipsi_target_e2", "out_wavefunction"},
+    "adapt": _ADAPT_FLAGS,
+    "overlap-adapt-fci": _OVERLAP_FLAGS,
+    "overlap-adapt-cipsi": _OVERLAP_FLAGS | {"cipsi_max_dets", "cipsi_target_e2"},
+    "overlap-adapt-ansatz": _OVERLAP_FLAGS | {"target_ansatz"},
+}
+
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_OPTIMIZER = 4
@@ -284,6 +297,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
+            # Taken before a config file installs its values as defaults.
+            optional = [action.dest for action in parser.run_parser._actions
+                        if action.default is None
+                        and action.dest not in ("config", "fcidump", "method")]
             if args.config:
                 parser.run_parser.set_defaults(**_config_defaults(args.config,
                                                                   parser.run_parser))
@@ -292,10 +309,20 @@ def main(argv=None):
                 raise FcidumpError("run needs --fcidump (flag or config)")
             if args.method is None:
                 raise FcidumpError("run needs --method (flag or config)")
+            unread = [f"--{dest.replace('_', '-')}" for dest in optional
+                      if getattr(args, dest) is not None
+                      and dest not in METHOD_FLAGS[args.method]]
+            if unread:
+                raise FcidumpError(f"--method {args.method} does not use "
+                                   f"{', '.join(unread)}")
             for name in ("max_ops", "p_overlap", "eps"):
                 value = getattr(args, name)
                 if value is not None and not value > 0:  # NaN is not positive
                     raise FcidumpError(f"--{name.replace('_', '-')} must be positive")
+            if args.p_overlap is not None and args.max_ops is not None \
+                    and args.p_overlap > args.max_ops:
+                raise FcidumpError(f"--p-overlap {args.p_overlap} exceeds "
+                                   f"--max-ops {args.max_ops}")
         return args.func(args)
     except (FcidumpError, FileNotFoundError) as exc:
         return _fail(exc, EXIT_PARSE)

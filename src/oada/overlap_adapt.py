@@ -26,8 +26,8 @@ from . import ci
 from .adapt import GrowthTrace, grow, run_adapt
 # Not called here: the benchmark's tracer patches this name, so it must exist.
 from .optimizer import minimize  # noqa: F401
-from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
-                          apply_excitation, energy_and_gradient, overlap,
+from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, _pool_brackets,
+                          apply_ansatz, apply_excitation, energy_and_gradient, overlap,
                           overlap_and_gradient)
 
 __all__ = [
@@ -64,12 +64,11 @@ class OverlapRecord:
 
 def screen_overlap_gradients(reference: Statevector, state: Statevector, pool):
     """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per operator,
-    evaluated in the state's basis."""
+    evaluated in the state's basis, all in one pass (`statevector._pool_brackets`)."""
     basis = state.basis
     reference = basis.extract(reference)
-    return np.array([abs(_pair_bracket(reference.amplitudes, state.amplitudes,
-                                       basis.pairs(op.excitation)))
-                     for op in pool])
+    return np.abs(_pool_brackets(reference.amplitudes, state.amplitudes, basis,
+                                 [op.excitation for op in pool]))
 
 
 def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
@@ -209,7 +208,13 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
+
+    Raises:
+        ValueError: when p_overlap exceeds p_total; the energy stage would
+            stop at once, with more operators than p_total.
     """
+    if p_total is not None and p_overlap > p_total:
+        raise ValueError(f"p_overlap={p_overlap} exceeds p_total={p_total}")
     h_sector = Basis.sector(mol.n_spin_orbitals, mol.n_electrons).project(hamiltonian)
     target, target_energy = build_target(
         ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,

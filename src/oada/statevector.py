@@ -19,9 +19,14 @@ paired occupation patterns and carries no fermionic parity string:
 so d/dtheta exp(theta T)|source> at 0 is +|destination>. This sign
 convention is fixed here once and shared by every gradient formula.
 
+The pairs an excitation couples are one (2, n) index array, so a rotation
+gathers the amplitudes it touches once, turns the gathered rows in place
+and scatters them back once.
+
 Energy and overlap gradients are exact reverse (adjoint) sweeps: one
 Hamiltonian application plus O(m) excitation applications for an
-m-parameter ansatz.
+m-parameter ansatz. The pool screens take <left|T|right> for every pool
+operator in one pass over all their pairs (`_pool_brackets`).
 """
 
 from __future__ import annotations
@@ -137,7 +142,10 @@ class Basis:
         return np.where(self.masks[pos] == masks, pos, -1)
 
     def pairs(self, excitation):
-        """(source, destination) positions the excitation couples, as arrays.
+        """The positions the excitation couples, as one C-contiguous (2, n)
+        int64 array: row 0 the sources, row 1 their destinations, so
+        `src, dst = basis.pairs(e)` unpacks it and `amps[basis.pairs(e)]`
+        gathers both rows at once.
 
         Raises:
             ValueError: when an orbital index is out of range, or when the
@@ -165,7 +173,7 @@ class Basis:
         # Every destination pattern in the basis must be some source's partner.
         if np.any(dst < 0) or np.count_nonzero(pattern == empty) != len(src):
             raise ValueError(f"{excitation} leaves the basis (it does not conserve S_z)")
-        return src, dst
+        return np.stack([src, dst])
 
     def project(self, operator) -> ProjectedOperator:
         """The operator's matrix in this basis, real when its entries are.
@@ -294,13 +302,20 @@ def prepare_hf(n_qubits: int, n_electrons: int, basis: Basis = None) -> Statevec
     return state
 
 
-def _rotate(amps, pairs, theta):
-    src, dst = pairs
+def _turn(rows, theta):
+    """Givens-rotate gathered (source, destination) rows a, b in place:
+    a -> c a - s b, b -> c b + s a."""
     c, s = math.cos(theta), math.sin(theta)
-    a = amps[src]
-    b = amps[dst]
-    amps[src] = c * a - s * b
-    amps[dst] = c * b + s * a
+    swapped = rows[::-1] * s  # s b, s a
+    rows *= c
+    rows[0] -= swapped[0]
+    rows[1] += swapped[1]
+
+
+def _rotate(amps, pairs, theta):
+    rows = amps[pairs]
+    _turn(rows, theta)
+    amps[pairs] = rows
 
 
 def apply_excitation(state: Statevector, excitation, theta: float) -> Statevector:
@@ -369,20 +384,49 @@ def _pair_bracket(left, right, pairs):
     return np.vdot(left[dst], right[src]) - np.vdot(left[src], right[dst])
 
 
+def _pool_brackets(left, right, basis, excitations):
+    """<left|T|right> for every excitation, in one pass over all their pairs.
+
+    Equals `_pair_bracket` per excitation up to summation order: the terms
+    conj(left[dst]) right[src] - conj(left[src]) right[dst] of every
+    excitation are formed at once and each excitation's run is summed.
+    """
+    pairs = [basis.pairs(e) for e in excitations]
+    sizes = np.array([p.shape[1] for p in pairs], dtype=np.int64)
+    brackets = np.zeros(len(pairs), dtype=np.result_type(left, right))
+    if not sizes.any():
+        return brackets
+    src, dst = np.concatenate(pairs, axis=1)
+    left = left.conj()  # no copy for real amplitudes
+    terms = left[dst] * right[src] - left[src] * right[dst]
+    # reduceat returns the start element, not 0, for an empty run.
+    nonempty = sizes > 0
+    brackets[nonempty] = np.add.reduceat(terms, (np.cumsum(sizes) - sizes)[nonempty])
+    return brackets
+
+
 def _reverse_brackets(ansatz, thetas, basis, psi, left):
     """<left_k|T_k|psi_k> for every k: the reverse sweep of both gradients.
 
     psi_k and left_k are psi and left with evolutions k+1, k+2, ... undone.
-    The two vectors are the columns of one array, so a single rotation
-    un-applies each evolution from both.
+    Both are copied first, so the caller's vectors (a target among them)
+    are left as they are. Each step gathers each vector's coupled rows
+    once, reads the bracket off the gathered rows and turns them back.
+    The rows of a gather are contiguous, so `np.vdot` sums them in the
+    same order as `_pair_bracket` does.
     """
-    both = np.stack([psi, left], axis=1)
-    brackets = np.empty(len(ansatz), dtype=both.dtype)
+    dtype = np.result_type(psi, left)
+    psi, left = psi.astype(dtype), left.astype(dtype)
+    brackets = np.empty(len(ansatz), dtype=dtype)
     for k in range(len(ansatz) - 1, -1, -1):
         pairs = basis.pairs(ansatz.excitations[k])
-        brackets[k] = _pair_bracket(both[:, 1], both[:, 0], pairs)
+        p, lam = psi[pairs], left[pairs]
+        brackets[k] = np.vdot(lam[1], p[0]) - np.vdot(lam[0], p[1])
         if k:
-            _rotate(both, pairs, -thetas[k])
+            _turn(p, -thetas[k])
+            _turn(lam, -thetas[k])
+            psi[pairs] = p
+            left[pairs] = lam
     return brackets
 
 

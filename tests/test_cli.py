@@ -99,6 +99,28 @@ def test_run_overlap_adapt_fci(h2_path, tmp_path):
     assert overlap_trace.splitlines()[0] == "iter,op_id,kind,grad,infidelity,energy,params"
 
 
+def test_run_overlap_budget_above_the_total_exits_with_one_line(h4_path, tmp_path):
+    # the energy stage could never reach a budget below the overlap stage's
+    result = run_cli(["run", "--method", "overlap-adapt-fci", "--fcidump", h4_path,
+                      "--p-overlap", "6", "--max-ops", "3"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == ["error: --p-overlap 6 exceeds --max-ops 3"]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "cipsi", "--cipsi-max-dets", "8", "--dump-state", "s.txt",
+      "--gnuplot", "g.gp"], "--method cipsi does not use --dump-state, --gnuplot"),
+    (["--method", "adapt", "--max-ops", "2", "--out-wavefunction", "wf.dets"],
+     "--method adapt does not use --out-wavefunction"),
+])
+def test_run_refuses_flags_the_method_does_not_use(h4_path, tmp_path, flags, message):
+    result = run_cli(["run", "--fcidump", h4_path, *flags], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.strip().splitlines() == [f"error: {message}"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_method_cipsi_writes_the_wavefunction(h4_path, tmp_path):
     result = run_cli(["run", "--method", "cipsi", "--fcidump", h4_path,
                       "--cipsi-max-dets", "6", "--out-wavefunction", "wf.dets"], tmp_path)

@@ -167,6 +167,11 @@ def test_pipeline_rejects_unknown_source(h2):
         pipeline(h2.mol, h2.ham, h2.pool, "mystery", 2, 3)
 
 
+def test_pipeline_rejects_an_overlap_budget_above_the_total(h2):
+    with pytest.raises(ValueError, match="p_overlap=3 exceeds p_total=2"):
+        pipeline(h2.mol, h2.ham, h2.pool, "fci", 3, 2)
+
+
 def test_overlap_trace_csv_shape(h2):
     target = h2.fci_state()
     _, trace = run_overlap_adapt(target, h2.pool, 2, n_electrons=2,

@@ -3,11 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 import oada
+from oada.adapt import screen_energy_gradients
+from oada.overlap_adapt import screen_overlap_gradients
 from oada.pauli import QubitOperator
 from oada.pool import DoubleExcitation, SingleExcitation
-from oada.statevector import (Ansatz, Basis, Statevector, apply_ansatz, apply_excitation,
-                              energy_and_gradient, expectation, format_state,
-                              overlap, overlap_and_gradient, prepare_hf)
+from oada.statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
+                              apply_excitation, energy_and_gradient, expectation,
+                              format_state, overlap, overlap_and_gradient, prepare_hf)
 
 
 def test_prepare_hf_examples():
@@ -251,3 +253,55 @@ def test_full_basis_index_matches_search(n_qubits):
     expected = np.where(basis.masks[pos] == masks, pos, -1)
     assert np.array_equal(basis.index(masks), expected)
     assert np.array_equal(basis.index(basis.masks), np.arange(basis.dim))
+
+
+def _random_complex_state(rng, n_qubits):
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return Statevector(n_qubits, amps / np.linalg.norm(amps))
+
+
+def test_pool_screens_match_the_per_operator_bracket_on_complex_states(h4):
+    # the one-pass screens conjugate the left vector, as `_pair_bracket`'s
+    # vdot does; real states cannot tell the two apart
+    rng = np.random.default_rng(5)
+    state, target = _random_complex_state(rng, h4.n), _random_complex_state(rng, h4.n)
+    basis = state.basis
+    h_psi = h4.full.matrix @ state.amplitudes
+    pairs = [basis.pairs(op.excitation) for op in h4.pool]
+    energy = [2.0 * _pair_bracket(h_psi, state.amplitudes, p).real for p in pairs]
+    overlap_grads = [abs(_pair_bracket(target.amplitudes, state.amplitudes, p))
+                     for p in pairs]
+    assert np.max(np.abs(screen_energy_gradients(state, h4.full, h4.pool) - energy)) < 1e-14
+    assert np.max(np.abs(screen_overlap_gradients(target, state, h4.pool)
+                         - overlap_grads)) < 1e-14
+
+
+def test_pool_screens_of_an_operator_without_pairs_are_zero(h2):
+    # one alpha electron and no beta one: only the alpha single (2 <- 0)
+    # couples states, the beta single and the double have no pairs
+    basis = Basis.sector(4, 1)
+    rng = np.random.default_rng(3)
+    state, target = (Statevector(4, rng.normal(size=basis.dim), basis) for _ in range(2))
+    for grads in (screen_energy_gradients(state, h2.ham, h2.pool),
+                  screen_overlap_gradients(target, state, h2.pool)):
+        assert grads[0] != 0.0 and grads[1] == grads[2] == 0.0
+
+
+def test_pairs_are_one_contiguous_int64_array(h4):
+    for basis in (Basis.full(h4.n), Basis.sector(h4.n, h4.n_electrons)):
+        for op in h4.pool:
+            pairs = basis.pairs(op.excitation)
+            assert pairs.dtype == np.int64 and pairs.flags.c_contiguous
+            assert pairs.ndim == 2 and pairs.shape[0] == 2
+
+
+def test_gradient_sweeps_leave_their_inputs_alone(h4):
+    rng = np.random.default_rng(9)
+    ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 6)
+    thetas = list(ansatz.thetas)
+    target = _random_complex_state(rng, h4.n)
+    amplitudes = target.amplitudes.copy()
+    overlap_and_gradient(ansatz, target)
+    assert target.amplitudes.tobytes() == amplitudes.tobytes()
+    energy_and_gradient(ansatz, h4.full)
+    assert ansatz.thetas == thetas
