@@ -16,17 +16,17 @@ paired occupation patterns and carries no fermionic parity string:
     source (q occupied / pair (r,s) occupied):  a -> cos(t) a - sin(t) b
     destination (p occupied / pair (p,q)):      b -> cos(t) b + sin(t) a
 
-so d/dtheta exp(theta T)|source> at 0 is +|destination>. This sign
-convention is fixed here once and shared by every gradient formula.
+so d/dtheta exp(theta T)|source> at 0 is +|destination>: the gathered
+(2, n) rows of an excitation's pairs turn by G = [[c, -s], [s, c]]
+(`_givens`), fixed here once and shared by every kernel and gradient.
 
-The pairs an excitation couples are one (2, n) index array, so a rotation
-gathers the amplitudes it touches once, turns the gathered rows in place
-and scatters them back once.
-
-Energy and overlap gradients are exact reverse (adjoint) sweeps: one
-Hamiltonian application plus O(m) excitation applications for an
-m-parameter ansatz. The pool screens take <left|T|right> for every pool
-operator in one pass over all their pairs (`_pool_brackets`).
+The forward pass applies each evolution as one 2x2 product on its rows and
+keeps the rotated rows, psi_k on pairs k, as a tape of at most m * dim
+amplitudes (an excitation moves each position at most once). The adjoint
+sweep of both gradients turns back only lambda = H|psi> (or the target),
+with G^T: two gathers, two scatters and two 2x2 products per evolution,
+plus one Hamiltonian application. The m gradient brackets and the pool
+screens are summed in one pass over concatenated rows (`_run_brackets`).
 """
 
 from __future__ import annotations
@@ -302,26 +302,23 @@ def prepare_hf(n_qubits: int, n_electrons: int, basis: Basis = None) -> Statevec
     return state
 
 
-def _turn(rows, theta):
-    """Givens-rotate gathered (source, destination) rows a, b in place:
-    a -> c a - s b, b -> c b + s a."""
-    c, s = math.cos(theta), math.sin(theta)
-    swapped = rows[::-1] * s  # s b, s a
-    rows *= c
-    rows[0] -= swapped[0]
-    rows[1] += swapped[1]
+def _givens(thetas):
+    """The Givens matrix [[c, -s], [s, c]] of every angle, as an (m, 2, 2) array."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
 
 
-def _rotate(amps, pairs, theta):
-    rows = amps[pairs]
-    _turn(rows, theta)
+def _evolve(amps, pairs, givens):
+    """amps[pairs] = givens @ amps[pairs], in place; returns the rotated rows."""
+    rows = givens.dot(amps[pairs])
     amps[pairs] = rows
+    return rows
 
 
 def apply_excitation(state: Statevector, excitation, theta: float) -> Statevector:
     """Return exp(theta T)|state> for a single or double qubit excitation."""
     out = state.copy()
-    _rotate(out.amplitudes, state.basis.pairs(excitation), theta)
+    _evolve(out.amplitudes, state.basis.pairs(excitation), _givens(theta)[0])
     return out
 
 
@@ -350,13 +347,23 @@ class Ansatz:
         return len(self.excitations)
 
 
+def _forward(ansatz: Ansatz, thetas, basis):
+    """(state, pairs, givens, tape) of the ansatz applied to Hartree-Fock in
+    `basis`: per evolution its pairs, its G and the tape's psi_k rows.
+    A wrong number of angles raises ValueError."""
+    thetas = ansatz.thetas if thetas is None else thetas
+    if len(thetas) != len(ansatz):
+        raise ValueError(f"{len(thetas)} angles for an ansatz of {len(ansatz)} evolutions")
+    state = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis)
+    pairs = [state.basis.pairs(e) for e in ansatz.excitations]
+    givens = _givens(np.asarray(thetas, dtype=np.float64))
+    tape = [_evolve(state.amplitudes, p, g) for p, g in zip(pairs, givens)]
+    return state, pairs, givens, tape
+
+
 def apply_ansatz(ansatz: Ansatz, thetas=None, basis: Basis = None) -> Statevector:
     """The ansatz state, in `basis` (the full 2^N space when None)."""
-    state = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis)
-    thetas = ansatz.thetas if thetas is None else thetas
-    for excitation, theta in zip(ansatz.excitations, thetas):
-        _rotate(state.amplitudes, state.basis.pairs(excitation), theta)
-    return state
+    return _forward(ansatz, thetas, basis)[0]
 
 
 def expectation(state: Statevector, operator) -> float:
@@ -384,88 +391,75 @@ def _pair_bracket(left, right, pairs):
     return np.vdot(left[dst], right[src]) - np.vdot(left[src], right[dst])
 
 
-def _pool_brackets(left, right, basis, excitations):
-    """<left|T|right> for every excitation, in one pass over all their pairs.
-
-    Equals `_pair_bracket` per excitation up to summation order: the terms
-    conj(left[dst]) right[src] - conj(left[src]) right[dst] of every
-    excitation are formed at once and each excitation's run is summed.
-    """
-    pairs = [basis.pairs(e) for e in excitations]
+def _run_brackets(left, right, pairs):
+    """<left|T|right> per excitation from rows gathered at its (2, n) pairs
+    and concatenated in order: each run sums
+    conj(left[dst]) right[src] - conj(left[src]) right[dst], 0 when empty."""
     sizes = np.array([p.shape[1] for p in pairs], dtype=np.int64)
-    brackets = np.zeros(len(pairs), dtype=np.result_type(left, right))
-    if not sizes.any():
-        return brackets
-    src, dst = np.concatenate(pairs, axis=1)
+    brackets = np.zeros(len(sizes), dtype=np.result_type(left, right))
     left = left.conj()  # no copy for real amplitudes
-    terms = left[dst] * right[src] - left[src] * right[dst]
+    terms = left[1] * right[0] - left[0] * right[1]
     # reduceat returns the start element, not 0, for an empty run.
     nonempty = sizes > 0
     brackets[nonempty] = np.add.reduceat(terms, (np.cumsum(sizes) - sizes)[nonempty])
     return brackets
 
 
-def _reverse_brackets(ansatz, thetas, basis, psi, left):
-    """<left_k|T_k|psi_k> for every k: the reverse sweep of both gradients.
+def _pool_brackets(left, right, basis, excitations):
+    """<left|T|right> for every excitation, in one pass over all their pairs;
+    `_pair_bracket` per excitation up to summation order."""
+    pairs = [basis.pairs(e) for e in excitations]
+    gathered = np.concatenate(pairs, axis=1)
+    return _run_brackets(left[gathered], right[gathered], pairs)
 
-    psi_k and left_k are psi and left with evolutions k+1, k+2, ... undone.
-    Both are copied first, so the caller's vectors (a target among them)
-    are left as they are. Each step gathers each vector's coupled rows
-    once, reads the bracket off the gathered rows and turns them back.
-    The rows of a gather are contiguous, so `np.vdot` sums them in the
-    same order as `_pair_bracket` does.
-    """
-    dtype = np.result_type(psi, left)
-    psi, left = psi.astype(dtype), left.astype(dtype)
-    brackets = np.empty(len(ansatz), dtype=dtype)
-    for k in range(len(ansatz) - 1, -1, -1):
-        pairs = basis.pairs(ansatz.excitations[k])
-        p, lam = psi[pairs], left[pairs]
-        brackets[k] = np.vdot(lam[1], p[0]) - np.vdot(lam[0], p[1])
-        if k:
-            _turn(p, -thetas[k])
-            _turn(lam, -thetas[k])
-            psi[pairs] = p
-            left[pairs] = lam
-    return brackets
+
+def _adjoint_brackets(pairs, givens, tape, left):
+    """<left_k|T_k|psi_k> for every k: psi_k's rows from the forward tape,
+    left_k a copy of `left` with evolutions k+1, k+2, ... undone by G^T."""
+    if not pairs:
+        return np.zeros(0, dtype=left.dtype)
+    left = left.copy()
+    back = givens.transpose(0, 2, 1)
+    rows = [None] * len(pairs)
+    for k in range(len(pairs) - 1, 0, -1):
+        rows[k] = left[pairs[k]]
+        left[pairs[k]] = back[k].dot(rows[k])
+    rows[0] = left[pairs[0]]
+    return _run_brackets(np.concatenate(rows, axis=1), np.concatenate(tape, axis=1), pairs)
 
 
 def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
     """E(theta) = <psi|H|psi> and dE/dtheta_k for all k via a reverse sweep.
 
     The simulation runs in the basis the Hamiltonian is projected onto
-    (`Basis.project`). The backward pass un-applies each evolution from
-    both |psi> and lambda = H|psi>, reading off
-    dE/dtheta_k = 2 Re <lambda_k|T_k|psi_k>; total cost is one Hamiltonian
-    application plus O(m) excitation applications.
+    (`Basis.project`). The sweep un-applies each evolution from
+    lambda = H|psi> only, reading off dE/dtheta_k = 2 Re <lambda_k|T_k|psi_k>
+    against the forward tape's rows of psi_k.
 
     Raises:
         TypeError: when `h` is not a ProjectedOperator.
+        ValueError: when the number of angles is not the ansatz length.
     """
     if not isinstance(h, ProjectedOperator):
         raise TypeError(f"energy_and_gradient needs a ProjectedOperator, "
                         f"not {type(h).__name__}")
-    thetas = ansatz.thetas if thetas is None else list(thetas)
-    psi = apply_ansatz(ansatz, thetas, h.basis).amplitudes
-    lam = h.matrix @ psi
-    energy = np.vdot(psi, lam)
+    state, pairs, givens, tape = _forward(ansatz, thetas, h.basis)
+    lam = h.matrix @ state.amplitudes
+    energy = np.vdot(state.amplitudes, lam)
     if abs(energy.imag) > 1e-10 * max(1.0, abs(energy.real)):
         raise ValueError("non-hermitian operator in energy evaluation")
-    grad = 2.0 * _reverse_brackets(ansatz, thetas, h.basis, psi, lam).real
+    grad = 2.0 * _adjoint_brackets(pairs, givens, tape, lam).real
     return float(energy.real), grad
 
 
 def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
-    """F(theta) = |<target|psi(theta)>|^2 and its gradient via a reverse sweep.
-
-    The simulation runs in the target's basis.
-    """
+    """F(theta) = |<target|psi(theta)>|^2 and its gradient via a reverse sweep,
+    in the target's basis; a wrong number of angles raises ValueError."""
     if target.n_qubits != ansatz.n_qubits:
         raise ValueError("target size mismatch")
-    thetas = ansatz.thetas if thetas is None else list(thetas)
-    psi = apply_ansatz(ansatz, thetas, target.basis).amplitudes
-    c = np.vdot(target.amplitudes, psi)
-    brackets = _reverse_brackets(ansatz, thetas, target.basis, psi, target.amplitudes)
+    state, pairs, givens, tape = _forward(ansatz, thetas, target.basis)
+    c = np.vdot(target.amplitudes, state.amplitudes)
+    brackets = _adjoint_brackets(pairs, givens, tape, target.amplitudes)
     return float(abs(c) ** 2), 2.0 * (np.conjugate(c) * brackets).real
 
 
