@@ -1,28 +1,31 @@
 """Quasi-Newton minimization of ansatz angles.
 
-Thin wrapper around scipy's BFGS (inverse-Hessian update, strong-Wolfe
-line search with c1=1e-4, c2=0.9) that tracks the best iterate ever
-evaluated, so a line-search failure still returns the best point seen,
-and the returned objective is never above the starting one. The final
-inverse-Hessian estimate is returned, so a caller re-optimizing a grown
-parameter vector can start the next solve from the curvature already
-learned instead of from the identity.
+One BFGS loop (Nocedal & Wright, Numerical Optimization, Alg. 6.1): the
+inverse-Hessian update of their eq. 6.17 after every accepted step, and
+scipy's strong-Wolfe line search (`scipy.optimize.line_search`, c1=1e-4,
+c2=0.9) with scipy BFGS's first-step guess. Each point is evaluated once,
+for both value and gradient, and the lowest value evaluated is kept, so a
+line-search failure still returns the best point seen, and the returned
+objective is never above the starting one. The final inverse-Hessian
+estimate, updated by the last step too, is returned, so a caller
+re-optimizing a grown parameter vector can start the next solve from the
+curvature already learned instead of from the identity.
 
 A solve also stops at the objective's floating-point floor: once an
 accepted step has lowered the objective by no more than
 `FLOOR_K` * eps * |f| (eps the float64 machine epsilon) while the largest
 gradient component is already below `NEAR_MISS` * gtol, the next line
-search could only compare rounding errors, so BFGS is halted there
+search could only compare rounding errors, so the loop ends there
 instead of spending tens of evaluations on a search that fails.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.optimize import line_search
 
 from .errors import ObjectiveError
 
@@ -30,10 +33,12 @@ __all__ = ["FLOOR_K", "GTOL", "NEAR_MISS", "OptimizeResult", "minimize"]
 
 # The floor stop's decrease bound, in units of eps * |f|, chosen by
 # measurement. On the 50-operator beh2_3.0 cold start (eps=1e-8) every K
-# selects the same operators, but the 49th solve, 150-190 evaluations long,
-# falls into one of two minima depending on where earlier solves stopped:
-# K = 32, 128 and 256 end at 1.189765e-3 Ha above FCI, as without the floor
-# stop; K = 16, 64, 512 and 1024 end at 1.232424e-3 Ha.
+# from 16 to 1024 selects the same operators, but the 49th solve, the
+# longest (143 evaluations at K = 256), falls into one of three minima
+# depending on where earlier solves stopped, and the run ends 1.232424e-3 Ha
+# above FCI for K = 16, 64, 128 and 256, 1.210405e-3 Ha for K = 32 and
+# 1.189765e-3 Ha for K = 512 and 1024. The run spends 705-793 evaluations
+# over these K, 718 at K = 256.
 FLOOR_K = 256
 # The gradient infinity norm at which a solve converges; both growth stages
 # solve to it.
@@ -44,7 +49,6 @@ GTOL = 1e-8
 NEAR_MISS = 10.0
 
 _EPS = np.finfo(float).eps
-_SCIPY_STOPS = {0: "gtol", 1: "max_iter", 2: "line search"}
 
 
 @dataclass
@@ -62,20 +66,19 @@ class OptimizeResult:
 def _initial_hess_inv(hess_inv0, n):
     """`hess_inv0` symmetrized and bordered with the identity up to n x n;
     the identity itself when none is given or the result is not positive
-    definite (scipy's BFGS would reject it)."""
+    definite (BFGS needs a descent direction)."""
     if hess_inv0 is None:
-        return None
+        return np.eye(n)
     hess_inv0 = np.asarray(hess_inv0, dtype=float)
     m = len(hess_inv0)
     if hess_inv0.shape != (m, m) or m > n:
-        raise ValueError(f"hess_inv0 of shape {hess_inv0.shape} does not fit "
-                         f"{n} parameters")
+        raise ValueError(f"hess_inv0 of shape {hess_inv0.shape} does not fit {n} parameters")
     matrix = np.eye(n)
     matrix[:m, :m] = 0.5 * (hess_inv0 + hess_inv0.T)
     try:
-        cholesky(matrix)
-    except LinAlgError:
-        return None
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return np.eye(n)
     return matrix
 
 
@@ -86,8 +89,8 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     The solve ends when max|g| <= gtol ("gtol"), at the floating-point
     floor described in the module docstring ("floor"), when the line search
     fails ("line search") or after `max_iter` iterations ("max_iter"); the
-    result's `stop` names the cause. `converged` means that BFGS ended by
-    gtol and max|g| <= gtol at the returned point, so a floor stop, which
+    result's `stop` names the cause. `converged` means that the solve ended
+    by gtol and max|g| <= gtol at the returned point, so a floor stop, which
     fires only above gtol, is never converged.
 
     Args:
@@ -104,58 +107,61 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     Raises:
         ObjectiveError: if the objective evaluates to NaN or infinity.
     """
-    theta0 = np.asarray(theta0, dtype=float)
-    n_evals = 0
-    best = None  # (value, gradient inf-norm, theta)
-    last = None  # (theta, gradient inf-norm) of the latest evaluation
-    accepted_value = None  # objective at the latest accepted iterate
-    at_floor = False
+    theta = np.array(theta0, dtype=float)
+    hess_inv = _initial_hess_inv(hess_inv0, len(theta))
+    # the memo: (theta, value, gradient) of the latest and of the lowest evaluation
+    n_evals, latest, best = 0, None, None
 
-    def wrapped(theta):
-        nonlocal n_evals, best, last, accepted_value
-        n_evals += 1
-        value, grad = objective(theta)
-        if not np.isfinite(value):
-            raise ObjectiveError(f"objective evaluated to {value} at theta={theta}")
-        gnorm = float(np.max(np.abs(grad))) if len(grad) else 0.0
-        theta = np.array(theta, dtype=float)
-        last = (theta, gnorm)
-        if accepted_value is None:
-            accepted_value = float(value)
-        if best is None or value < best[0]:
-            best = (float(value), gnorm, theta)
-        return value, np.asarray(grad, dtype=float)
+    def evaluate(x):
+        nonlocal n_evals, latest, best
+        if latest is None or not np.array_equal(x, latest[0]):
+            n_evals += 1
+            value, grad = objective(x)
+            if not np.isfinite(value):
+                raise ObjectiveError(f"objective evaluated to {value} at theta={x}")
+            latest = (x, float(value), np.asarray(grad, dtype=float))
+            if best is None or latest[1] < best[1]:
+                best = latest
+        return latest
 
-    def on_iterate(intermediate_result):
-        # scipy passes the accepted iterate and its value; its gradient is
-        # the latest evaluation's when that was taken at the same point.
-        nonlocal accepted_value, at_floor
-        x, value = intermediate_result.x, float(intermediate_result.fun)
+    _, value, grad = evaluate(theta)
+    # scipy's BFGS guess for the first line search: a step of length about 1
+    old_value = value + np.linalg.norm(grad) / 2
+    gnorm = np.max(np.abs(grad), initial=0.0)
+    n_iter, stop = 0, "gtol"
+    while gnorm > gtol:
+        if n_iter == max_iter:
+            stop = "max_iter"
+            break
+        direction = -hess_inv @ grad
+        with warnings.catch_warnings():
+            # scipy warns when the search fails (its LineSearchWarning, a
+            # RuntimeWarning); the result reports it as the stop "line search"
+            warnings.filterwarnings("ignore", ".*line search", RuntimeWarning)
+            alpha, _, _, new_value, _, new_grad = line_search(
+                lambda x: evaluate(x)[1], lambda x: evaluate(x)[2], theta, direction,
+                grad, value, old_value, c1=1e-4, c2=0.9)
+        if new_grad is None:
+            stop = "line search"
+            break
+        step = alpha * direction
+        theta = theta + step
+        n_iter += 1
         if callback is not None:
-            callback(np.copy(x))
-        decrease = accepted_value - value
-        accepted_value = value
-        theta, gnorm = last
-        if (decrease <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol
-                and np.array_equal(x, theta)):
-            at_floor = True
-            raise StopIteration
-
-    if len(theta0) == 0:
-        value, _ = wrapped(theta0)
-        return OptimizeResult(theta0, value, n_evals, True, 0.0, hess_inv=np.eye(0))
-
-    res = _scipy_minimize(wrapped, theta0, jac=True, method="BFGS",
-                          callback=on_iterate,
-                          options={"gtol": gtol, "maxiter": max_iter,
-                                   "hess_inv0": _initial_hess_inv(hess_inv0, len(theta0))})
-    value = float(res.fun)
-    theta = np.asarray(res.x, dtype=float)
-    gnorm = float(np.max(np.abs(res.jac)))
-    if best is not None and best[0] < value:
-        value, gnorm, theta = best
-    converged = bool(res.success) and gnorm <= gtol
-    stop = "floor" if at_floor else _SCIPY_STOPS.get(res.status, res.message)
-    return OptimizeResult(theta, value, n_evals, converged, gnorm,
-                          n_iterations=int(res.nit),
-                          hess_inv=np.asarray(res.hess_inv, dtype=float), stop=stop)
+            callback(np.copy(theta))
+        old_value, value = value, new_value
+        change, grad = new_grad - grad, new_grad
+        curvature = change @ step
+        if curvature > 0:
+            # Nocedal & Wright eq. 6.17, expanded to O(n^2)
+            rho, h_change = 1.0 / curvature, hess_inv @ change
+            hess_inv = (hess_inv + (rho * rho * (change @ h_change) + rho) * np.outer(step, step)
+                        - rho * (np.outer(step, h_change) + np.outer(h_change, step)))
+        gnorm = np.max(np.abs(grad))
+        if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
+            stop = "floor"
+            break
+    theta, value, grad = best
+    gnorm = float(np.max(np.abs(grad), initial=0.0))
+    return OptimizeResult(theta, value, n_evals, stop == "gtol" and gnorm <= gtol, gnorm,
+                          n_iterations=n_iter, hess_inv=hess_inv, stop=stop)

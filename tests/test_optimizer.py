@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,10 +79,20 @@ def test_converged_implies_gradient_below_gtol():
     assert result.gradient_norm <= 1e-9
 
 
-def test_nan_objective_raises():
-    def bad(theta):
-        return float("nan"), np.zeros_like(theta)
+def nan_everywhere(theta):
+    return float("nan"), np.zeros_like(theta)
 
+
+def nan_beyond_radius(theta):
+    """A bowl centred at (1, 1) that is NaN beyond |theta| = 0.5, so its
+    start is finite and the first line search steps into the NaN."""
+    d = theta - 1.0
+    value = float(d @ d) if np.linalg.norm(theta) <= 0.5 else float("nan")
+    return value, 2 * d
+
+
+@pytest.mark.parametrize("bad", [nan_everywhere, nan_beyond_radius])
+def test_nan_objective_raises(bad):
     with pytest.raises(ValueError, match="nan"):
         minimize(bad, np.zeros(2))
 
@@ -218,3 +230,19 @@ def test_floor_stop_needs_a_small_gradient():
 def test_stop_names_gtol_and_max_iter():
     assert minimize(quadratic(np.ones(3)), np.zeros(3), gtol=1e-9).stop == "gtol"
     assert minimize(offset_bowl, np.zeros(6), max_iter=2).stop == "max_iter"
+
+
+def test_a_failed_line_search_stops_without_a_warning():
+    # scipy's line search warns when it fails; the stop reason reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = minimize(steep_cusp, np.zeros(3), gtol=1e-8)
+    assert result.stop == "line search"
+
+
+def test_hess_inv0_is_checked_before_the_first_evaluation():
+    def never(theta):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(ValueError, match="does not fit"):
+        minimize(never, np.zeros(2), hess_inv0=np.eye(3))
