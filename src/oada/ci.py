@@ -223,16 +223,20 @@ def _fix_sign(vec):
 
 
 def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
-    """Block-1 Davidson for the lowest eigenpair of a sparse symmetric matrix."""
+    """Block-1 Davidson for the lowest eigenpair of a sparse symmetric matrix.
+
+    H is applied once to each new subspace vector, and the products are
+    kept beside the vectors; a restart applies it to the restart vector.
+    """
     dim = h.shape[0]
     start = np.zeros(dim)
     start[int(np.argmin(diag))] = 1.0
-    basis = [start]
+    basis, h_basis = [start], [h @ start]
     x = start
     theta = float(diag.min())
     for _ in range(max_iter):
         v = np.array(basis).T
-        hv = h @ v
+        hv = np.column_stack(h_basis)
         t = v.T @ hv
         w, u = np.linalg.eigh(t)
         theta = float(w[0])
@@ -245,7 +249,7 @@ def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
         denom[np.abs(denom) < 1e-12] = 1e-12
         correction = residual / denom
         if len(basis) >= max_subspace:
-            basis = [x]
+            basis, h_basis = [x], [h @ x]
         # orthogonalize twice for stability
         for _ in range(2):
             for b in basis:
@@ -254,6 +258,7 @@ def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
         if cnorm < 1e-14:
             return theta, x
         basis.append(correction / cnorm)
+        h_basis.append(h @ basis[-1])
     raise ConvergenceError(f"Davidson did not reach residual {tol} in {max_iter} iterations")
 
 

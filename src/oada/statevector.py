@@ -63,6 +63,9 @@ MAX_QUBITS = 24
 # A sector may hold as many amplitudes as the full space at the qubit cap;
 # this is also the size limit of the determinant solvers' FCI.
 MAX_SECTOR_DIM = 1 << MAX_QUBITS
+# Candidates, (row, term group) of a projection or (excitation, basis state)
+# of a pairing, handled per array pass; bounds their temporaries.
+CHUNK = 1 << 15
 
 
 def sector_dimension(n_qubits, n_electrons):
@@ -100,6 +103,7 @@ class Basis:
         self.masks = masks  # ascending int64 occupation masks, one per position
         self.dim = len(masks)
         self._pairs = {}
+        self._hf = {}  # electron count -> Hartree-Fock position
 
     @classmethod
     def full(cls, n_qubits):
@@ -141,6 +145,15 @@ class Basis:
         pos = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
         return np.where(self.masks[pos] == masks, pos, -1)
 
+    def _hf_position(self, n_electrons):
+        """Position of the n-electron Hartree-Fock mask, the lowest n bits
+        set; -1 when it lies outside the basis. Looked up once per count."""
+        pos = self._hf.get(n_electrons)
+        if pos is None:
+            hf = np.array([(1 << n_electrons) - 1], dtype=np.int64)
+            pos = self._hf[n_electrons] = int(self.index(hf)[0])
+        return pos
+
     def pairs(self, excitation):
         """The positions the excitation couples, as one C-contiguous (2, n)
         int64 array: row 0 the sources, row 1 their destinations, so
@@ -153,27 +166,62 @@ class Basis:
         """
         pairs = self._pairs.get(excitation)
         if pairs is None:
-            pairs = self._pairs[excitation] = self._find_pairs(excitation)
+            pairs = self._pairs[excitation] = self._find_pairs([excitation])[0]
         return pairs
 
-    def _find_pairs(self, excitation):
-        for i in excitation.indices():
-            if not 0 <= i < self.n_qubits:
-                raise ValueError(f"orbital index {i} outside [0, {self.n_qubits})")
-        if isinstance(excitation, SingleExcitation):
-            occupied, empty = 1 << excitation.q, 1 << excitation.p
-        else:
-            occupied = (1 << excitation.r) | (1 << excitation.s)
-            empty = (1 << excitation.p) | (1 << excitation.q)
+    def _pairs_of(self, excitations):
+        """`pairs` of every excitation, pairing the uncached ones in one
+        `_find_pairs` pass."""
+        try:
+            return [self._pairs[e] for e in excitations]
+        except KeyError:
+            missing = [e for e in dict.fromkeys(excitations) if e not in self._pairs]
+            self._pairs.update(zip(missing, self._find_pairs(missing)))
+            return [self._pairs[e] for e in excitations]
+
+    def _find_pairs(self, excitations):
+        """The (2, n) pairs of each excitation, from masked passes over
+        (excitation, basis state) candidates, `CHUNK` of them at a time.
+        Each excitation's array is a C-contiguous view of its chunk's buffer,
+        its sources in ascending order."""
+        occupied, empty = [], []
+        for e in excitations:
+            for i in e.indices():
+                if not 0 <= i < self.n_qubits:
+                    raise ValueError(f"orbital index {i} outside [0, {self.n_qubits})")
+            if isinstance(e, SingleExcitation):
+                occupied.append(1 << e.q)
+                empty.append(1 << e.p)
+            else:
+                occupied.append((1 << e.r) | (1 << e.s))
+                empty.append((1 << e.p) | (1 << e.q))
+        occupied = np.array(occupied, dtype=np.int64)
+        empty = np.array(empty, dtype=np.int64)
         flip = occupied | empty
-        masks = self.masks
-        pattern = masks & flip
-        src = np.flatnonzero(pattern == occupied)
-        dst = self.index(masks[src] ^ flip)
-        # Every destination pattern in the basis must be some source's partner.
-        if np.any(dst < 0) or np.count_nonzero(pattern == empty) != len(src):
-            raise ValueError(f"{excitation} leaves the basis (it does not conserve S_z)")
-        return np.stack([src, dst])
+        step = max(1, CHUNK // self.dim)
+        pairs = []
+        for k0 in range(0, len(flip), step):
+            block = slice(k0, k0 + step)
+            pattern = self.masks & flip[block, None]
+            is_src = pattern == occupied[block, None]
+            k, src = np.nonzero(is_src)
+            dst = self.index(self.masks[src] ^ flip[block][k])
+            counts = np.count_nonzero(is_src, axis=1)
+            # Every destination pattern in the basis must be some source's partner.
+            bad = counts != np.count_nonzero(pattern == empty[block, None], axis=1)
+            bad[k[dst < 0]] = True
+            if bad.any():
+                raise ValueError(f"{excitations[k0 + int(np.argmax(bad))]} leaves the basis "
+                                 "(it does not conserve S_z)")
+            # Lay excitation j's sources and destinations side by side at 2 * starts[j].
+            starts = np.cumsum(counts) - counts
+            at = np.arange(len(src)) + starts[k]
+            buffer = np.empty(2 * len(src), dtype=np.int64)
+            buffer[at] = src
+            buffer[at + counts[k]] = dst
+            pairs += [buffer[2 * a:2 * (a + n)].reshape(2, n)
+                      for a, n in zip(starts.tolist(), counts.tolist())]
+        return pairs
 
     def project(self, operator) -> ProjectedOperator:
         """The operator's matrix in this basis, real when its entries are.
@@ -198,40 +246,60 @@ class Basis:
         basis.
 
         Terms sharing an x_mask send each basis state to the same image, so
-        they are grouped and emitted together; images outside the basis are
-        dropped. Groups are accumulated 128 at a time to bound the peak
-        memory of a 2^N build.
+        they form one group, and entry (row, col) holds the terms of the one
+        group x = masks[row] ^ masks[col]; images outside the basis are
+        dropped. The rows are swept in blocks against every group at once,
+        at most `CHUNK` (row, group) candidates per block, so the
+        temporaries beside the kept entries stay within a fixed multiple of
+        `CHUNK`. Each entry adds its group's terms to 0 one at a time
+        in `sorted_terms` order (z ascending), the sum a term-by-term loop
+        takes, bit for bit.
         """
-        groups = {}
-        for s, c in operator.sorted_terms():
-            groups.setdefault(s.x_mask, []).append((s.z_mask, c))
-        x_keys = sorted(groups)
-        shape = (self.dim, self.dim)
-        columns = np.arange(self.dim)
-        matrix = sp.csr_matrix(shape, dtype=np.complex128)
-        for start in range(0, len(x_keys), 128):
-            rows, cols, data = [], [], []
-            for x_mask in x_keys[start:start + 128]:
-                images = self.masks ^ x_mask
-                row = self.index(images)
-                inside = row >= 0
-                col = columns
-                if not inside.all():  # always inside on the full basis
-                    images, row, col = images[inside], row[inside], columns[inside]
-                values = np.zeros(len(images), dtype=np.complex128)
-                for z_mask, c in groups[x_mask]:
-                    phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]
-                    signs = 1.0 - 2.0 * (np.bitwise_count(images & z_mask) & 1)
-                    values += (c * phase) * signs
-                rows.append(row)
-                cols.append(col)
-                data.append(values)
-            matrix = matrix + sp.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape).tocsr()
-        if matrix.nnz and np.max(np.abs(matrix.data.imag)) < 1e-13:
-            matrix = sp.csr_matrix((matrix.data.real, matrix.indices, matrix.indptr),
-                                   shape=matrix.shape)
+        strings = list(operator.terms)
+        x = np.array([s.x_mask for s in strings], dtype=np.int64)
+        z = np.array([s.z_mask for s in strings], dtype=np.int64)
+        phases = np.array(_I_POWERS)[-np.bitwise_count(x & z).astype(np.int64) % 4]
+        scaled = np.array(list(operator.terms.values()), dtype=np.complex128) * phases
+        if not np.any(scaled.imag):
+            scaled = scaled.real
+        by_x = np.lexsort((z, x))  # `sorted_terms` order within each x group
+        x, z, scaled = x[by_x], z[by_x], scaled[by_x]
+        keys, starts, sizes = np.unique(x, return_index=True, return_counts=True)
+        # Groups by size, largest first: the groups holding a j-th term are a prefix.
+        by_size = np.argsort(-sizes, kind="stable")
+        keys, starts, sizes = keys[by_size, None], starts[by_size], sizes[by_size]
+        ranks = []
+        for j in range(sizes.max(initial=0)):
+            t = starts[sizes > j] + j  # the j-th term of every group that has one
+            ranks.append((len(t), z[t, None], scaled[t, None]))
+
+        block = max(1, CHUNK // max(1, len(keys)))
+        indices, data, row_sizes = [], [], []
+        stored = 0  # entries a term loop stores, zeros included
+        for r0 in range(0, self.dim, block):
+            masks = self.masks[r0:r0 + block]
+            cols = self.index(keys ^ masks)  # (group, row) candidates
+            values = np.zeros(cols.shape, dtype=scaled.dtype)
+            for n, z_j, scaled_j in ranks:
+                odd = np.bitwise_count(z_j & masks) & 1
+                values[:n] += np.where(odd, -scaled_j, scaled_j)
+            inside = cols >= 0
+            stored += np.count_nonzero(inside)
+            group, row = np.nonzero(inside & (values != 0))
+            col = cols[group, row]
+            order = np.argsort(row * self.dim + col)
+            indices.append(col[order].astype(np.int32))
+            data.append(values[group, row][order])
+            row_sizes.append(np.bincount(row, minlength=len(masks)))
+        data = np.concatenate(data)
+        if not stored:  # a term loop leaves an empty matrix complex
+            data = data.astype(np.complex128)
+        elif np.iscomplexobj(data) and np.max(np.abs(data.imag), initial=0) < 1e-13:
+            data = data.real.copy()
+        indptr = np.zeros(self.dim + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(row_sizes), out=indptr[1:])
+        indices = np.concatenate(indices)
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
         matrix.eliminate_zeros()
         return matrix
 
@@ -295,7 +363,7 @@ def prepare_hf(n_qubits: int, n_electrons: int, basis: Basis = None) -> Statevec
     if n_electrons > n_qubits:
         raise ValueError(f"{n_electrons} electrons do not fit in {n_qubits} spin orbitals")
     state = Statevector(n_qubits, basis=basis)
-    pos = state.basis.index(np.array([(1 << n_electrons) - 1], dtype=np.int64))[0]
+    pos = state.basis._hf_position(n_electrons)
     if pos < 0:
         raise ValueError("the Hartree-Fock reference lies outside the basis")
     state.amplitudes[pos] = 1.0
@@ -408,7 +476,7 @@ def _run_brackets(left, right, pairs):
 def _pool_brackets(left, right, basis, excitations):
     """<left|T|right> for every excitation, in one pass over all their pairs;
     `_pair_bracket` per excitation up to summation order."""
-    pairs = [basis.pairs(e) for e in excitations]
+    pairs = basis._pairs_of(excitations)
     gathered = np.concatenate(pairs, axis=1)
     return _run_brackets(left[gathered], right[gathered], pairs)
 

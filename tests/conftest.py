@@ -84,6 +84,11 @@ def beh2_stretched():
 
 
 @pytest.fixture(scope="session")
+def n2():
+    return Problem("n2_cas66_1.0977")
+
+
+@pytest.fixture(scope="session")
 def h6_adapt_50(h6):
     """Plain adaptive run on H6 to the 50-operator budget (shared, ~10 s)."""
     return oada.run_adapt(h6.ham, h6.pool, n_electrons=h6.n_electrons,

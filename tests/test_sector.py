@@ -1,23 +1,184 @@
-"""The Hartree-Fock sector basis against independent full-space oracles."""
+"""The Hartree-Fock sector basis against independent full-space oracles.
+
+`reference_project_terms` and `reference_pairs` are the term-by-term and
+one-excitation-at-a-time loops that `Basis._project_terms` and
+`Basis._find_pairs` replace with array passes; the passes must reproduce
+them bit for bit.
+"""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 import oada
 from oada import ci
 from oada.cli import main
 from oada.overlap_adapt import pipeline
-from oada.pauli import QubitOperator
-from oada.pool import SingleExcitation
+from oada.pauli import _I_POWERS, PauliString, QubitOperator
+from oada.pool import DoubleExcitation, SingleExcitation
 from oada.statevector import (Ansatz, Basis, Statevector, energy_and_gradient,
                               overlap_and_gradient, prepare_hf)
 
 
 def _sector(problem):
     return Basis.sector(problem.n, problem.n_electrons)
+
+
+def reference_project_terms(basis, operator):
+    """The operator's CSR matrix in `basis`, one Pauli term at a time: terms
+    are grouped by x_mask, and each group's values start at 0 and add the
+    terms in `sorted_terms` order; groups are accumulated 128 at a time."""
+    groups = {}
+    for s, c in operator.sorted_terms():
+        groups.setdefault(s.x_mask, []).append((s.z_mask, c))
+    x_keys = sorted(groups)
+    shape = (basis.dim, basis.dim)
+    columns = np.arange(basis.dim)
+    matrix = sp.csr_matrix(shape, dtype=np.complex128)
+    for start in range(0, len(x_keys), 128):
+        rows, cols, data = [], [], []
+        for x_mask in x_keys[start:start + 128]:
+            images = basis.masks ^ x_mask
+            row = basis.index(images)
+            inside = row >= 0
+            images, row, col = images[inside], row[inside], columns[inside]
+            values = np.zeros(len(images), dtype=np.complex128)
+            for z_mask, c in groups[x_mask]:
+                phase = _I_POWERS[(-(z_mask & x_mask).bit_count()) % 4]
+                signs = 1.0 - 2.0 * (np.bitwise_count(images & z_mask) & 1)
+                values += (c * phase) * signs
+            rows.append(row)
+            cols.append(col)
+            data.append(values)
+        matrix = matrix + sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=shape).tocsr()
+    if matrix.nnz and np.max(np.abs(matrix.data.imag)) < 1e-13:
+        matrix = sp.csr_matrix((matrix.data.real, matrix.indices, matrix.indptr),
+                               shape=matrix.shape)
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def reference_pairs(basis, excitation):
+    """(2, n) source and destination positions of one excitation."""
+    if isinstance(excitation, SingleExcitation):
+        occupied, empty = 1 << excitation.q, 1 << excitation.p
+    else:
+        occupied = (1 << excitation.r) | (1 << excitation.s)
+        empty = (1 << excitation.p) | (1 << excitation.q)
+    flip = occupied | empty
+    pattern = basis.masks & flip
+    src = np.flatnonzero(pattern == occupied)
+    dst = basis.index(basis.masks[src] ^ flip)
+    assert np.all(dst >= 0) and np.count_nonzero(pattern == empty) == len(src)
+    return np.stack([src, dst])
+
+
+def assert_same_csr(new, ref):
+    assert new.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(new, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched", "n2"])
+def test_projection_is_the_term_loop_bit_for_bit(name, request):
+    problem = request.getfixturevalue(name)
+    sector = _sector(problem)
+    projected = sector.project(problem.ham).matrix
+    assert projected.dtype == np.float64
+    assert_same_csr(projected, reference_project_terms(sector, problem.ham))
+    if name == "n2":
+        # Cancellation residues the Slater-Condon matrix does not store.
+        slater = ci.slater_condon_hamiltonian(problem.mol).matrix
+        extra = (abs(projected) > 0).astype(int) - (abs(slater) > 0).astype(int)
+        assert extra.min() == 0 and extra.sum() == 32
+        assert np.max(np.abs(projected[extra.toarray() == 1])) <= 6.5e-17
+
+
+def test_complex_projection_is_the_term_loop_bit_for_bit():
+    op = (QubitOperator.from_word(4, [("Y", 0), ("X", 1)], 0.5)
+          + QubitOperator.from_word(4, [("X", 0), ("X", 1)], 0.25)
+          + QubitOperator.from_word(4, [("Z", 0), ("Y", 2), ("Y", 3)], -0.75)
+          + QubitOperator.from_word(4, [("Z", 1)], 1.5)
+          + QubitOperator.identity(4, 0.125))
+    full = Basis.full(4)
+    projected = full._project_terms(op)
+    assert projected.dtype == np.complex128
+    assert_same_csr(projected, reference_project_terms(full, op))
+    rng = np.random.default_rng(7)
+    op = QubitOperator(6, {PauliString(int(x), int(z)): complex(*rng.normal(size=2))
+                           for x, z in rng.integers(64, size=(40, 2))})
+    for basis in (Basis.full(6), Basis.sector(6, 3)):
+        assert_same_csr(basis._project_terms(op), reference_project_terms(basis, op))
+
+
+def test_projection_of_an_operator_without_terms_is_an_empty_complex_matrix():
+    for basis in (Basis.full(3), Basis.sector(4, 2)):
+        assert_same_csr(basis._project_terms(QubitOperator(basis.n_qubits)),
+                        reference_project_terms(basis, QubitOperator(basis.n_qubits)))
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched"])
+def test_projection_peak_memory_stays_within_the_term_loop(name, request):
+    problem = request.getfixturevalue(name)
+    for basis in (_sector(problem), Basis.full(problem.n)):
+        new = _peak_bytes(lambda: basis._project_terms(problem.ham))
+        ref = _peak_bytes(lambda: reference_project_terms(basis, problem.ham))
+        assert new <= ref, (basis.dim, new, ref)
+
+
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched", "n2"])
+def test_one_pass_pairs_are_the_single_excitation_pairs(name, request):
+    problem = request.getfixturevalue(name)
+    sector = _sector(problem)
+    excitations = [op.excitation for op in problem.pool]
+    one_pass = sector._find_pairs(excitations)
+    assert len(one_pass) == len(excitations)
+    for e, pairs in zip(excitations, one_pass):
+        assert pairs.dtype == np.int64 and pairs.flags.c_contiguous
+        assert np.array_equal(pairs, reference_pairs(sector, e))
+        assert np.array_equal(pairs, sector._find_pairs([e])[0])
+
+
+def test_one_bad_excitation_among_good_ones_is_refused(h4):
+    sector = _sector(h4)
+    good = [op.excitation for op in h4.pool]
+    with pytest.raises(ValueError, match=r"orbital index 8 outside \[0, 8\)"):
+        sector._find_pairs(good[:3] + [DoubleExcitation(8, 1, 2, 3)] + good[3:])
+    with pytest.raises(ValueError, match="leaves the basis"):
+        sector._find_pairs(good[:3] + [SingleExcitation(5, 0)] + good[3:])
+
+
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched"])
+def test_a_fresh_run_pairs_the_pool_in_one_pass(name, request, monkeypatch):
+    problem = request.getfixturevalue(name)
+    calls = []
+    find = Basis._find_pairs
+
+    def counting(self, excitations):
+        calls.append(len(excitations))
+        return find(self, excitations)
+
+    monkeypatch.setattr(Basis, "_find_pairs", counting)
+    oada.run_adapt(problem.ham, problem.pool, n_electrons=problem.n_electrons,
+                   eps=1e-8, max_ops=2)
+    assert calls == [len(problem.pool)]
 
 
 @pytest.mark.parametrize("name", ["h2", "h4", "h6"])
@@ -190,6 +351,34 @@ def test_target_without_sector_weight_is_rejected(h2):
     wrong.amplitudes[ci.strings_to_mask(0b1, 0)] = 1.0  # one electron: outside the sector
     with pytest.raises(ValueError, match="no weight"):
         pipeline(h2.mol, h2.ham, h2.pool, "wavefunction", 2, 3, target_wavefunction=wrong)
+
+
+class CountingMatrix:
+    """A matrix that counts the vectors it is applied to."""
+
+    def __init__(self, matrix):
+        self.matrix, self.shape, self.columns = matrix, matrix.shape, 0
+
+    def __matmul__(self, v):
+        self.columns += 1 if v.ndim == 1 else v.shape[1]
+        return self.matrix @ v
+
+
+def test_davidson_applies_h_once_per_iteration(beh2_stretched):
+    matrix = beh2_stretched.sector.matrix
+    counting = CountingMatrix(matrix)
+    energy, _ = ci._davidson(counting, matrix.diagonal())
+    assert counting.columns == 19  # 19 iterations, no restart
+    assert abs(energy - beh2_stretched.refs["REF_FCI"]) < 1e-9
+
+
+def test_davidson_restart_keeps_the_energy(h6):
+    matrix = h6.sector.matrix
+    counting = CountingMatrix(matrix)
+    energy, _ = ci._davidson(counting, matrix.diagonal(), max_subspace=20)
+    # 107 iterations, one more product for each of the 5 restart vectors.
+    assert counting.columns == 112
+    assert abs(energy - h6.refs["REF_FCI"]) < 1e-9
 
 
 def test_davidson_raises_convergence_error(h6):
