@@ -22,7 +22,7 @@ import numpy as np
 from .fcidump import FcidumpError
 from .optimizer import GTOL, NEAR_MISS, minimize
 from .pool import DoubleExcitation, SingleExcitation, ansatz_resource_counts, check_excitation
-from .statevector import (Ansatz, Basis, Statevector, _pool_brackets, apply_ansatz,
+from .statevector import (Ansatz, Basis, PoolScreen, Statevector, apply_ansatz,
                           energy_and_gradient)
 
 __all__ = [
@@ -86,18 +86,33 @@ class GrowthTrace:
         return self.records[-1].energy if self.records else np.nan
 
 
+def _pool_screen(pool, basis):
+    """`pool` itself when it is a `PoolScreen` on `basis`; a list of pool
+    operators gets a plan for one screen.
+
+    Raises:
+        ValueError: when the plan was built on another basis.
+    """
+    if not isinstance(pool, PoolScreen):
+        return PoolScreen(basis, pool)
+    if pool.basis != basis:
+        raise ValueError("the pool screen was built on another basis than the state's")
+    return pool
+
+
 def screen_energy_gradients(state: Statevector, hamiltonian, pool):
     """d/dtheta <psi|U^ H U|psi> at theta=0 for every pool operator.
 
     Equals <psi|[H, T]|psi> = 2 Re <H psi|T psi> for the anti-hermitian
     generator T; the single H|psi> is shared across all candidates, and all
-    brackets are taken in one pass (`statevector._pool_brackets`). The
-    Hamiltonian is taken in the state's basis.
+    brackets are taken in one pass (`statevector.PoolScreen.brackets`). The
+    Hamiltonian is taken in the state's basis. `pool` is the run's
+    `PoolScreen` on that basis, or a list of pool operators.
     """
     basis = state.basis
+    screen = _pool_screen(pool, basis)
     h_psi = basis.project(hamiltonian).matrix @ state.amplitudes
-    return 2.0 * _pool_brackets(h_psi, state.amplitudes, basis,
-                                [op.excitation for op in pool]).real
+    return 2.0 * screen.brackets(h_psi, state.amplitudes).real
 
 
 def select_operator(grads) -> int:
@@ -130,11 +145,13 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
 
     Raises:
         ValueError: when threshold is not positive and budget is None, so
-            that no stop could ever fire.
+            that no stop could ever fire, or when the pool is empty.
     """
     if not threshold > 0 and budget is None:
         raise ValueError(f"need a stopping rule: {stage} threshold {threshold} "
                          "with no budget never stops")
+    if not pool:
+        raise ValueError(f"the {stage} pool is empty: there is no operator to screen")
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
     while True:
@@ -204,8 +221,9 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
             thetas=tuple(ansatz.thetas),
         )
 
+    screen = PoolScreen(h_eval.basis, pool)
     trace = grow(ansatz, pool, h_eval.basis,
-                 lambda psi: screen_energy_gradients(psi, h_eval, pool),
+                 lambda psi: screen_energy_gradients(psi, h_eval, screen),
                  lambda theta: energy_and_gradient(ansatz, h_eval, theta),
                  record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,
                  budget=max_ops, stage="ADAPT")

@@ -23,11 +23,11 @@ from typing import ClassVar
 import numpy as np
 
 from . import ci
-from .adapt import GrowthTrace, grow, run_adapt
+from .adapt import GrowthTrace, _pool_screen, grow, run_adapt
 # Not called here: the benchmark's tracer patches these names, so they must exist.
 from .optimizer import minimize  # noqa: F401
 from .statevector import energy_and_gradient  # noqa: F401
-from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, _pool_brackets,
+from .statevector import (Ansatz, Basis, PoolScreen, Statevector, _pair_bracket,
                           apply_ansatz, apply_excitation, expectation, overlap,
                           overlap_and_gradient)
 
@@ -65,11 +65,13 @@ class OverlapRecord:
 
 def screen_overlap_gradients(reference: Statevector, state: Statevector, pool):
     """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per operator,
-    evaluated in the state's basis, all in one pass (`statevector._pool_brackets`)."""
+    evaluated in the state's basis, all in one pass
+    (`statevector.PoolScreen.brackets`). `pool` is the run's `PoolScreen` on
+    that basis, or a list of pool operators."""
     basis = state.basis
+    screen = _pool_screen(pool, basis)
     reference = basis.extract(reference)
-    return np.abs(_pool_brackets(reference.amplitudes, state.amplitudes, basis,
-                                 [op.excitation for op in pool]))
+    return np.abs(screen.brackets(reference.amplitudes, state.amplitudes))
 
 
 def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
@@ -145,8 +147,9 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
             thetas=tuple(ansatz.thetas),
         )
 
+    screen = PoolScreen(basis, pool)
     trace = grow(ansatz, pool, basis,
-                 lambda psi: screen_overlap_gradients(target, psi, pool),
+                 lambda psi: screen_overlap_gradients(target, psi, screen),
                  objective, record, GrowthTrace(OverlapRecord.COLUMNS),
                  threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
     return ansatz, trace

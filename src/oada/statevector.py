@@ -25,8 +25,10 @@ keeps the rotated rows, psi_k on pairs k, as a tape of at most m * dim
 amplitudes (an excitation moves each position at most once). The adjoint
 sweep of both gradients turns back only lambda = H|psi> (or the target),
 with G^T: two gathers, two scatters and two 2x2 products per evolution,
-plus one Hamiltonian application. The m gradient brackets and the pool
-screens are summed in one pass over concatenated rows (`_run_brackets`).
+plus one Hamiltonian application. The m gradient brackets are summed in
+one pass over concatenated rows (`_run_brackets`). A pool screen is the
+same sum over the pool's pairs: a `PoolScreen`, built once per run, keeps
+them as one table and gathers into fixed buffers, bit for bit the same.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .pool import SingleExcitation
 __all__ = [
     "Basis",
     "ProjectedOperator",
+    "PoolScreen",
     "sector_dimension",
     "Statevector",
     "Ansatz",
@@ -473,12 +476,47 @@ def _run_brackets(left, right, pairs):
     return brackets
 
 
-def _pool_brackets(left, right, basis, excitations):
-    """<left|T|right> for every excitation, in one pass over all their pairs;
-    `_pair_bracket` per excitation up to summation order."""
-    pairs = basis._pairs_of(excitations)
-    gathered = np.concatenate(pairs, axis=1)
-    return _run_brackets(left[gathered], right[gathered], pairs)
+class PoolScreen:
+    """The brackets <left|T|right> of every pool operator in one basis, from
+    state vectors of that basis: the screen both growth stages run on each
+    iteration.
+
+    Built once per run: it keeps the pool's pairs as one (2, P) table, the
+    start of each operator's run in it, and work buffers for the gathered
+    rows, so a screen allocates nothing of the table's size. The buffers
+    are shared by every call, so a plan belongs to one run and is not
+    re-entrant. Its brackets are bit-identical to `_run_brackets` of the
+    gathered rows.
+    """
+
+    def __init__(self, basis: Basis, pool):
+        self.basis = basis
+        pairs = basis._pairs_of([op.excitation for op in pool])
+        sizes = np.array([p.shape[1] for p in pairs], dtype=np.int64)
+        self._table = (np.concatenate(pairs, axis=1) if pairs
+                       else np.empty((2, 0), dtype=np.int64))
+        # reduceat returns the start element, not 0, for an empty run.
+        self._nonempty = sizes > 0
+        self._starts = (np.cumsum(sizes) - sizes)[self._nonempty]
+        self._rows = np.empty((2,) + self._table.shape)  # left rows, right rows
+
+    def brackets(self, left, right):
+        """<left|T|right> per pool operator, as a new array:
+        conj(left[dst]) right[src] - conj(left[src]) right[dst] summed over
+        its pairs, 0 when it has none."""
+        dtype = np.result_type(left, right)
+        if self._rows.dtype != dtype:
+            self._rows = np.empty(self._rows.shape, dtype)
+        lrows, rrows = self._rows
+        # mode="raise" would gather into a temporary before copying to `out`.
+        np.take(np.asarray(left, dtype), self._table, out=lrows, mode="clip")
+        np.take(np.asarray(right, dtype), self._table, out=rrows, mode="clip")
+        np.conjugate(lrows, out=lrows)
+        terms = np.multiply(lrows[1], rrows[0], out=lrows[1])
+        np.subtract(terms, np.multiply(lrows[0], rrows[1], out=lrows[0]), out=terms)
+        brackets = np.zeros(len(self._nonempty), dtype)
+        brackets[self._nonempty] = np.add.reduceat(terms, self._starts)
+        return brackets
 
 
 def _adjoint_brackets(pairs, givens, tape, left):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,9 +9,10 @@ from oada.adapt import screen_energy_gradients
 from oada.overlap_adapt import screen_overlap_gradients
 from oada.pauli import QubitOperator
 from oada.pool import DoubleExcitation, SingleExcitation
-from oada.statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
-                              apply_excitation, energy_and_gradient, expectation,
-                              format_state, overlap, overlap_and_gradient, prepare_hf)
+from oada.statevector import (Ansatz, Basis, PoolScreen, Statevector, _pair_bracket,
+                              _run_brackets, apply_ansatz, apply_excitation,
+                              energy_and_gradient, expectation, format_state, overlap,
+                              overlap_and_gradient, prepare_hf)
 
 
 def test_prepare_hf_examples():
@@ -305,3 +308,100 @@ def test_gradient_sweeps_leave_their_inputs_alone(h4):
     assert target.amplitudes.tobytes() == amplitudes.tobytes()
     energy_and_gradient(ansatz, h4.full)
     assert ansatz.thetas == thetas
+
+
+def reference_pool_brackets(left, right, basis, excitations):
+    """The pool screen before `PoolScreen`: look the pairs up, concatenate
+    them and gather fresh rows on every call."""
+    pairs = basis._pairs_of(excitations)
+    gathered = np.concatenate(pairs, axis=1)
+    return _run_brackets(left[gathered], right[gathered], pairs)
+
+
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched", "n2"])
+def test_pool_screen_brackets_are_bit_identical_to_the_reference(name, request):
+    problem = request.getfixturevalue(name)
+    basis = Basis.sector(problem.n, problem.n_electrons)
+    excitations = [op.excitation for op in problem.pool]
+    plan = PoolScreen(basis, problem.pool)
+    rng = np.random.default_rng(11)
+    for _ in range(3):  # the buffers are reused from the second call on
+        left, right = rng.normal(size=(2, basis.dim))
+        assert np.array_equal(plan.brackets(left, right),
+                              reference_pool_brackets(left, right, basis, excitations))
+
+
+def test_pool_screen_brackets_follow_the_dtype_of_each_call(h4):
+    basis = Basis.full(h4.n)
+    excitations = [op.excitation for op in h4.pool]
+    plan = PoolScreen(basis, h4.pool)
+    rng = np.random.default_rng(12)
+    real = rng.normal(size=(2, basis.dim))
+    complex_ = [_random_complex_state(rng, h4.n).amplitudes for _ in range(2)]
+    for left, right in (real, complex_, real):
+        brackets = plan.brackets(left, right)
+        assert brackets.dtype == np.result_type(left, right)
+        assert np.array_equal(brackets,
+                              reference_pool_brackets(left, right, basis, excitations))
+
+
+def test_pool_screen_calls_return_independent_arrays(h6):
+    basis = Basis.sector(h6.n, h6.n_electrons)
+    plan = PoolScreen(basis, h6.pool)
+    rng = np.random.default_rng(13)
+    first = plan.brackets(*rng.normal(size=(2, basis.dim)))
+    kept = first.copy()
+    second = plan.brackets(*rng.normal(size=(2, basis.dim)))
+    assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+
+def test_a_screen_with_a_built_plan_allocates_nothing_pool_sized(beh2_stretched):
+    # the per-call lookup, concatenation and gathers took 1.93 MB per screen
+    h = beh2_stretched.sector
+    plan = PoolScreen(h.basis, beh2_stretched.pool)
+    state = Statevector(h.n_qubits, np.random.default_rng(14).normal(size=h.basis.dim),
+                        h.basis)
+    screen_energy_gradients(state, h, plan)  # sizes the buffers
+    tracemalloc.start()
+    try:
+        screen_energy_gradients(state, h, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_each_growth_stage_builds_one_pool_screen(h4, monkeypatch):
+    built = []
+    init = PoolScreen.__init__
+
+    def counting(self, basis, pool):
+        built.append(len(pool))
+        init(self, basis, pool)
+
+    monkeypatch.setattr(PoolScreen, "__init__", counting)
+    oada.run_adapt(h4.ham, h4.pool, n_electrons=h4.n_electrons, eps=1e-8, max_ops=3)
+    assert built == [len(h4.pool)]
+    built.clear()
+    oada.pipeline(h4.mol, h4.ham, h4.pool, "fci", 2, 4)
+    assert built == [len(h4.pool)] * 2
+
+
+def test_a_pool_screen_refuses_a_state_of_another_basis(h4):
+    plan = PoolScreen(Basis.sector(h4.n, h4.n_electrons), h4.pool)
+    state = prepare_hf(h4.n, h4.n_electrons)  # in the full basis
+    with pytest.raises(ValueError, match="another basis"):
+        screen_energy_gradients(state, h4.full, plan)
+    with pytest.raises(ValueError, match="another basis"):
+        screen_overlap_gradients(state, state, plan)
+
+
+def test_an_empty_pool_screens_to_nothing_and_is_refused_by_the_loops(h4):
+    state = prepare_hf(h4.n, h4.n_electrons, Basis.sector(h4.n, h4.n_electrons))
+    assert PoolScreen(state.basis, []).brackets(state.amplitudes,
+                                                state.amplitudes).shape == (0,)
+    assert screen_energy_gradients(state, h4.ham, []).shape == (0,)
+    with pytest.raises(ValueError, match="ADAPT pool is empty"):
+        oada.run_adapt(h4.ham, [], n_electrons=h4.n_electrons)
+    with pytest.raises(ValueError, match="overlap pool is empty"):
+        oada.run_overlap_adapt(state, [], 3, n_electrons=h4.n_electrons)
