@@ -88,7 +88,7 @@ class GrowthTrace:
 
 def _pool_screen(pool, basis):
     """`pool` itself when it is a `PoolScreen` on `basis`; a list of pool
-    operators gets a plan for one screen.
+    operators gets a new plan.
 
     Raises:
         ValueError: when the plan was built on another basis.
@@ -123,13 +123,14 @@ def select_operator(grads) -> int:
     return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
 
 
-def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
+def grow(ansatz: Ansatz, pool: PoolScreen, basis: Basis, screen, objective, make_record,
          trace: GrowthTrace, *, threshold, budget, stage):
     """Grow `ansatz` in place until the gradient or budget stop fires.
 
     Args:
         ansatz: the starting ansatz; operators are appended to it and its
             angles re-optimized.
+        pool: the run's pool screen; its `operators` are the candidates.
         basis: the basis the ansatz state is simulated in.
         screen: state -> zero-angle gradient of every pool operator.
         objective: angles -> (value, gradient) of `ansatz`, minimized.
@@ -150,7 +151,7 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
     if not threshold > 0 and budget is None:
         raise ValueError(f"need a stopping rule: {stage} threshold {threshold} "
                          "with no budget never stops")
-    if not pool:
+    if not pool.operators:
         raise ValueError(f"the {stage} pool is empty: there is no operator to screen")
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
@@ -165,7 +166,7 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
             trace.stop_reason = "budget"
             return trace
         iteration += 1
-        ansatz.append(pool[best].excitation, 0.0)
+        ansatz.append(pool.operators[best].excitation, 0.0)
         result = minimize(objective, ansatz.thetas, hess_inv0=hess_inv)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         hess_inv = result.hess_inv
@@ -176,7 +177,7 @@ def grow(ansatz: Ansatz, pool, basis: Basis, screen, objective, make_record,
                        "%s iteration %d: optimizer stopped by %s "
                        "(gradient norm %.2e)", stage, iteration, result.stop,
                        result.gradient_norm)
-        trace.records.append(make_record(iteration, pool[best], gmax, result))
+        trace.records.append(make_record(iteration, pool.operators[best], gmax, result))
 
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
@@ -187,7 +188,8 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
     Args:
         hamiltonian: QubitOperator, or an operator already projected onto
             the Hartree-Fock sector (`Basis.sector(...).project`).
-        pool: operators from `build_pool`.
+        pool: operators from `build_pool`, or a `PoolScreen` of them on the
+            Hartree-Fock sector, which the run then screens with.
         init: starting ansatz; None starts from Hartree-Fock (requires
             n_electrons).
         eps: stop when the largest screening-gradient magnitude is below
@@ -221,8 +223,8 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
             thetas=tuple(ansatz.thetas),
         )
 
-    screen = PoolScreen(h_eval.basis, pool)
-    trace = grow(ansatz, pool, h_eval.basis,
+    screen = _pool_screen(pool, h_eval.basis)
+    trace = grow(ansatz, screen, h_eval.basis,
                  lambda psi: screen_energy_gradients(psi, h_eval, screen),
                  lambda theta: energy_and_gradient(ansatz, h_eval, theta),
                  record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,

@@ -17,6 +17,11 @@ accepted step has lowered the objective by no more than
 gradient component is already below `NEAR_MISS` * gtol, the next line
 search could only compare rounding errors, so the loop ends there
 instead of spending tens of evaluations on a search that fails.
+
+A failed line search is reported by the result's `stop`, not by scipy's
+warning: one filter, entered once per solve around the loop, ignores the
+RuntimeWarnings whose message matches ".*line search". Every other
+warning, the objective's own included, reaches the caller.
 """
 
 from __future__ import annotations
@@ -109,17 +114,21 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     """
     theta = np.array(theta0, dtype=float)
     hess_inv = _initial_hess_inv(hess_inv0, len(theta))
-    # the memo: (theta, value, gradient) of the latest and of the lowest evaluation
-    n_evals, latest, best = 0, None, None
+    # the memo: (theta, value, gradient) of the latest and of the lowest
+    # evaluation, and the latest theta as a list of floats, which compares as
+    # np.array_equal does (by value, and a NaN never equals itself) in a
+    # fraction of its time
+    n_evals, latest, latest_key, best = 0, None, None, None
 
     def evaluate(x):
-        nonlocal n_evals, latest, best
-        if latest is None or not np.array_equal(x, latest[0]):
+        nonlocal n_evals, latest, latest_key, best
+        key = x.tolist()
+        if key != latest_key:
             n_evals += 1
             value, grad = objective(x)
             if not np.isfinite(value):
                 raise ObjectiveError(f"objective evaluated to {value} at theta={x}")
-            latest = (x, float(value), np.asarray(grad, dtype=float))
+            latest, latest_key = (x, float(value), np.asarray(grad, dtype=float)), key
             if best is None or latest[1] < best[1]:
                 best = latest
         return latest
@@ -129,38 +138,40 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     old_value = value + np.linalg.norm(grad) / 2
     gnorm = np.max(np.abs(grad), initial=0.0)
     n_iter, stop = 0, "gtol"
-    while gnorm > gtol:
-        if n_iter == max_iter:
-            stop = "max_iter"
-            break
-        direction = -hess_inv @ grad
-        with warnings.catch_warnings():
-            # scipy warns when the search fails (its LineSearchWarning, a
-            # RuntimeWarning); the result reports it as the stop "line search"
-            warnings.filterwarnings("ignore", ".*line search", RuntimeWarning)
+    with warnings.catch_warnings():
+        # scipy warns when a line search fails (its LineSearchWarning, a
+        # RuntimeWarning); the result reports it as the stop "line search"
+        warnings.filterwarnings("ignore", ".*line search", RuntimeWarning)
+        while gnorm > gtol:
+            if n_iter == max_iter:
+                stop = "max_iter"
+                break
+            direction = -hess_inv @ grad
             alpha, _, _, new_value, _, new_grad = line_search(
                 lambda x: evaluate(x)[1], lambda x: evaluate(x)[2], theta, direction,
                 grad, value, old_value, c1=1e-4, c2=0.9)
-        if new_grad is None:
-            stop = "line search"
-            break
-        step = alpha * direction
-        theta = theta + step
-        n_iter += 1
-        if callback is not None:
-            callback(np.copy(theta))
-        old_value, value = value, new_value
-        change, grad = new_grad - grad, new_grad
-        curvature = change @ step
-        if curvature > 0:
-            # Nocedal & Wright eq. 6.17, expanded to O(n^2)
-            rho, h_change = 1.0 / curvature, hess_inv @ change
-            hess_inv = (hess_inv + (rho * rho * (change @ h_change) + rho) * np.outer(step, step)
-                        - rho * (np.outer(step, h_change) + np.outer(h_change, step)))
-        gnorm = np.max(np.abs(grad))
-        if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
-            stop = "floor"
-            break
+            if new_grad is None:
+                stop = "line search"
+                break
+            step = alpha * direction
+            theta = theta + step
+            n_iter += 1
+            if callback is not None:
+                callback(np.copy(theta))
+            old_value, value = value, new_value
+            change, grad = new_grad - grad, new_grad
+            curvature = change @ step
+            if curvature > 0:
+                # Nocedal & Wright eq. 6.17, expanded to O(n^2); the outer
+                # products are np.outer's own broadcast multiply
+                rho, h_change = 1.0 / curvature, hess_inv @ change
+                column, h_column = step[:, None], h_change[:, None]
+                hess_inv = (hess_inv + (rho * rho * (change @ h_change) + rho) * (column * step)
+                            - rho * (column * h_change + h_column * step))
+            gnorm = np.max(np.abs(grad))
+            if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
+                stop = "floor"
+                break
     theta, value, grad = best
     gnorm = float(np.max(np.abs(grad), initial=0.0))
     return OptimizeResult(theta, value, n_evals, stop == "gtol" and gnorm <= gtol, gnorm,

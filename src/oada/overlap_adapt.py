@@ -27,9 +27,8 @@ from .adapt import GrowthTrace, _pool_screen, grow, run_adapt
 # Not called here: the benchmark's tracer patches these names, so they must exist.
 from .optimizer import minimize  # noqa: F401
 from .statevector import energy_and_gradient  # noqa: F401
-from .statevector import (Ansatz, Basis, PoolScreen, Statevector, _pair_bracket,
-                          apply_ansatz, apply_excitation, expectation, overlap,
-                          overlap_and_gradient)
+from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
+                          apply_excitation, expectation, overlap, overlap_and_gradient)
 
 __all__ = [
     "OverlapRecord",
@@ -117,6 +116,8 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
     influences selection).
     The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
     it is already projected; the reference is extracted into it once.
+    `pool` is a list of pool operators, or a `PoolScreen` of them on that
+    sector, which the run then screens with.
 
     Returns:
         (optimized Ansatz, GrowthTrace of OverlapRecords)
@@ -147,8 +148,8 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
             thetas=tuple(ansatz.thetas),
         )
 
-    screen = PoolScreen(basis, pool)
-    trace = grow(ansatz, pool, basis,
+    screen = _pool_screen(pool, basis)
+    trace = grow(ansatz, screen, basis,
                  lambda psi: screen_overlap_gradients(target, psi, screen),
                  objective, record, GrowthTrace(OverlapRecord.COLUMNS),
                  threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
@@ -209,7 +210,8 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
 
     The Hamiltonian is projected onto the Hartree-Fock sector once (an
     operator already projected onto it is used as it is); the target and
-    both stages live in that sector.
+    both stages live in that sector, and both screen the pool through one
+    `PoolScreen`.
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
@@ -225,8 +227,9 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
         ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
         target_wavefunction=target_wavefunction)
+    screen = _pool_screen(pool, h_sector.basis)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
-        target, pool, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector)
+        target, screen, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector)
     ansatz, adapt_trace = run_adapt(
-        h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total, e_ref=e_ref)
+        h_sector, screen, init=overlap_ansatz, eps=eps, max_ops=p_total, e_ref=e_ref)
     return PipelineResult(ansatz, adapt_trace, overlap_trace, target, target_energy)

@@ -25,10 +25,15 @@ keeps the rotated rows, psi_k on pairs k, as a tape of at most m * dim
 amplitudes (an excitation moves each position at most once). The adjoint
 sweep of both gradients turns back only lambda = H|psi> (or the target),
 with G^T: two gathers, two scatters and two 2x2 products per evolution,
-plus one Hamiltonian application. The m gradient brackets are summed in
-one pass over concatenated rows (`_run_brackets`). A pool screen is the
+plus one Hamiltonian application. An ansatz keeps the sweep's plan for the
+basis it was last evaluated in (`_Sweep`): its pairs, the Hartree-Fock
+amplitudes and two buffers that hold the tape and the turned-back rows
+side by side, so the m gradient brackets are one pass of products and
+`np.add.reduceat` over them, with nothing looked up, concatenated or
+sized per evaluation; the plan is not re-entrant. A pool screen is the
 same sum over the pool's pairs: a `PoolScreen`, built once per run, keeps
-them as one table and gathers into fixed buffers, bit for bit the same.
+them as one table and gathers into fixed buffers. Both give the brackets
+of the rows concatenated afresh, bit for bit.
 """
 
 from __future__ import annotations
@@ -379,17 +384,11 @@ def _givens(thetas):
     return np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
 
 
-def _evolve(amps, pairs, givens):
-    """amps[pairs] = givens @ amps[pairs], in place; returns the rotated rows."""
-    rows = givens.dot(amps[pairs])
-    amps[pairs] = rows
-    return rows
-
-
 def apply_excitation(state: Statevector, excitation, theta: float) -> Statevector:
     """Return exp(theta T)|state> for a single or double qubit excitation."""
     out = state.copy()
-    _evolve(out.amplitudes, state.basis.pairs(excitation), _givens(theta)[0])
+    pairs = state.basis.pairs(excitation)
+    out.amplitudes[pairs] = _givens(theta)[0].dot(out.amplitudes[pairs])
     return out
 
 
@@ -398,13 +397,17 @@ class Ansatz:
     """Ordered (excitation, angle) list applied to the Hartree-Fock state.
 
     Entry 0 is applied first, matching left-appension of newly selected
-    operators.
+    operators. The kernels keep a plan of the adjoint sweep on the ansatz
+    (`_Sweep`) for the basis it was last evaluated in; it is rebuilt
+    whenever that basis, the electron count or the excitation list
+    changes, so the fields may be edited freely. `copy` starts without one.
     """
 
     n_qubits: int
     n_electrons: int
     excitations: list = field(default_factory=list)
     thetas: list = field(default_factory=list)
+    _sweep: object = field(default=None, init=False, repr=False, compare=False)
 
     def append(self, excitation, theta=0.0):
         self.excitations.append(excitation)
@@ -417,19 +420,104 @@ class Ansatz:
     def __len__(self):
         return len(self.excitations)
 
+    def _sweep_in(self, basis):
+        """The kept sweep plan for `basis`, rebuilt unless it was built for
+        this very basis object, electron count and excitation list."""
+        sweep = self._sweep
+        if (sweep is None or sweep.basis is not basis or sweep.n_electrons != self.n_electrons
+                or sweep.excitations != self.excitations):
+            sweep = self._sweep = _Sweep(self, basis)
+        return sweep
+
+
+class _Sweep:
+    """An ansatz's plan of the taped adjoint sweep in one basis.
+
+    Built once from the excitations (pairs through `Basis._pairs_of`): it
+    keeps every evolution's pairs, the Hartree-Fock amplitudes, the start of
+    each non-empty run and two (2, total) buffers laid out as the
+    evolutions' rows concatenated in order: `tape`, which the forward pass
+    fills with each evolution's rotated rows of psi_k, and the rows of the
+    left vector, which `brackets` fills as it turns that vector back. The
+    row buffer takes the dtype of each call's left vector; the tape holds
+    the real forward state.
+
+    The buffers are shared by every evaluation of the ansatz, so a plan is
+    not re-entrant: evaluate one ansatz in one thread at a time, and finish
+    one evaluation before starting the next. Returned states and brackets
+    are new arrays, never views of the buffers.
+    """
+
+    def __init__(self, ansatz: Ansatz, basis: Basis):
+        self.basis = basis
+        self.n_electrons = ansatz.n_electrons
+        self.excitations = list(ansatz.excitations)
+        self.hf = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis).amplitudes
+        self.pairs = basis._pairs_of(self.excitations)
+        sizes = np.array([p.shape[1] for p in self.pairs], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        # reduceat returns the start element, not 0, for an empty run.
+        self._nonempty = sizes > 0
+        self._starts = starts[self._nonempty]
+        self._runs = [slice(a, a + n) for a, n in zip(starts.tolist(), sizes.tolist())]
+        self._total = int(sizes.sum())
+        self.tape, self._tape_runs = self._buffer(np.float64)
+        self._rows, self._row_runs = self._buffer(np.float64)
+
+    def _buffer(self, dtype):
+        """A (2, total) buffer and its view of each evolution's run."""
+        buffer = np.empty((2, self._total), dtype)
+        return buffer, [buffer[:, run] for run in self._runs]
+
+    def forward(self, givens):
+        """The amplitudes of the ansatz at the angles of `givens`, as a new
+        array; the tape receives each evolution's rotated rows."""
+        amps = self.hf.copy()
+        for pairs, g, taped in zip(self.pairs, givens, self._tape_runs):
+            rows = g.dot(amps[pairs])
+            amps[pairs] = rows
+            taped[...] = rows
+        return amps
+
+    def brackets(self, givens, left):
+        """<left_k|T_k|psi_k> for every k, as a new array: psi_k's rows from
+        the tape of the last `forward`, left_k a copy of `left` with
+        evolutions k+1, k+2, ... undone by G^T. Each run sums
+        conj(left_k[dst]) psi_k[src] - conj(left_k[src]) psi_k[dst], 0 when
+        the evolution has no pairs."""
+        dtype = np.result_type(left, self.tape)
+        brackets = np.zeros(len(self.pairs), dtype)
+        if not self.pairs:
+            return brackets
+        if self._rows.dtype != dtype:
+            self._rows, self._row_runs = self._buffer(dtype)
+        left = np.array(left, dtype)
+        back = givens.transpose(0, 2, 1)
+        for pairs, g, kept in zip(self.pairs[:0:-1], back[:0:-1], self._row_runs[:0:-1]):
+            rows = left[pairs]
+            kept[...] = rows
+            left[pairs] = g.dot(rows)
+        self._row_runs[0][...] = left[self.pairs[0]]
+        lrows, rrows = self._rows, self.tape
+        np.conjugate(lrows, out=lrows)
+        terms = np.multiply(lrows[1], rrows[0], out=lrows[1])
+        np.subtract(terms, np.multiply(lrows[0], rrows[1], out=lrows[0]), out=terms)
+        brackets[self._nonempty] = np.add.reduceat(terms, self._starts)
+        return brackets
+
 
 def _forward(ansatz: Ansatz, thetas, basis):
-    """(state, pairs, givens, tape) of the ansatz applied to Hartree-Fock in
-    `basis`: per evolution its pairs, its G and the tape's psi_k rows.
+    """(state, givens, sweep) of the ansatz applied to Hartree-Fock in
+    `basis` (the full 2^N space when None): the state, every evolution's G
+    and the ansatz's kept sweep plan, whose tape holds the psi_k rows.
     A wrong number of angles raises ValueError."""
     thetas = ansatz.thetas if thetas is None else thetas
     if len(thetas) != len(ansatz):
         raise ValueError(f"{len(thetas)} angles for an ansatz of {len(ansatz)} evolutions")
-    state = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis)
-    pairs = [state.basis.pairs(e) for e in ansatz.excitations]
+    sweep = ansatz._sweep_in(Basis.full(ansatz.n_qubits) if basis is None else basis)
     givens = _givens(np.asarray(thetas, dtype=np.float64))
-    tape = [_evolve(state.amplitudes, p, g) for p, g in zip(pairs, givens)]
-    return state, pairs, givens, tape
+    state = Statevector(ansatz.n_qubits, sweep.forward(givens), sweep.basis)
+    return state, givens, sweep
 
 
 def apply_ansatz(ansatz: Ansatz, thetas=None, basis: Basis = None) -> Statevector:
@@ -462,36 +550,24 @@ def _pair_bracket(left, right, pairs):
     return np.vdot(left[dst], right[src]) - np.vdot(left[src], right[dst])
 
 
-def _run_brackets(left, right, pairs):
-    """<left|T|right> per excitation from rows gathered at its (2, n) pairs
-    and concatenated in order: each run sums
-    conj(left[dst]) right[src] - conj(left[src]) right[dst], 0 when empty."""
-    sizes = np.array([p.shape[1] for p in pairs], dtype=np.int64)
-    brackets = np.zeros(len(sizes), dtype=np.result_type(left, right))
-    left = left.conj()  # no copy for real amplitudes
-    terms = left[1] * right[0] - left[0] * right[1]
-    # reduceat returns the start element, not 0, for an empty run.
-    nonempty = sizes > 0
-    brackets[nonempty] = np.add.reduceat(terms, (np.cumsum(sizes) - sizes)[nonempty])
-    return brackets
-
-
 class PoolScreen:
     """The brackets <left|T|right> of every pool operator in one basis, from
     state vectors of that basis: the screen both growth stages run on each
     iteration.
 
-    Built once per run: it keeps the pool's pairs as one (2, P) table, the
-    start of each operator's run in it, and work buffers for the gathered
-    rows, so a screen allocates nothing of the table's size. The buffers
-    are shared by every call, so a plan belongs to one run and is not
-    re-entrant. Its brackets are bit-identical to `_run_brackets` of the
-    gathered rows.
+    Built once per run: it keeps the pool's operators (`operators`), their
+    pairs as one (2, P) table, the start of each operator's run in it, and
+    work buffers for the gathered rows, so a screen allocates nothing of
+    the table's size. The buffers are shared by every call, so a plan
+    belongs to one run, or to the stages of one pipeline, and is not
+    re-entrant. Its brackets are bit-identical to those of the rows
+    gathered and concatenated afresh.
     """
 
     def __init__(self, basis: Basis, pool):
         self.basis = basis
-        pairs = basis._pairs_of([op.excitation for op in pool])
+        self.operators = list(pool)
+        pairs = basis._pairs_of([op.excitation for op in self.operators])
         sizes = np.array([p.shape[1] for p in pairs], dtype=np.int64)
         self._table = (np.concatenate(pairs, axis=1) if pairs
                        else np.empty((2, 0), dtype=np.int64))
@@ -519,21 +595,6 @@ class PoolScreen:
         return brackets
 
 
-def _adjoint_brackets(pairs, givens, tape, left):
-    """<left_k|T_k|psi_k> for every k: psi_k's rows from the forward tape,
-    left_k a copy of `left` with evolutions k+1, k+2, ... undone by G^T."""
-    if not pairs:
-        return np.zeros(0, dtype=left.dtype)
-    left = left.copy()
-    back = givens.transpose(0, 2, 1)
-    rows = [None] * len(pairs)
-    for k in range(len(pairs) - 1, 0, -1):
-        rows[k] = left[pairs[k]]
-        left[pairs[k]] = back[k].dot(rows[k])
-    rows[0] = left[pairs[0]]
-    return _run_brackets(np.concatenate(rows, axis=1), np.concatenate(tape, axis=1), pairs)
-
-
 def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
     """E(theta) = <psi|H|psi> and dE/dtheta_k for all k via a reverse sweep.
 
@@ -549,12 +610,12 @@ def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
     if not isinstance(h, ProjectedOperator):
         raise TypeError(f"energy_and_gradient needs a ProjectedOperator, "
                         f"not {type(h).__name__}")
-    state, pairs, givens, tape = _forward(ansatz, thetas, h.basis)
+    state, givens, sweep = _forward(ansatz, thetas, h.basis)
     lam = h.matrix @ state.amplitudes
     energy = np.vdot(state.amplitudes, lam)
     if abs(energy.imag) > 1e-10 * max(1.0, abs(energy.real)):
         raise ValueError("non-hermitian operator in energy evaluation")
-    grad = 2.0 * _adjoint_brackets(pairs, givens, tape, lam).real
+    grad = 2.0 * sweep.brackets(givens, lam).real
     return float(energy.real), grad
 
 
@@ -563,9 +624,9 @@ def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
     in the target's basis; a wrong number of angles raises ValueError."""
     if target.n_qubits != ansatz.n_qubits:
         raise ValueError("target size mismatch")
-    state, pairs, givens, tape = _forward(ansatz, thetas, target.basis)
+    state, givens, sweep = _forward(ansatz, thetas, target.basis)
     c = np.vdot(target.amplitudes, state.amplitudes)
-    brackets = _adjoint_brackets(pairs, givens, tape, target.amplitudes)
+    brackets = sweep.brackets(givens, target.amplitudes)
     return float(abs(c) ** 2), 2.0 * (np.conjugate(c) * brackets).real
 
 

@@ -1,5 +1,4 @@
-"""The taped adjoint sweep of both gradients against a sweep that turns
-back both vectors.
+"""The taped adjoint sweep of both gradients against two references.
 
 `reference_reverse_brackets` is the adjoint sweep written out step by
 step: it un-applies every evolution from both psi and the left vector
@@ -7,9 +6,14 @@ with an elementwise Givens turn and reads <left_k|T_k|psi_k> off the
 turned-back vectors. The kernel instead keeps the forward pass's rotated
 rows of psi and turns back only the left vector; both gradients must
 agree with the reference to 1e-12.
+
+`reference_kernels` keeps the kernel's former per-evaluation path (a pair
+lookup per evolution, a list tape and two concatenations); the kept sweep
+plan must give exactly its values, through the plan's whole life cycle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import pytest
 from oada.overlap_adapt import pipeline
 from oada.statevector import (Ansatz, Basis, Statevector, apply_ansatz, energy_and_gradient,
                               overlap_and_gradient, prepare_hf)
+import reference_kernels as reference
 
 TOL = 1e-12
 
@@ -167,3 +172,99 @@ def test_overlap_stage_energies_equal_the_energy_objective(h6, h6_cipsi_pipeline
             prefix = Ansatz(problem.n, problem.n_electrons,
                             list(ansatz.excitations[:rec.n_params]), list(rec.thetas))
             assert rec.energy == energy_and_gradient(prefix, problem.sector)[0]
+
+
+def assert_bit_identical(ansatz, h, target):
+    """Energy, overlap and both gradients exactly equal to the former path's."""
+    e, g = energy_and_gradient(ansatz, h)
+    e_ref, g_ref = reference.energy_and_gradient(ansatz, h)
+    f, go = overlap_and_gradient(ansatz, target)
+    f_ref, go_ref = reference.overlap_and_gradient(ansatz, target)
+    assert e == e_ref and np.array_equal(g, g_ref)
+    assert f == f_ref and np.array_equal(go, go_ref)
+
+
+@pytest.mark.parametrize("name, m", [("h6", 30), ("beh2_stretched", 20), ("n2", 20)])
+def test_sector_evaluations_are_bit_identical_to_the_former_path(request, name, m):
+    problem = request.getfixturevalue(name)
+    h = problem.sector
+    rng = np.random.default_rng(100 + m)
+    ansatz = _random_ansatz(rng, problem.pool, problem.n, problem.n_electrons, m)
+    for _ in range(3):  # the plan's buffers are reused from the second call on
+        ansatz.thetas = list(rng.uniform(-1.0, 1.0, m))
+        assert_bit_identical(ansatz, h, _random_state(rng, h.basis))
+
+
+def test_full_space_evaluations_are_bit_identical_for_complex_then_real_targets(h4):
+    rng = np.random.default_rng(31)
+    ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 8)
+    basis = h4.full.basis
+    for complex_target in (True, False, True):  # the row buffer changes dtype each time
+        assert_bit_identical(ansatz, h4.full, _random_state(rng, basis, complex_target))
+
+
+def test_the_kept_plan_follows_edits_bases_and_copies(h4):
+    rng = np.random.default_rng(37)
+    sector, full = h4.sector, h4.full
+    ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 5)
+    target = _random_state(rng, sector.basis)
+    assert_bit_identical(ansatz, sector, target)
+    ansatz.append(h4.pool[0].excitation, 0.4)
+    assert_bit_identical(ansatz, sector, target)
+    ansatz.excitations[2] = h4.pool[-1].excitation  # replaced in place
+    assert_bit_identical(ansatz, sector, target)
+    for h in (full, sector):  # sector, then full, then sector again
+        assert_bit_identical(ansatz, h, _random_state(rng, h.basis, h is full))
+    other = ansatz.copy()
+    other.append(h4.pool[3].excitation, -0.2)
+    other.thetas[0] = 0.9
+    assert_bit_identical(other, sector, target)
+    assert_bit_identical(ansatz, sector, target)
+    assert np.array_equal(apply_ansatz(ansatz, basis=sector.basis).amplitudes,
+                          reference.forward(ansatz, sector.basis)[0].amplitudes)
+
+
+def test_returned_states_and_gradients_outlive_later_evaluations(h6):
+    rng = np.random.default_rng(41)
+    h = h6.sector
+    ansatz = _random_ansatz(rng, h6.pool, h6.n, h6.n_electrons, 12)
+    target = _random_state(rng, h.basis)
+    state = apply_ansatz(ansatz, basis=h.basis)
+    _, grad = energy_and_gradient(ansatz, h)
+    _, overlap_grad = overlap_and_gradient(ansatz, target)
+    kept = [a.copy() for a in (state.amplitudes, grad, overlap_grad)]
+    for _ in range(2):
+        thetas = list(rng.uniform(-1.0, 1.0, len(ansatz)))
+        energy_and_gradient(ansatz, h, thetas)
+        overlap_and_gradient(ansatz, _random_state(rng, h.basis, True), thetas)
+        apply_ansatz(ansatz, thetas, h.basis)
+    for now, before in zip((state.amplitudes, grad, overlap_grad), kept):
+        assert np.array_equal(now, before)
+
+
+def test_a_wrong_number_of_angles_is_refused_by_a_built_plan(h4):
+    rng = np.random.default_rng(43)
+    ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 3)
+    energy_and_gradient(ansatz, h4.sector)  # builds the plan
+    with pytest.raises(ValueError, match="2 angles for an ansatz of 3 evolutions"):
+        energy_and_gradient(ansatz, h4.sector, [0.1, 0.2])
+    ansatz.append(h4.pool[0].excitation)
+    with pytest.raises(ValueError, match="3 angles for an ansatz of 4 evolutions"):
+        overlap_and_gradient(ansatz, _random_state(rng, h4.sector.basis), [0.1] * 3)
+
+
+def test_an_evaluation_with_a_built_plan_allocates_little(beh2_stretched):
+    # the former path peaked at 295 kB: a pair lookup per evolution, a list
+    # tape and two concatenations of up to m * dim amplitudes
+    h = beh2_stretched.sector
+    rng = np.random.default_rng(47)
+    ansatz = _random_ansatz(rng, beh2_stretched.pool, beh2_stretched.n,
+                            beh2_stretched.n_electrons, 20)
+    energy_and_gradient(ansatz, h)  # builds the plan
+    tracemalloc.start()
+    try:
+        energy_and_gradient(ansatz, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 1024

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oada
+from oada import adapt
 from oada.optimizer import FLOOR_K, NEAR_MISS, minimize
 from oada.statevector import Ansatz, energy_and_gradient
 
@@ -246,3 +247,49 @@ def test_hess_inv0_is_checked_before_the_first_evaluation():
 
     with pytest.raises(ValueError, match="does not fit"):
         minimize(never, np.zeros(2), hess_inv0=np.eye(3))
+
+
+def test_a_warning_of_the_objective_still_reaches_the_caller():
+    # the line-search filter ignores only messages about the line search
+    def noisy(theta):
+        warnings.warn("objective saw a tiny overlap", RuntimeWarning, stacklevel=2)
+        return quadratic(np.ones(2))(theta)
+
+    with pytest.warns(RuntimeWarning, match="tiny overlap") as caught:
+        result = minimize(noisy, np.zeros(2), gtol=1e-9)
+    assert result.stop == "gtol"
+    # one warning per evaluation: the first outside the loop, the rest inside it
+    assert len(caught) == result.n_evaluations > 1
+
+
+def test_a_nan_theta_never_hits_the_memo():
+    # the search walks from a NaN angle; each of its points is asked for a
+    # value and then for a gradient, and a NaN point must be evaluated twice
+    calls = []
+
+    def objective(theta):
+        calls.append(theta.tobytes())
+        d = np.nan_to_num(theta) - 1.0
+        return float(d @ d), 2 * d
+
+    result = minimize(objective, np.array([np.nan, 0.0]))
+    assert result.n_evaluations == len(calls)
+    assert any(a == b for a, b in zip(calls, calls[1:]))
+
+
+def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkeypatch):
+    # the benchmark's three solves, counted as its tracer counts them
+    counted = []
+    solve = adapt.minimize
+
+    def counting(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        counted.append(result.n_evaluations)
+        return result
+
+    monkeypatch.setattr(adapt, "minimize", counting)
+    oada.run_adapt(h6.ham, h6.pool, n_electrons=h6.n_electrons, eps=1e-8, max_ops=30)
+    oada.pipeline(h6.mol, h6.ham, h6.pool, "cipsi", 20, 30, cipsi_max_dets=50)
+    oada.pipeline(beh2_stretched.mol, beh2_stretched.ham, beh2_stretched.pool, "fci", 10, 20)
+    assert [sum(counted[:30]), sum(counted[30:60]), sum(counted[60:])] == [564, 598, 191]
+    assert len(counted) == 80

@@ -10,9 +10,10 @@ from oada.overlap_adapt import screen_overlap_gradients
 from oada.pauli import QubitOperator
 from oada.pool import DoubleExcitation, SingleExcitation
 from oada.statevector import (Ansatz, Basis, PoolScreen, Statevector, _pair_bracket,
-                              _run_brackets, apply_ansatz, apply_excitation,
-                              energy_and_gradient, expectation, format_state, overlap,
-                              overlap_and_gradient, prepare_hf)
+                              apply_ansatz, apply_excitation, energy_and_gradient,
+                              expectation, format_state, overlap, overlap_and_gradient,
+                              prepare_hf)
+from reference_kernels import pool_brackets
 
 
 def test_prepare_hf_examples():
@@ -310,14 +311,6 @@ def test_gradient_sweeps_leave_their_inputs_alone(h4):
     assert ansatz.thetas == thetas
 
 
-def reference_pool_brackets(left, right, basis, excitations):
-    """The pool screen before `PoolScreen`: look the pairs up, concatenate
-    them and gather fresh rows on every call."""
-    pairs = basis._pairs_of(excitations)
-    gathered = np.concatenate(pairs, axis=1)
-    return _run_brackets(left[gathered], right[gathered], pairs)
-
-
 @pytest.mark.parametrize("name", ["h6", "beh2_stretched", "n2"])
 def test_pool_screen_brackets_are_bit_identical_to_the_reference(name, request):
     problem = request.getfixturevalue(name)
@@ -328,7 +321,7 @@ def test_pool_screen_brackets_are_bit_identical_to_the_reference(name, request):
     for _ in range(3):  # the buffers are reused from the second call on
         left, right = rng.normal(size=(2, basis.dim))
         assert np.array_equal(plan.brackets(left, right),
-                              reference_pool_brackets(left, right, basis, excitations))
+                              pool_brackets(left, right, basis, excitations))
 
 
 def test_pool_screen_brackets_follow_the_dtype_of_each_call(h4):
@@ -342,7 +335,7 @@ def test_pool_screen_brackets_follow_the_dtype_of_each_call(h4):
         brackets = plan.brackets(left, right)
         assert brackets.dtype == np.result_type(left, right)
         assert np.array_equal(brackets,
-                              reference_pool_brackets(left, right, basis, excitations))
+                              pool_brackets(left, right, basis, excitations))
 
 
 def test_pool_screen_calls_return_independent_arrays(h6):
@@ -384,7 +377,17 @@ def test_each_growth_stage_builds_one_pool_screen(h4, monkeypatch):
     assert built == [len(h4.pool)]
     built.clear()
     oada.pipeline(h4.mol, h4.ham, h4.pool, "fci", 2, 4)
-    assert built == [len(h4.pool)] * 2
+    assert built == [len(h4.pool)]  # both stages screen through one plan
+
+
+def test_a_growth_stage_screens_with_a_given_pool_screen(h4):
+    plan = PoolScreen(h4.sector.basis, h4.pool)
+    _, with_plan = oada.run_adapt(h4.sector, plan, n_electrons=h4.n_electrons, max_ops=3)
+    _, with_list = oada.run_adapt(h4.sector, h4.pool, n_electrons=h4.n_electrons, max_ops=3)
+    assert [r.csv_row() for r in with_plan.records] == [r.csv_row() for r in with_list.records]
+    full_plan = PoolScreen(Basis.full(h4.n), h4.pool)
+    with pytest.raises(ValueError, match="another basis"):
+        oada.run_adapt(h4.ham, full_plan, n_electrons=h4.n_electrons, max_ops=3)
 
 
 def test_a_pool_screen_refuses_a_state_of_another_basis(h4):
