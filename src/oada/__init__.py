@@ -22,7 +22,7 @@ from .pauli import (PauliString, QubitOperator, format_operator, jw_annihilation
                     jw_creation, jw_hamiltonian)
 from .pool import (DoubleExcitation, PoolOperator, SingleExcitation,
                    ansatz_resource_counts, build_pool, cnot_count)
-from .statevector import (Ansatz, Statevector, apply_ansatz, apply_excitation,
+from .statevector import (Ansatz, PoolScreen, Statevector, apply_ansatz, apply_excitation,
                           energy_and_gradient, expectation, overlap,
                           overlap_and_gradient, prepare_hf)
 

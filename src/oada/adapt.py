@@ -86,33 +86,23 @@ class GrowthTrace:
         return self.records[-1].energy if self.records else np.nan
 
 
-def _pool_screen(pool, basis):
-    """`pool` itself when it is a `PoolScreen` on `basis`; a list of pool
-    operators gets a new plan.
-
-    Raises:
-        ValueError: when the plan was built on another basis.
-    """
-    if not isinstance(pool, PoolScreen):
-        return PoolScreen(basis, pool)
-    if pool.basis != basis:
-        raise ValueError("the pool screen was built on another basis than the state's")
-    return pool
-
-
-def screen_energy_gradients(state: Statevector, hamiltonian, pool):
-    """d/dtheta <psi|U^ H U|psi> at theta=0 for every pool operator.
+def screen_energy_gradients(state: Statevector, hamiltonian, pool: PoolScreen):
+    """d/dtheta <psi|U^ H U|psi> at theta=0 for every operator of `pool`,
+    a `PoolScreen` on the state's basis.
 
     Equals <psi|[H, T]|psi> = 2 Re <H psi|T psi> for the anti-hermitian
     generator T; the single H|psi> is shared across all candidates, and all
-    brackets are taken in one pass (`statevector.PoolScreen.brackets`). The
-    Hamiltonian is taken in the state's basis. `pool` is the run's
-    `PoolScreen` on that basis, or a list of pool operators.
+    brackets are taken in one pass (`PoolScreen.brackets`). The
+    Hamiltonian is taken in the state's basis.
+
+    Raises:
+        ValueError: when the pool screen was built on another basis.
     """
     basis = state.basis
-    screen = _pool_screen(pool, basis)
+    if pool.basis != basis:
+        raise ValueError("the pool screen was built on another basis than the state's")
     h_psi = basis.project(hamiltonian).matrix @ state.amplitudes
-    return 2.0 * screen.brackets(h_psi, state.amplitudes).real
+    return 2.0 * pool.brackets(h_psi, state.amplitudes).real
 
 
 def select_operator(grads) -> int:
@@ -123,15 +113,15 @@ def select_operator(grads) -> int:
     return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
 
 
-def grow(ansatz: Ansatz, pool: PoolScreen, basis: Basis, screen, objective, make_record,
+def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, make_record,
          trace: GrowthTrace, *, threshold, budget, stage):
     """Grow `ansatz` in place until the gradient or budget stop fires.
 
     Args:
         ansatz: the starting ansatz; operators are appended to it and its
             angles re-optimized.
-        pool: the run's pool screen; its `operators` are the candidates.
-        basis: the basis the ansatz state is simulated in.
+        pool: the stage's pool screen; its `operators` are the candidates,
+            and the ansatz state is simulated in its basis.
         screen: state -> zero-angle gradient of every pool operator.
         objective: angles -> (value, gradient) of `ansatz`, minimized.
         make_record: (iteration, pool operator, |gradient|, OptimizeResult)
@@ -156,7 +146,7 @@ def grow(ansatz: Ansatz, pool: PoolScreen, basis: Basis, screen, objective, make
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
     while True:
-        grads = screen(apply_ansatz(ansatz, basis=basis))
+        grads = screen(apply_ansatz(ansatz, basis=pool.basis))
         best = select_operator(grads)
         gmax = float(abs(grads[best]))
         if gmax < threshold:
@@ -188,8 +178,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
     Args:
         hamiltonian: QubitOperator, or an operator already projected onto
             the Hartree-Fock sector (`Basis.sector(...).project`).
-        pool: operators from `build_pool`, or a `PoolScreen` of them on the
-            Hartree-Fock sector, which the run then screens with.
+        pool: operators from `build_pool`.
         init: starting ansatz; None starts from Hartree-Fock (requires
             n_electrons).
         eps: stop when the largest screening-gradient magnitude is below
@@ -223,9 +212,8 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
             thetas=tuple(ansatz.thetas),
         )
 
-    screen = _pool_screen(pool, h_eval.basis)
-    trace = grow(ansatz, screen, h_eval.basis,
-                 lambda psi: screen_energy_gradients(psi, h_eval, screen),
+    screen = PoolScreen(h_eval.basis, pool)
+    trace = grow(ansatz, screen, lambda psi: screen_energy_gradients(psi, h_eval, screen),
                  lambda theta: energy_and_gradient(ansatz, h_eval, theta),
                  record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,
                  budget=max_ops, stage="ADAPT")

@@ -23,11 +23,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import ci
-from .adapt import GrowthTrace, _pool_screen, grow, run_adapt
+from .adapt import GrowthTrace, grow, run_adapt
+from .pool import PoolOperator, cnot_count
 # Not called here: the benchmark's tracer patches these names, so they must exist.
 from .optimizer import minimize  # noqa: F401
 from .statevector import energy_and_gradient  # noqa: F401
-from .statevector import (Ansatz, Basis, Statevector, _pair_bracket, apply_ansatz,
+from .statevector import (Ansatz, Basis, PoolScreen, Statevector, apply_ansatz,
                           apply_excitation, expectation, overlap, overlap_and_gradient)
 
 __all__ = [
@@ -62,15 +63,19 @@ class OverlapRecord:
                 f"{self.infidelity!r},{self.energy!r},{self.n_params}")
 
 
-def screen_overlap_gradients(reference: Statevector, state: Statevector, pool):
-    """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per operator,
-    evaluated in the state's basis, all in one pass
-    (`statevector.PoolScreen.brackets`). `pool` is the run's `PoolScreen` on
-    that basis, or a list of pool operators."""
+def screen_overlap_gradients(reference: Statevector, state: Statevector, pool: PoolScreen):
+    """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per
+    operator of `pool`, a `PoolScreen` on the state's basis, all in one pass
+    (`PoolScreen.brackets`).
+
+    Raises:
+        ValueError: when the pool screen was built on another basis.
+    """
     basis = state.basis
-    screen = _pool_screen(pool, basis)
+    if pool.basis != basis:
+        raise ValueError("the pool screen was built on another basis than the state's")
     reference = basis.extract(reference)
-    return np.abs(screen.brackets(reference.amplitudes, state.amplitudes))
+    return np.abs(pool.brackets(reference.amplitudes, state.amplitudes))
 
 
 def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
@@ -90,8 +95,8 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
     if abs(c0) <= 1e-12:
         raise ValueError("current overlap is zero; the four-angle formula is "
                          "singular there, use screen_overlap_gradients instead")
-    direct = _pair_bracket(reference.amplitudes, state.amplitudes,
-                           state.basis.pairs(excitation))
+    one = PoolScreen(state.basis, [PoolOperator(0, excitation, cnot_count(excitation))])
+    direct = one.brackets(reference.amplitudes, state.amplitudes)[0]
     if abs(direct.imag) > 1e-8 * max(1.0, abs(direct)):
         warnings.warn("four-angle formula assumes a real overlap gradient; "
                       f"found imaginary part {direct.imag:.3e}", stacklevel=2)
@@ -116,8 +121,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
     influences selection).
     The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
     it is already projected; the reference is extracted into it once.
-    `pool` is a list of pool operators, or a `PoolScreen` of them on that
-    sector, which the run then screens with.
+    `pool` is a list of pool operators.
 
     Returns:
         (optimized Ansatz, GrowthTrace of OverlapRecords)
@@ -148,9 +152,8 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
             thetas=tuple(ansatz.thetas),
         )
 
-    screen = _pool_screen(pool, basis)
-    trace = grow(ansatz, screen, basis,
-                 lambda psi: screen_overlap_gradients(target, psi, screen),
+    screen = PoolScreen(basis, pool)
+    trace = grow(ansatz, screen, lambda psi: screen_overlap_gradients(target, psi, screen),
                  objective, record, GrowthTrace(OverlapRecord.COLUMNS),
                  threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
     return ansatz, trace
@@ -210,8 +213,8 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
 
     The Hamiltonian is projected onto the Hartree-Fock sector once (an
     operator already projected onto it is used as it is); the target and
-    both stages live in that sector, and both screen the pool through one
-    `PoolScreen`.
+    both stages live in that sector; each stage screens the pool through
+    its own `PoolScreen`.
 
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
@@ -227,9 +230,8 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
         ref_source, h_sector, cipsi_max_dets=cipsi_max_dets,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
         target_wavefunction=target_wavefunction)
-    screen = _pool_screen(pool, h_sector.basis)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
-        target, screen, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector)
+        target, pool, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector)
     ansatz, adapt_trace = run_adapt(
-        h_sector, screen, init=overlap_ansatz, eps=eps, max_ops=p_total, e_ref=e_ref)
+        h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total, e_ref=e_ref)
     return PipelineResult(ansatz, adapt_trace, overlap_trace, target, target_energy)

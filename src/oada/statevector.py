@@ -25,15 +25,18 @@ keeps the rotated rows, psi_k on pairs k, as a tape of at most m * dim
 amplitudes (an excitation moves each position at most once). The adjoint
 sweep of both gradients turns back only lambda = H|psi> (or the target),
 with G^T: two gathers, two scatters and two 2x2 products per evolution,
-plus one Hamiltonian application. An ansatz keeps the sweep's plan for the
-basis it was last evaluated in (`_Sweep`): its pairs, the Hartree-Fock
-amplitudes and two buffers that hold the tape and the turned-back rows
-side by side, so the m gradient brackets are one pass of products and
-`np.add.reduceat` over them, with nothing looked up, concatenated or
-sized per evaluation; the plan is not re-entrant. A pool screen is the
-same sum over the pool's pairs: a `PoolScreen`, built once per run, keeps
-them as one table and gathers into fixed buffers. Both give the brackets
-of the rows concatenated afresh, bit for bit.
+plus one Hamiltonian application.
+
+Both gradient brackets <lambda_k|T_k|psi_k> and the pool screen's
+<left|T_k|right> come from one pair plan (`_PairPlan`): the pairs of a list
+of excitations laid side by side in one row buffer, summed per excitation
+by one pass of products and `np.add.reduceat`. An ansatz keeps the plan of
+its sweep for the basis it was last evaluated in (`_Sweep`), which adds the
+Hartree-Fock amplitudes and the tape; a growth stage builds one
+`PoolScreen`, which adds the pool's operators and one (2, P) gather table.
+Nothing is looked up, concatenated or sized per call, and the plans are not
+re-entrant. Both give the brackets of the rows concatenated afresh, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -169,13 +172,10 @@ class Basis:
         gathers both rows at once.
 
         Raises:
-            ValueError: when an orbital index is out of range, or when the
-                excitation takes a state of this basis out of it.
+            ValueError: when an orbital index is out of range or repeated,
+                or when the excitation takes a state of this basis out of it.
         """
-        pairs = self._pairs.get(excitation)
-        if pairs is None:
-            pairs = self._pairs[excitation] = self._find_pairs([excitation])[0]
-        return pairs
+        return self._pairs_of([excitation])[0]
 
     def _pairs_of(self, excitations):
         """`pairs` of every excitation, pairing the uncached ones in one
@@ -194,9 +194,13 @@ class Basis:
         its sources in ascending order."""
         occupied, empty = [], []
         for e in excitations:
-            for i in e.indices():
+            indices = e.indices()
+            for i in indices:
                 if not 0 <= i < self.n_qubits:
                     raise ValueError(f"orbital index {i} outside [0, {self.n_qubits})")
+            # A repeated index would pair masks of different electron counts.
+            if len(set(indices)) != len(indices):
+                raise ValueError("excitation indices must be distinct")
             if isinstance(e, SingleExcitation):
                 occupied.append(1 << e.q)
                 empty.append(1 << e.p)
@@ -430,30 +434,22 @@ class Ansatz:
         return sweep
 
 
-class _Sweep:
-    """An ansatz's plan of the taped adjoint sweep in one basis.
+class _PairPlan:
+    """The pairs of a list of excitations in one basis, laid out for one
+    bracket sum per excitation.
 
-    Built once from the excitations (pairs through `Basis._pairs_of`): it
-    keeps every evolution's pairs, the Hartree-Fock amplitudes, the start of
-    each non-empty run and two (2, total) buffers laid out as the
-    evolutions' rows concatenated in order: `tape`, which the forward pass
-    fills with each evolution's rotated rows of psi_k, and the rows of the
-    left vector, which `brackets` fills as it turns that vector back. The
-    row buffer takes the dtype of each call's left vector; the tape holds
-    the real forward state.
-
-    The buffers are shared by every evaluation of the ansatz, so a plan is
-    not re-entrant: evaluate one ansatz in one thread at a time, and finish
-    one evaluation before starting the next. Returned states and brackets
-    are new arrays, never views of the buffers.
+    Built once, pairs through `Basis._pairs_of`: each excitation's (2, n)
+    pairs take a run of columns side by side, in order. The plan keeps the
+    pairs, each run's slice (`_runs`), the start of each non-empty run and
+    the row buffer, (2, total) in that layout, with a view of each run
+    (`_buffer`). The row buffer holds a left vector's rows in the result
+    dtype of each call's two vectors; it is shared by every call, so a plan
+    is not re-entrant. Returned brackets are new arrays, never views of it.
     """
 
-    def __init__(self, ansatz: Ansatz, basis: Basis):
+    def __init__(self, basis: Basis, excitations):
         self.basis = basis
-        self.n_electrons = ansatz.n_electrons
-        self.excitations = list(ansatz.excitations)
-        self.hf = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis).amplitudes
-        self.pairs = basis._pairs_of(self.excitations)
+        self.pairs = basis._pairs_of(excitations)
         sizes = np.array([p.shape[1] for p in self.pairs], dtype=np.int64)
         starts = np.cumsum(sizes) - sizes
         # reduceat returns the start element, not 0, for an empty run.
@@ -461,13 +457,47 @@ class _Sweep:
         self._starts = starts[self._nonempty]
         self._runs = [slice(a, a + n) for a, n in zip(starts.tolist(), sizes.tolist())]
         self._total = int(sizes.sum())
-        self.tape, self._tape_runs = self._buffer(np.float64)
         self._rows, self._row_runs = self._buffer(np.float64)
 
     def _buffer(self, dtype):
-        """A (2, total) buffer and its view of each evolution's run."""
+        """A (2, total) buffer and its view of each run."""
         buffer = np.empty((2, self._total), dtype)
         return buffer, [buffer[:, run] for run in self._runs]
+
+    def _rows_in(self, dtype):
+        """The row buffer in `dtype`, reallocated with its views when the
+        last call's dtype differed."""
+        if self._rows.dtype != dtype:
+            self._rows, self._row_runs = self._buffer(dtype)
+        return self._rows
+
+    def _bracket_sum(self, right_rows):
+        """<left|T|right> per excitation, as a new array, from the left rows
+        in the row buffer and `right_rows` in the same layout: each run sums
+        conj(left[dst]) right[src] - conj(left[src]) right[dst], 0 when it
+        is empty. Overwrites the row buffer."""
+        lrows = self._rows
+        np.conjugate(lrows, out=lrows)
+        terms = np.multiply(lrows[1], right_rows[0], out=lrows[1])
+        np.subtract(terms, np.multiply(lrows[0], right_rows[1], out=lrows[0]), out=terms)
+        brackets = np.zeros(len(self.pairs), lrows.dtype)
+        brackets[self._nonempty] = np.add.reduceat(terms, self._starts)
+        return brackets
+
+
+class _Sweep(_PairPlan):
+    """An ansatz's plan of the taped adjoint sweep in one basis: the pair
+    plan of its excitations, the Hartree-Fock amplitudes and the tape, a
+    (2, total) float64 buffer in the plan's layout, which the forward pass
+    fills with each evolution's rotated rows of the real psi_k. `brackets`
+    fills the row buffer as it turns a left vector back."""
+
+    def __init__(self, ansatz: Ansatz, basis: Basis):
+        super().__init__(basis, ansatz.excitations)
+        self.n_electrons = ansatz.n_electrons
+        self.excitations = list(ansatz.excitations)
+        self.hf = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis).amplitudes
+        self.tape, self._tape_runs = self._buffer(np.float64)
 
     def forward(self, givens):
         """The amplitudes of the ansatz at the angles of `givens`, as a new
@@ -482,15 +512,11 @@ class _Sweep:
     def brackets(self, givens, left):
         """<left_k|T_k|psi_k> for every k, as a new array: psi_k's rows from
         the tape of the last `forward`, left_k a copy of `left` with
-        evolutions k+1, k+2, ... undone by G^T. Each run sums
-        conj(left_k[dst]) psi_k[src] - conj(left_k[src]) psi_k[dst], 0 when
-        the evolution has no pairs."""
+        evolutions k+1, k+2, ... undone by G^T."""
         dtype = np.result_type(left, self.tape)
-        brackets = np.zeros(len(self.pairs), dtype)
         if not self.pairs:
-            return brackets
-        if self._rows.dtype != dtype:
-            self._rows, self._row_runs = self._buffer(dtype)
+            return np.zeros(0, dtype)
+        self._rows_in(dtype)
         left = np.array(left, dtype)
         back = givens.transpose(0, 2, 1)
         for pairs, g, kept in zip(self.pairs[:0:-1], back[:0:-1], self._row_runs[:0:-1]):
@@ -498,12 +524,7 @@ class _Sweep:
             kept[...] = rows
             left[pairs] = g.dot(rows)
         self._row_runs[0][...] = left[self.pairs[0]]
-        lrows, rrows = self._rows, self.tape
-        np.conjugate(lrows, out=lrows)
-        terms = np.multiply(lrows[1], rrows[0], out=lrows[1])
-        np.subtract(terms, np.multiply(lrows[0], rrows[1], out=lrows[0]), out=terms)
-        brackets[self._nonempty] = np.add.reduceat(terms, self._starts)
-        return brackets
+        return self._bracket_sum(self.tape)
 
 
 def _forward(ansatz: Ansatz, thetas, basis):
@@ -544,55 +565,46 @@ def overlap(a: Statevector, b: Statevector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _pair_bracket(left, right, pairs):
-    """<left|T|right> from the coupled index pairs, without materializing T."""
-    src, dst = pairs
-    return np.vdot(left[dst], right[src]) - np.vdot(left[src], right[dst])
-
-
-class PoolScreen:
+class PoolScreen(_PairPlan):
     """The brackets <left|T|right> of every pool operator in one basis, from
     state vectors of that basis: the screen both growth stages run on each
     iteration.
 
-    Built once per run: it keeps the pool's operators (`operators`), their
-    pairs as one (2, P) table, the start of each operator's run in it, and
-    work buffers for the gathered rows, so a screen allocates nothing of
-    the table's size. The buffers are shared by every call, so a plan
-    belongs to one run, or to the stages of one pipeline, and is not
-    re-entrant. Its brackets are bit-identical to those of the rows
-    gathered and concatenated afresh.
+    Built once per growth stage: the pair plan of the pool's excitations,
+    the pool's operators (`operators`), their pairs as one (2, P) table and
+    one block that holds the rows of both vectors, so a screen allocates
+    nothing of the table's size. Like every pair plan it is not re-entrant.
     """
 
     def __init__(self, basis: Basis, pool):
-        self.basis = basis
         self.operators = list(pool)
-        pairs = basis._pairs_of([op.excitation for op in self.operators])
-        sizes = np.array([p.shape[1] for p in pairs], dtype=np.int64)
-        self._table = (np.concatenate(pairs, axis=1) if pairs
+        super().__init__(basis, [op.excitation for op in self.operators])
+        self._table = (np.concatenate(self.pairs, axis=1) if self.pairs
                        else np.empty((2, 0), dtype=np.int64))
-        # reduceat returns the start element, not 0, for an empty run.
-        self._nonempty = sizes > 0
-        self._starts = (np.cumsum(sizes) - sizes)[self._nonempty]
-        self._rows = np.empty((2,) + self._table.shape)  # left rows, right rows
+
+    def _buffer(self, dtype):
+        """The left rows, in one block with the right rows (`_right`); each
+        gather fills its rows whole, so no run needs a view."""
+        rows, self._right = np.empty((2, 2, self._total), dtype)
+        return rows, None
 
     def brackets(self, left, right):
-        """<left|T|right> per pool operator, as a new array:
-        conj(left[dst]) right[src] - conj(left[src]) right[dst] summed over
-        its pairs, 0 when it has none."""
+        """<left|T|right> per pool operator, as a new array, 0 for an
+        operator without pairs.
+
+        Raises:
+            ValueError: unless both vectors have one amplitude per basis state.
+        """
+        if np.shape(left) != (self.basis.dim,) or np.shape(right) != (self.basis.dim,):
+            raise ValueError(f"pool screen brackets need two vectors of length "
+                             f"{self.basis.dim}, not {np.shape(left)} and {np.shape(right)}")
         dtype = np.result_type(left, right)
-        if self._rows.dtype != dtype:
-            self._rows = np.empty(self._rows.shape, dtype)
-        lrows, rrows = self._rows
-        # mode="raise" would gather into a temporary before copying to `out`.
-        np.take(np.asarray(left, dtype), self._table, out=lrows, mode="clip")
-        np.take(np.asarray(right, dtype), self._table, out=rrows, mode="clip")
-        np.conjugate(lrows, out=lrows)
-        terms = np.multiply(lrows[1], rrows[0], out=lrows[1])
-        np.subtract(terms, np.multiply(lrows[0], rrows[1], out=lrows[0]), out=terms)
-        brackets = np.zeros(len(self._nonempty), dtype)
-        brackets[self._nonempty] = np.add.reduceat(terms, self._starts)
-        return brackets
+        rows = self._rows_in(dtype)  # and `_right` with them
+        # The table lies inside the checked vectors, and mode="raise" would
+        # gather into a temporary before copying to `out`.
+        np.take(np.asarray(left, dtype), self._table, out=rows, mode="clip")
+        np.take(np.asarray(right, dtype), self._table, out=self._right, mode="clip")
+        return self._bracket_sum(self._right)
 
 
 def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):

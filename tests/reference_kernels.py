@@ -4,12 +4,19 @@ Before `statevector.PoolScreen` and the kept sweep plan (`Ansatz._sweep`),
 every pool screen and every gradient evaluation looked each excitation's
 pairs up in the basis, concatenated the gathered rows afresh and summed
 the brackets with `run_brackets`. The kernels must return exactly these
-values (`np.array_equal`), not merely close ones.
+values (`np.array_equal`), not merely close ones. `pair_bracket` is the
+bracket of one operator written out as two inner products.
 """
 
 import numpy as np
 
 from oada.statevector import ProjectedOperator, _givens, prepare_hf
+
+
+def pair_bracket(left, right, pairs):
+    """<left|T|right> from the coupled index pairs, without materializing T."""
+    src, dst = pairs
+    return np.vdot(left[dst], right[src]) - np.vdot(left[src], right[dst])
 
 
 def run_brackets(left, right, pairs):

@@ -16,7 +16,7 @@ import oada
 from oada.ci import run_cipsi, cipsi_initial_state, cipsi_iterate
 from oada.overlap_adapt import four_angle_gradient, screen_overlap_gradients
 from oada.pauli import jw_annihilation, jw_creation
-from oada.statevector import (Ansatz, Basis, apply_ansatz, energy_and_gradient,
+from oada.statevector import (Ansatz, Basis, PoolScreen, apply_ansatz, energy_and_gradient,
                               overlap, overlap_and_gradient)
 
 
@@ -113,7 +113,8 @@ def test_criterion_3_gradient_correctness(h2, h4):
 
         state = apply_ansatz(ansatz)
         if abs(overlap(target, state)) > 1e-6:
-            direct = screen_overlap_gradients(target, state, problem.pool[:5])
+            direct = screen_overlap_gradients(target, state,
+                                              PoolScreen(state.basis, problem.pool[:5]))
             for op, d in zip(problem.pool[:5], direct):
                 fa = four_angle_gradient(target, state, op.excitation)
                 worst_fa = max(worst_fa, abs(fa - d))

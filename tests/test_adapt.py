@@ -4,17 +4,19 @@ import pytest
 import oada
 from oada.adapt import (TIE_RTOL, load_ansatz, run_adapt, save_ansatz,
                         screen_energy_gradients, select_operator)
-from oada.statevector import Ansatz, apply_ansatz, energy_and_gradient, prepare_hf
+from oada.statevector import (Ansatz, PoolScreen, apply_ansatz, energy_and_gradient,
+                              prepare_hf)
 
 
 def test_screening_vanishes_at_eigenstate(h2):
-    grads = screen_energy_gradients(h2.fci_state(), h2.full, h2.pool)
+    state = h2.fci_state()
+    grads = screen_energy_gradients(state, h2.full, PoolScreen(state.basis, h2.pool))
     assert np.max(np.abs(grads)) < 1e-8
 
 
 def test_h2_hf_screening_selects_double_channel(h2):
     hf = prepare_hf(4, 2)
-    grads = screen_energy_gradients(hf, h2.full, h2.pool)
+    grads = screen_energy_gradients(hf, h2.full, PoolScreen(hf.basis, h2.pool))
     dense = h2.ham.to_dense_matrix()
     for op, g in zip(h2.pool, grads):
         t = op.generator(4).to_dense_matrix()
@@ -32,7 +34,7 @@ def test_screening_matches_finite_difference(h4):
     for k in rng.integers(len(h4.pool), size=4):
         base.append(h4.pool[int(k)].excitation, rng.uniform(-0.7, 0.7))
     state = apply_ansatz(base)
-    grads = screen_energy_gradients(state, h4.full, h4.pool)
+    grads = screen_energy_gradients(state, h4.full, PoolScreen(state.basis, h4.pool))
     step = 1e-5
     for k in (0, 7, len(h4.pool) - 1):
         probe = base.copy()
@@ -182,7 +184,8 @@ def test_stretched_beh2_symmetry_twins_go_to_the_lower_id(beh2_stretched):
     ansatz, _ = run_adapt(problem.sector, problem.pool,
                           n_electrons=problem.n_electrons, eps=1e-8, max_ops=6)
     psi = apply_ansatz(ansatz, basis=problem.sector.basis)
-    grads = np.abs(screen_energy_gradients(psi, problem.sector, problem.pool))
+    grads = np.abs(screen_energy_gradients(psi, problem.sector,
+                                           PoolScreen(psi.basis, problem.pool)))
     assert abs(grads[8] - grads[12]) <= TIE_RTOL * grads[8]
     assert problem.pool[select_operator(grads)].id == 8
 

@@ -219,6 +219,14 @@ def test_spin_flip_excitation_leaves_the_sector(h4):
         _sector(h4).pairs(SingleExcitation(5, 0))
 
 
+@pytest.mark.parametrize("excitation", [SingleExcitation(2, 2), DoubleExcitation(0, 1, 0, 2)])
+def test_repeated_orbital_indices_are_refused_in_both_bases(h4, excitation):
+    # unchecked, the full basis pairs |100> with |000>, or 0b101 with 0b010
+    for basis in (Basis.full(h4.n), _sector(h4)):
+        with pytest.raises(ValueError, match="excitation indices must be distinct"):
+            basis.pairs(excitation)
+
+
 def _dense_oracle(problem, ops, thetas, target):
     """Energy, overlap and both gradients from dense expm products."""
     h = problem.ham.to_dense_matrix()
