@@ -5,9 +5,11 @@ second-order selection.
 Both solvers run in `statevector.Basis.sector`, the sector the ansatz
 simulator uses, on a Hamiltonian projected onto it. FCI solves the
 Slater-Condon matrix, built in those coordinates, with
-`sector_ground_state`, the Davidson the pipeline runs on the projected
-Jordan-Wigner Hamiltonian. CIPSI takes such a projected Hamiltonian and
-keeps its space as sector positions.
+`sector_ground_state`, the solve the pipeline runs on the projected
+Jordan-Wigner Hamiltonian for its exact target. CIPSI takes such a
+projected Hamiltonian and keeps its space as sector positions. One
+Davidson (`_davidson`) serves the FCI oracle, the exact target and
+CIPSI's variational step.
 
 A CI state is a `Statevector` in that sector. A determinant is the
 occupation mask of a basis state: interleaved spin orbitals, bit 2*i
@@ -54,6 +56,9 @@ logger = logging.getLogger(__name__)
 INTRUDER_THRESHOLD = 1e-10
 # A CIPSI run stops after this many enlargement steps if no other rule fires.
 CIPSI_MAX_ITER = 50
+DAVIDSON_TOL = 1e-9
+DAVIDSON_SUBSPACE = 20
+DAVIDSON_MAX_ITER = 300
 
 
 def strings_to_mask(alpha, beta):
@@ -196,70 +201,77 @@ def fci_ground_state(mol):
 def sector_ground_state(h_sector: ProjectedOperator):
     """Lowest eigenpair of a Hamiltonian projected onto a basis.
 
-    Davidson on the projected real matrix to residual 1e-9, started from
-    the basis state with the lowest diagonal entry (the Hartree-Fock
-    determinant on every bundled fixture); the sign is fixed so that the
-    largest-magnitude amplitude is positive. `fci_ground_state` solves the
-    Slater-Condon matrix with it, and the ansatz loops the projected
-    Jordan-Wigner one, in the same sector coordinates.
+    `_davidson` on the projected real matrix, started from the basis state
+    with the lowest diagonal entry (the Hartree-Fock determinant on every
+    bundled fixture). `fci_ground_state` solves the Slater-Condon matrix
+    with it, and the ansatz loops the projected Jordan-Wigner one, in the
+    same sector coordinates.
 
     Returns:
-        (energy, normalized float64 Statevector in h_sector.basis)
+        (energy, normalized float64 Statevector in h_sector.basis, its
+        largest-magnitude amplitude positive)
 
     Raises:
-        ConvergenceError: when Davidson does not reach that residual.
+        ConvergenceError: when Davidson does not reach its residual.
     """
     matrix = h_sector.matrix
     if np.iscomplexobj(matrix):
         raise ValueError("sector_ground_state needs a real projected Hamiltonian")
-    energy, vec = _davidson(matrix, matrix.diagonal())
-    vec = _fix_sign(vec / np.linalg.norm(vec))
+    start = np.zeros(matrix.shape[0])
+    start[int(np.argmin(matrix.diagonal()))] = 1.0
+    energy, vec = _davidson(matrix, start)
     return energy, Statevector(h_sector.n_qubits, vec, h_sector.basis)
 
 
-def _fix_sign(vec):
-    """Deterministic global sign: largest-magnitude coefficient positive."""
-    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0 else vec
+def _davidson(h, start):
+    """Block-1 Davidson for the lowest eigenpair of a sparse symmetric
+    matrix, started from `start`, to residual `DAVIDSON_TOL`.
 
+    The subspace vectors and their H products are the rows of two fixed
+    arrays of `DAVIDSON_SUBSPACE` rows. H is applied once to each new
+    vector; when the rows are full, the subspace restarts from the current
+    Ritz vector, and H is applied to it.
 
-def _davidson(h, diag, tol=1e-9, max_subspace=20, max_iter=300):
-    """Block-1 Davidson for the lowest eigenpair of a sparse symmetric matrix.
+    Returns:
+        (energy, vector), the vector normalized with its largest-magnitude
+        entry positive.
 
-    H is applied once to each new subspace vector, and the products are
-    kept beside the vectors; a restart applies it to the restart vector.
+    Raises:
+        ConvergenceError: after `DAVIDSON_MAX_ITER` iterations without
+            reaching the residual.
     """
-    dim = h.shape[0]
-    start = np.zeros(dim)
-    start[int(np.argmin(diag))] = 1.0
-    basis, h_basis = [start], [h @ start]
-    x = start
-    theta = float(diag.min())
-    for _ in range(max_iter):
-        v = np.array(basis).T
-        hv = np.column_stack(h_basis)
-        t = v.T @ hv
-        w, u = np.linalg.eigh(t)
+    diag = h.diagonal()
+    basis = np.empty((DAVIDSON_SUBSPACE, h.shape[0]))
+    h_basis = np.empty_like(basis)
+    basis[0] = start / np.linalg.norm(start)
+    h_basis[0] = h @ basis[0]
+    k = 1
+    for _ in range(DAVIDSON_MAX_ITER):
+        w, u = np.linalg.eigh(basis[:k] @ h_basis[:k].T)
         theta = float(w[0])
-        x = v @ u[:, 0]
-        residual = hv @ u[:, 0] - theta * x
-        rnorm = np.linalg.norm(residual)
-        if rnorm < tol:
-            return theta, x
+        x = u[:, 0] @ basis[:k]
+        residual = u[:, 0] @ h_basis[:k] - theta * x
+        if np.linalg.norm(residual) < DAVIDSON_TOL:
+            break
         denom = theta - diag
         denom[np.abs(denom) < 1e-12] = 1e-12
         correction = residual / denom
-        if len(basis) >= max_subspace:
-            basis, h_basis = [x], [h @ x]
+        if k == DAVIDSON_SUBSPACE:
+            basis[0], h_basis[0], k = x, h @ x, 1
         # orthogonalize twice for stability
         for _ in range(2):
-            for b in basis:
-                correction -= np.dot(b, correction) * b
+            correction -= (basis[:k] @ correction) @ basis[:k]
         cnorm = np.linalg.norm(correction)
         if cnorm < 1e-14:
-            return theta, x
-        basis.append(correction / cnorm)
-        h_basis.append(h @ basis[-1])
-    raise ConvergenceError(f"Davidson did not reach residual {tol} in {max_iter} iterations")
+            break
+        basis[k] = correction / cnorm
+        h_basis[k] = h @ basis[k]
+        k += 1
+    else:
+        raise ConvergenceError(f"Davidson did not reach residual {DAVIDSON_TOL} "
+                               f"in {DAVIDSON_MAX_ITER} iterations")
+    x /= np.linalg.norm(x)
+    return theta, -x if x[int(np.argmax(np.abs(x)))] < 0 else x
 
 
 @dataclass
@@ -310,9 +322,16 @@ def cipsi_iterate(state: CipsiState, h_sector: ProjectedOperator, max_total=None
     that the Hamiltonian couples to it. Each is scored with the
     Epstein-Nesbet estimate e_k = <k|H|Psi0>^2 / (E_v - <k|H|k>); the
     largest-|e_k| ones (ties to the lower position) join until the space
-    doubles (or hits `max_total`), the space is rediagonalized, and the
-    estimates of the non-selected externals sum to E2. Near-degenerate
-    denominators force the offending determinant into the space.
+    doubles (or hits `max_total`), the space is rediagonalized by
+    `_davidson` from the previous coefficients, and the estimates of the
+    non-selected externals sum to E2. Near-degenerate denominators force
+    the offending determinant into the space.
+
+    Davidson's start holds zeros at the new determinants, so its Rayleigh
+    quotient is the previous E_v, and E_v does not rise.
+
+    Raises:
+        ConvergenceError: when Davidson does not reach its residual.
     """
     h = h_sector.matrix
     space = state.dets
@@ -339,8 +358,10 @@ def cipsi_iterate(state: CipsiState, h_sector: ProjectedOperator, max_total=None
         return CipsiState(space, state.coefficients, state.e_variational,
                           0.0, state.iteration + 1, state.forced_intruders)
     new_space = np.sort(np.concatenate([space, selected]))
-    w, v = np.linalg.eigh(h[new_space][:, new_space].toarray())
-    return CipsiState(new_space, _fix_sign(v[:, 0]), float(w[0]),
+    start = np.zeros(len(new_space))
+    start[np.searchsorted(new_space, space)] = state.coefficients
+    energy, coefficients = _davidson(h[new_space][:, new_space], start)
+    return CipsiState(new_space, coefficients, energy,
                       float(np.sum(e2[order[n_scored:]])),
                       state.iteration + 1, state.forced_intruders + n_forced)
 
@@ -352,6 +373,9 @@ def cipsi_states(h_sector: ProjectedOperator, target_e2=None, max_dets=None):
     step until a stop rule fires: |E2| <= target_e2, the space reaching
     max_dets, or a step that adds no determinant (yielded last, with
     E2 = 0), or `CIPSI_MAX_ITER` steps.
+
+    Raises:
+        ConvergenceError: from `cipsi_iterate`.
     """
     if target_e2 is None and max_dets is None:
         raise ValueError("need a stopping rule: target_e2 and/or max_dets")
@@ -370,7 +394,11 @@ def cipsi_states(h_sector: ProjectedOperator, target_e2=None, max_dets=None):
 
 
 def run_cipsi(h_sector: ProjectedOperator, target_e2=None, max_dets=None) -> CipsiState:
-    """The last of `cipsi_states`: iterate CIPSI until a stop rule fires."""
+    """The last of `cipsi_states`: iterate CIPSI until a stop rule fires.
+
+    Raises:
+        ConvergenceError: from `cipsi_iterate`.
+    """
     for state in cipsi_states(h_sector, target_e2, max_dets):
         pass
     return state

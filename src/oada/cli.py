@@ -315,7 +315,7 @@ def main(argv=None):
             if unread:
                 raise FcidumpError(f"--method {args.method} does not use "
                                    f"{', '.join(unread)}")
-            for name in ("max_ops", "p_overlap", "eps"):
+            for name in ("max_ops", "p_overlap", "eps", "cipsi_max_dets", "cipsi_target_e2"):
                 value = getattr(args, name)
                 if value is not None and not value > 0:  # NaN is not positive
                     raise FcidumpError(f"--{name.replace('_', '-')} must be positive")

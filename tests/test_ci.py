@@ -82,13 +82,22 @@ def test_cipsi_h2_one_iteration_exact(h2):
     assert abs(state.e_cipsi - h2.e_fci) < 1e-8
 
 
-def test_cipsi_monotone_and_variational(h6):
-    state = cipsi_initial_state(h6.sector)
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched"])
+def test_cipsi_monotone_and_variational(name, request):
+    # the dense block's eigensolver is the oracle for Davidson's E_v
+    problem = request.getfixturevalue(name)
+    state = cipsi_initial_state(problem.sector)
     previous = state.e_variational
     for _ in range(6):
-        state = cipsi_iterate(state, h6.sector)
+        state = cipsi_iterate(state, problem.sector)
+        block = problem.sector.matrix[state.dets][:, state.dets]
+        assert abs(state.e_variational - np.linalg.eigvalsh(block.toarray())[0]) <= 1e-12
+        c = state.coefficients
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+        assert c[np.argmax(np.abs(c))] > 0
+        assert np.linalg.norm(block @ c - state.e_variational * c) <= 1e-8
         assert state.e_variational <= previous + 1e-12
-        assert state.e_variational >= h6.e_fci - 1e-10
+        assert state.e_variational >= problem.e_fci - 1e-10
         previous = state.e_variational
     assert len(state.dets) <= 64  # doubling cap
 
@@ -109,6 +118,8 @@ def test_cipsi_h6_fifty_determinants_measured(h6):
     # measured behavior of the 50-determinant target used by the pipelines
     state = run_cipsi(h6.sector, max_dets=50)
     assert len(state.dets) == 50
+    block = h6.sector.matrix[state.dets][:, state.dets].toarray()
+    assert abs(state.e_variational - np.linalg.eigvalsh(block)[0]) <= 1e-12
     error = state.e_variational - h6.e_fci
     assert 1e-4 < error < 5e-3
 

@@ -80,6 +80,23 @@ def test_run_adapt_nonpositive_eps_exits_with_one_line(h2_path, tmp_path):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("method, flag, value", [
+    ("cipsi", "--cipsi-max-dets", "0"),
+    ("cipsi", "--cipsi-max-dets", "-4"),
+    ("cipsi", "--cipsi-target-e2", "-1"),
+    ("cipsi", "--cipsi-target-e2", "nan"),
+    ("overlap-adapt-cipsi", "--cipsi-max-dets", "0"),
+])
+def test_run_nonpositive_cipsi_flag_exits_with_one_line(h4_path, tmp_path, capsys,
+                                                        method, flag, value):
+    # a non-positive budget or E2 target would run toward the Hartree-Fock
+    # state or to saturation instead of the stop asked for
+    assert main(["run", "--method", method, "--fcidump", h4_path, flag, value,
+                 "--out-trace", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {flag} must be positive"]
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_run_deterministic_traces(h4_path, tmp_path):
     args = ["run", "--method", "adapt", "--fcidump", h4_path,
             "--max-ops", "5", "--out-trace", "t{}.csv"]

@@ -371,11 +371,20 @@ class CountingMatrix:
         self.columns += 1 if v.ndim == 1 else v.shape[1]
         return self.matrix @ v
 
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+
+def _lowest_diagonal_start(matrix):
+    start = np.zeros(matrix.shape[0])
+    start[np.argmin(matrix.diagonal())] = 1.0
+    return start
+
 
 def test_davidson_applies_h_once_per_iteration(beh2_stretched):
     matrix = beh2_stretched.sector.matrix
     counting = CountingMatrix(matrix)
-    energy, _ = ci._davidson(counting, matrix.diagonal())
+    energy, _ = ci._davidson(counting, _lowest_diagonal_start(matrix))
     assert counting.columns == 19  # 19 iterations, no restart
     assert abs(energy - beh2_stretched.refs["REF_FCI"]) < 1e-9
 
@@ -383,13 +392,14 @@ def test_davidson_applies_h_once_per_iteration(beh2_stretched):
 def test_davidson_restart_keeps_the_energy(h6):
     matrix = h6.sector.matrix
     counting = CountingMatrix(matrix)
-    energy, _ = ci._davidson(counting, matrix.diagonal(), max_subspace=20)
+    energy, _ = ci._davidson(counting, _lowest_diagonal_start(matrix))
     # 107 iterations, one more product for each of the 5 restart vectors.
     assert counting.columns == 112
     assert abs(energy - h6.refs["REF_FCI"]) < 1e-9
 
 
-def test_davidson_raises_convergence_error(h6):
+def test_davidson_raises_convergence_error(h6, monkeypatch):
     matrix = _sector(h6).project(h6.ham).matrix
+    monkeypatch.setattr(ci, "DAVIDSON_MAX_ITER", 2)
     with pytest.raises(oada.ConvergenceError, match="Davidson"):
-        ci._davidson(matrix, matrix.diagonal(), max_iter=2)
+        ci._davidson(matrix, _lowest_diagonal_start(matrix))
