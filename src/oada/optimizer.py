@@ -1,12 +1,17 @@
 """Quasi-Newton minimization of ansatz angles.
 
 One BFGS loop (Nocedal & Wright, Numerical Optimization, Alg. 6.1): the
-inverse-Hessian update of their eq. 6.17 after every accepted step, and
-scipy's strong-Wolfe line search (`scipy.optimize.line_search`, c1=1e-4,
-c2=0.9) with scipy BFGS's first-step guess. Each point is evaluated once,
-for both value and gradient, and the lowest value evaluated is kept, so a
-line-search failure still returns the best point seen, and the returned
-objective is never above the starting one. The final inverse-Hessian
+inverse-Hessian update of their eq. 6.17 after every accepted step, and a
+strong-Wolfe line search (their Alg. 3.5 and 3.6, c1=1e-4, c2=0.9) with
+BFGS's usual first-step guess. The line search follows the rules of
+scipy's `scalar_search_wolfe2` and its zoom step for step, so every trial
+point and accepted step is the one scipy's `line_search` would take. It
+is written here because importing that one function loaded scipy's
+optimize, linalg and sparse-linalg packages and their Fortran libraries,
+about 27 MB of resident memory, into every process. Each trial point is
+evaluated once, for both value and gradient, and the lowest value
+evaluated is kept, so a line-search failure still returns the best point
+seen, and the returned objective is never above the starting one. The final inverse-Hessian
 estimate, updated by the last step too, is returned, so a caller
 re-optimizing a grown parameter vector can start the next solve from the
 curvature already learned instead of from the identity.
@@ -18,19 +23,15 @@ gradient component is already below `NEAR_MISS` * gtol, the next line
 search could only compare rounding errors, so the loop ends there
 instead of spending tens of evaluations on a search that fails.
 
-A failed line search is reported by the result's `stop`, not by scipy's
-warning: one filter, entered once per solve around the loop, ignores the
-RuntimeWarnings whose message matches ".*line search". Every other
-warning, the objective's own included, reaches the caller.
+A failed line search is reported by the result's `stop` alone: nothing
+warns, so every warning the caller sees is the objective's own.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import line_search
 
 from .errors import ObjectiveError
 
@@ -54,6 +55,15 @@ GTOL = 1e-8
 NEAR_MISS = 10.0
 
 _EPS = np.finfo(float).eps
+
+# The strong Wolfe conditions' sufficient-decrease and curvature constants.
+_C1, _C2 = 1e-4, 0.9
+# The bracketing phase doubles its step at most _MAX_BRACKET times, and the
+# zoom tries at most 1 + _MAX_ZOOM steps.
+_MAX_BRACKET = _MAX_ZOOM = 10
+# Zoom rejects a cubic (quadratic) step within _DELTA_CUBIC (_DELTA_QUAD)
+# bracket widths of either end, falling back to quadratic (bisection).
+_DELTA_CUBIC, _DELTA_QUAD = 0.2, 0.1
 
 
 @dataclass
@@ -87,6 +97,113 @@ def _initial_hess_inv(hess_inv0, n):
     return matrix
 
 
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb) and (c, fc) with
+    slope fpa at a, or None if it has none or it is not finite."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db, dc = b - a, c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc ** 2
+            d1[0, 1] = -db ** 2
+            d1[1, 0] = -dc ** 3
+            d1[1, 1] = db ** 3
+            # the 2x2 product, not its two scalar rows, keeps scipy's bits
+            cubic, quad = np.dot(d1, np.asarray([fb - fa - fpa * db, fc - fa - fpa * dc]))
+            cubic /= denom
+            quad /= denom
+            xmin = a + (-quad + np.sqrt(quad * quad - 3 * cubic * fpa)) / (3 * cubic)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the parabola through (a, fa) and (b, fb) with slope fpa
+    at a, or None if it has none or it is not finite."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a * 1.0
+            xmin = a - fpa / (2.0 * ((fb - fa - fpa * db) / (db * db)))
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _zoom(trial, a_lo, a_hi, phi_lo, phi_hi, slope_lo, phi0, slope0):
+    """Nocedal & Wright Alg. 3.6: shrink the bracket [a_lo, a_hi] (a_lo the
+    end with the lower value) to a strong-Wolfe step. Each trial step is
+    the cubic through both ends and the end dropped last, else the
+    parabola through both ends, else the midpoint. Returns
+    (alpha, value, gradient), or None after 1 + `_MAX_ZOOM` trials."""
+    phi_rec, a_rec = phi0, 0
+    for i in range(_MAX_ZOOM + 1):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        if i > 0:
+            cchk = _DELTA_CUBIC * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, slope_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if i == 0 or a_j is None or a_j > b - cchk or a_j < a + cchk:
+            qchk = _DELTA_QUAD * dalpha
+            a_j = _quadmin(a_lo, phi_lo, slope_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                a_j = a_lo + 0.5 * dalpha
+        phi_j, grad_j, slope_j = trial(a_j)
+        if phi_j > phi0 + _C1 * a_j * slope0 or phi_j >= phi_lo:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_j, phi_j
+            continue
+        if abs(slope_j) <= -_C2 * slope0:
+            return a_j, phi_j, grad_j
+        if slope_j * (a_hi - a_lo) >= 0:
+            phi_rec, a_rec = phi_hi, a_hi
+            a_hi, phi_hi = a_lo, phi_lo
+        else:
+            phi_rec, a_rec = phi_lo, a_lo
+        a_lo, phi_lo, slope_lo = a_j, phi_j, slope_j
+    return None
+
+
+def _line_search(evaluate, theta, direction, value, grad, old_value):
+    """A step along `direction` from `theta` that meets the strong Wolfe
+    conditions (Nocedal & Wright Alg. 3.5).
+
+    `evaluate(x) -> (value, gradient)` is called once per trial point. The
+    first trial step is 1.01 times the minimizer of the parabola with the
+    current slope whose minimum lies `old_value - value` below `value`,
+    capped at 1 (1 when it is negative); it doubles until the sufficient decrease fails, the value stops falling
+    or the slope turns non-negative, and `_zoom` then searches the bracket.
+    Returns (alpha, value, gradient) at the accepted point, or None when
+    rounding has made the first step 0, or the bracketing phase or the zoom
+    runs out of trials.
+    """
+    slope0 = np.dot(grad, direction)
+
+    def trial(alpha):
+        value_a, grad_a = evaluate(theta + alpha * direction)
+        return value_a, grad_a, np.dot(grad_a, direction)
+
+    alpha1 = min(1.0, 1.01 * 2 * (value - old_value) / slope0) if slope0 != 0 else 1.0
+    if alpha1 < 0:
+        alpha1 = 1.0
+    if alpha1 == 0:
+        return None
+    alpha0, phi_a0, slope_a0 = 0, value, slope0
+    phi_a1, grad_a1, slope_a1 = trial(alpha1)
+    for i in range(_MAX_BRACKET):
+        if phi_a1 > value + _C1 * alpha1 * slope0 or (i > 0 and phi_a1 >= phi_a0):
+            return _zoom(trial, alpha0, alpha1, phi_a0, phi_a1, slope_a0, value, slope0)
+        if abs(slope_a1) <= -_C2 * slope0:
+            return alpha1, phi_a1, grad_a1
+        if slope_a1 >= 0:
+            return _zoom(trial, alpha1, alpha0, phi_a1, phi_a0, slope_a1, value, slope0)
+        alpha0, phi_a0, slope_a0 = alpha1, phi_a1, slope_a1
+        alpha1 = 2 * alpha1
+        phi_a1, grad_a1, slope_a1 = trial(alpha1)
+    return None
+
+
 def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
              hess_inv0=None) -> OptimizeResult:
     """Minimize `objective(theta) -> (value, gradient)` from theta0 with BFGS.
@@ -114,64 +231,56 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     """
     theta = np.array(theta0, dtype=float)
     hess_inv = _initial_hess_inv(hess_inv0, len(theta))
-    # the memo: (theta, value, gradient) of the latest and of the lowest
-    # evaluation, and the latest theta as a list of floats, which compares as
-    # np.array_equal does (by value, and a NaN never equals itself) in a
-    # fraction of its time
-    n_evals, latest, latest_key, best = 0, None, None, None
+    # (theta, value, gradient) of the lowest evaluation
+    n_evals, best = 0, None
 
     def evaluate(x):
-        nonlocal n_evals, latest, latest_key, best
-        key = x.tolist()
-        if key != latest_key:
-            n_evals += 1
-            value, grad = objective(x)
-            if not np.isfinite(value):
-                raise ObjectiveError(f"objective evaluated to {value} at theta={x}")
-            latest, latest_key = (x, float(value), np.asarray(grad, dtype=float)), key
-            if best is None or latest[1] < best[1]:
-                best = latest
-        return latest
+        nonlocal n_evals, best
+        n_evals += 1
+        value, grad = objective(x)
+        if not np.isfinite(value):
+            raise ObjectiveError(f"objective evaluated to {value} at theta={x}")
+        value, grad = float(value), np.asarray(grad, dtype=float)
+        if best is None or value < best[1]:
+            best = x, value, grad
+        return value, grad
 
-    _, value, grad = evaluate(theta)
+    value, grad = evaluate(theta)
     # scipy's BFGS guess for the first line search: a step of length about 1
     old_value = value + np.linalg.norm(grad) / 2
     gnorm = np.max(np.abs(grad), initial=0.0)
     n_iter, stop = 0, "gtol"
-    with warnings.catch_warnings():
-        # scipy warns when a line search fails (its LineSearchWarning, a
-        # RuntimeWarning); the result reports it as the stop "line search"
-        warnings.filterwarnings("ignore", ".*line search", RuntimeWarning)
-        while gnorm > gtol:
-            if n_iter == max_iter:
-                stop = "max_iter"
-                break
-            direction = -hess_inv @ grad
-            alpha, _, _, new_value, _, new_grad = line_search(
-                lambda x: evaluate(x)[1], lambda x: evaluate(x)[2], theta, direction,
-                grad, value, old_value, c1=1e-4, c2=0.9)
-            if new_grad is None:
-                stop = "line search"
-                break
-            step = alpha * direction
-            theta = theta + step
-            n_iter += 1
-            if callback is not None:
-                callback(np.copy(theta))
-            old_value, value = value, new_value
-            change, grad = new_grad - grad, new_grad
-            curvature = change @ step
-            if curvature > 0:
-                # Nocedal & Wright eq. 6.17, expanded to O(n^2); the outer
-                # products are np.outer's own broadcast multiply
-                rho, h_change = 1.0 / curvature, hess_inv @ change
-                column, h_column = step[:, None], h_change[:, None]
-                hess_inv = (hess_inv + (rho * rho * (change @ h_change) + rho) * (column * step)
-                            - rho * (column * h_change + h_column * step))
-            gnorm = np.max(np.abs(grad))
-            if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
-                stop = "floor"
-                break
+    while gnorm > gtol:
+        if n_iter == max_iter:
+            stop = "max_iter"
+            break
+        direction = -hess_inv @ grad
+        accepted = _line_search(evaluate, theta, direction, value, grad, old_value)
+        if accepted is None:
+            stop = "line search"
+            break
+        alpha, new_value, new_grad = accepted
+        step = alpha * direction
+        theta = theta + step
+        n_iter += 1
+        if callback is not None:
+            callback(np.copy(theta))
+        old_value, value = value, new_value
+        change, grad = new_grad - grad, new_grad
+        curvature = change @ step
+        if curvature > 0:
+            # Nocedal & Wright eq. 6.17, expanded to O(n^2) and applied in
+            # place; the cross term step h_change^T + h_change step^T is one
+            # outer product and its transpose
+            rho, h_change = 1.0 / curvature, hess_inv @ change
+            column = step[:, None]
+            cross = column * h_change
+            hess_inv += (rho * rho * (change @ h_change) + rho) * (column * step)
+            hess_inv -= rho * (cross + cross.T)
+        gnorm = np.max(np.abs(grad))
+        if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
+            stop = "floor"
+            break
     theta, value, grad = best
     gnorm = float(np.max(np.abs(grad), initial=0.0))
     return OptimizeResult(theta, value, n_evals, stop == "gtol" and gnorm <= gtol, gnorm,

@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import line_search as scipy_line_search
 
 import oada
-from oada import adapt
-from oada.optimizer import FLOOR_K, NEAR_MISS, minimize
+from oada import adapt, optimizer
+from oada.optimizer import FLOOR_K, NEAR_MISS, _line_search, minimize
 from oada.statevector import Ansatz, energy_and_gradient
 
 
@@ -234,7 +235,7 @@ def test_stop_names_gtol_and_max_iter():
 
 
 def test_a_failed_line_search_stops_without_a_warning():
-    # scipy's line search warns when it fails; the stop reason reports it
+    # the line search warns nothing when it fails; the stop reason reports it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = minimize(steep_cusp, np.zeros(3), gtol=1e-8)
@@ -250,7 +251,7 @@ def test_hess_inv0_is_checked_before_the_first_evaluation():
 
 
 def test_a_warning_of_the_objective_still_reaches_the_caller():
-    # the line-search filter ignores only messages about the line search
+    # no warnings filter stands between the objective and the caller
     def noisy(theta):
         warnings.warn("objective saw a tiny overlap", RuntimeWarning, stacklevel=2)
         return quadratic(np.ones(2))(theta)
@@ -258,13 +259,13 @@ def test_a_warning_of_the_objective_still_reaches_the_caller():
     with pytest.warns(RuntimeWarning, match="tiny overlap") as caught:
         result = minimize(noisy, np.zeros(2), gtol=1e-9)
     assert result.stop == "gtol"
-    # one warning per evaluation: the first outside the loop, the rest inside it
+    # one warning per evaluation
     assert len(caught) == result.n_evaluations > 1
 
 
-def test_a_nan_theta_never_hits_the_memo():
-    # the search walks from a NaN angle; each of its points is asked for a
-    # value and then for a gradient, and a NaN point must be evaluated twice
+def test_a_nan_theta_is_evaluated_once_per_trial_point():
+    # the search walks from a NaN angle: each trial point is evaluated once,
+    # for value and gradient together, NaN or not
     calls = []
 
     def objective(theta):
@@ -273,8 +274,8 @@ def test_a_nan_theta_never_hits_the_memo():
         return float(d @ d), 2 * d
 
     result = minimize(objective, np.array([np.nan, 0.0]))
-    assert result.n_evaluations == len(calls)
-    assert any(a == b for a, b in zip(calls, calls[1:]))
+    assert result.n_evaluations == len(calls) > 1
+    assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkeypatch):
@@ -293,3 +294,172 @@ def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkey
     oada.pipeline(beh2_stretched.mol, beh2_stretched.ham, beh2_stretched.pool, "fci", 10, 20)
     assert [sum(counted[:30]), sum(counted[30:60]), sum(counted[60:])] == [564, 599, 193]
     assert len(counted) == 80
+
+
+def line(value, slope):
+    """An objective of one angle from its value and slope functions."""
+    def objective(theta):
+        return float(value(theta[0])), np.array([float(slope(theta[0]))])
+    return objective
+
+
+def wavy(a, c, b, k):
+    """a (x - c)^2 + b sin(k x): a bowl with ripples that defeat the
+    interpolants of the zoom step."""
+    return line(lambda x: a * (x - c) ** 2 + b * np.sin(k * x),
+                lambda x: 2 * a * (x - c) + b * k * np.cos(k * x))
+
+
+def kink(c):
+    """|x - c|: its slope never falls below 1 in size, so no step meets the
+    curvature condition and the zoom step runs out of trials."""
+    return line(lambda x: abs(x - c), lambda x: np.sign(x - c))
+
+
+def bowl_1d(c, a=1.0):
+    return line(lambda x: a * (x - c) ** 2, lambda x: 2 * a * (x - c))
+
+
+def zooms(events, ascending):
+    return any(e[0] == "zoom" and (e[1] < e[2]) == ascending for e in events)
+
+
+def margin(event):
+    """The distance of an interpolant's step from the nearer end of its
+    bracket, in bracket widths."""
+    _, step, a_lo, a_hi = event
+    if step is None:
+        return np.inf
+    return min(abs(step - a_lo), abs(a_hi - step)) / abs(a_hi - a_lo)
+
+
+def keeps_upper_end(events):
+    """A zoom trial that met the sufficient decrease with a slope still
+    pointing to a_hi: the next bracket has a new a_lo and the same a_hi."""
+    brackets = [e[-2:] for e in events if e[0] in ("zoom", "cubic")]
+    return any(lo != next_lo and hi == next_hi
+               for (lo, hi), (next_lo, next_hi) in zip(brackets, brackets[1:]))
+
+
+def bisects(events):
+    """A zoom trial at neither the cubic's nor the parabola's minimizer just
+    proposed: the midpoint."""
+    proposed = set()
+    for event in events:
+        if event[0] in ("cubic", "quad"):
+            proposed.add(event[1])
+        elif event[0] == "trial":
+            if proposed and event[1] not in proposed:
+                return True
+            proposed = set()
+    return False
+
+
+# name: (objective, direction, old_value - value, a check that the
+# search took the branch the name gives)
+LINE_SEARCH_CASES = {
+    "first trial accepted": (
+        bowl_1d(1.0), 2.0, 1.0,
+        lambda result, events: [e[0] for e in events] == ["trial"]),
+    "first trial reset to 1 after an increase": (
+        bowl_1d(1.0), 1.0, -1.0,
+        lambda result, events: events == [("trial", 1.0)]),
+    "step doubling": (
+        bowl_1d(10.0), 1.0, 0.5,
+        lambda result, events: [e[0] for e in events] == ["trial"] * 6
+        and all(b[1] == 2 * a[1] for a, b in zip(events, events[1:]))),
+    # the parabola's step lies just past its margin of 0.1 bracket widths
+    "zoom after an Armijo failure": (
+        bowl_1d(0.105), 1.0, 10.0,
+        lambda result, events: events[1] == ("zoom", 0, 1.0)
+        and events[3] == ("trial", events[2][1])),
+    "zoom after the value stops falling": (
+        line(lambda x: -min(x, 1.0), lambda x: -1.0 if x <= 1 else 0.0), 1.0, 10.0,
+        lambda result, events: events[:3] == [("trial", 1.0), ("trial", 2.0),
+                                              ("zoom", 1.0, 2.0)]),
+    "zoom after a positive slope": (
+        line(lambda x: -x + x ** 10 / 2, lambda x: -1 + 5 * x ** 9), 1.0, 10.0,
+        lambda result, events: zooms(events, ascending=False)),
+    "zoom keeps its upper end": (
+        wavy(0.9, 2.0, 1.0, 3.4), 1.0, 1.0,
+        lambda result, events: zooms(events, ascending=False) and keeps_upper_end(events)),
+    # the margin is 0.2 bracket widths; a zoom that has swapped its ends
+    # (a_lo > a_hi) rejects only steps outside the bracket
+    "cubic steps either side of their margin": (
+        wavy(1.4, 3.0, 0.4, 19.8), 1.0, 1.0,
+        lambda result, events: {round(margin(e), 2) for e in events
+                                if e[0] == "cubic" and e[2] < e[3]} >= {0.19, 0.2}),
+    "cubic rejected, parabola rejected, bisection": (
+        wavy(2.3, 1.1, 0.3, 16.4), 1.0, 1.0,
+        lambda result, events: any(e[0] == "cubic" and e[1] is not None for e in events)
+        and bisects(events)),
+    "cubic without a cubic term": (
+        bowl_1d(0.1, a=1.4), 1.0, 10.0,
+        lambda result, events: any(e[:2] == ("cubic", None) for e in events)),
+    "parabola through an underflowing bracket": (
+        kink(3e-171), 1.0, 1e-170,
+        lambda result, events: any(e[:2] == ("quad", None) for e in events)),
+    "zoom runs out of trials": (
+        kink(0.37), 1.0, 10.0,
+        lambda result, events: result is None
+        and [e[0] for e in events].count("trial") == 1 + optimizer._MAX_ZOOM + 1),
+    "bracketing runs out of trials": (
+        line(lambda x: -x, lambda x: -1.0), 1.0, 10.0,
+        lambda result, events: result is None and "zoom" not in [e[0] for e in events]),
+    "rounding makes the first step 0": (
+        bowl_1d(1.0), 1.0, 0.0,
+        lambda result, events: result is None and events == []),
+}
+
+
+@pytest.mark.parametrize("case", LINE_SEARCH_CASES)
+def test_line_search_takes_scipys_steps(case, monkeypatch):
+    objective, step, decrease, reaches = LINE_SEARCH_CASES[case]
+    theta, direction = np.zeros(1), np.array([step])
+    value, grad = objective(theta)
+    old_value = value + decrease
+
+    # scipy's search, each point evaluated once as the BFGS loop did when it
+    # called scipy: a point equal to the one just evaluated is not evaluated
+    # again, and theta itself was evaluated last
+    scipy_points, latest = [], [theta.tolist(), value, grad]
+
+    def memo(x):
+        if x.tolist() != latest[0]:
+            scipy_points.append(x.tobytes())
+            latest[:] = [x.tolist(), *objective(x)]
+        return latest[1:]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        alpha, _, _, new_value, _, new_grad = scipy_line_search(
+            lambda x: memo(x)[0], lambda x: memo(x)[1], theta, direction, grad, value,
+            old_value, c1=1e-4, c2=0.9)
+
+    events, points = [], []
+    for name in ("_cubicmin", "_quadmin", "_zoom"):
+        def recording(*args, _name=name, _original=getattr(optimizer, name)):
+            if _name == "_zoom":
+                events.append(("zoom", args[1], args[2]))
+                return _original(*args)
+            result = _original(*args)
+            # an interpolant also records its bracket (a_lo, a_hi)
+            events.append((_name[1:-3], result, *args[0:4:3]))
+            return result
+        monkeypatch.setattr(optimizer, name, recording)
+
+    def evaluate(x):
+        points.append(x.tobytes())
+        events.append(("trial", float(x[0] / step)))
+        return objective(x)
+
+    result = _line_search(evaluate, theta, direction, value, grad, old_value)
+    assert reaches(result, events), events
+    assert points == scipy_points
+    if new_grad is None:
+        assert result is None
+    else:
+        our_alpha, our_value, our_grad = result
+        assert np.float64(our_alpha).tobytes() == np.float64(alpha).tobytes()
+        assert np.float64(our_value).tobytes() == np.float64(new_value).tobytes()
+        assert our_grad.tobytes() == np.asarray(new_grad).tobytes()
