@@ -90,7 +90,7 @@ def screen_energy_gradients(state: Statevector, hamiltonian, pool: PoolScreen):
     """d/dtheta <psi|U^ H U|psi> at theta=0 for every operator of `pool`,
     a `PoolScreen` on the state's basis.
 
-    Equals <psi|[H, T]|psi> = 2 Re <H psi|T psi> for the anti-hermitian
+    Equals <psi|[H, T]|psi> = 2 <H psi|T psi> for the real anti-symmetric
     generator T; the single H|psi> is shared across all candidates, and all
     brackets are taken in one pass (`PoolScreen.brackets`). The
     Hamiltonian is taken in the state's basis.
@@ -102,7 +102,7 @@ def screen_energy_gradients(state: Statevector, hamiltonian, pool: PoolScreen):
     if pool.basis != basis:
         raise ValueError("the pool screen was built on another basis than the state's")
     h_psi = basis.project(hamiltonian).matrix @ state.amplitudes
-    return 2.0 * pool.brackets(h_psi, state.amplitudes).real
+    return 2.0 * pool.brackets(h_psi, state.amplitudes)
 
 
 def select_operator(grads) -> int:
@@ -233,9 +233,9 @@ def load_ansatz(path) -> Ansatz:
     """Read the text form of `save_ansatz`.
 
     Raises:
-        FcidumpError: on a malformed header or excitation line, or an
-            excitation that breaks `build_pool`'s rules for the header's
-            n_qubits (`pool.check_excitation`).
+        FcidumpError: on a malformed header or excitation line, a
+            non-finite angle, or an excitation that breaks `build_pool`'s
+            rules for the header's n_qubits (`pool.check_excitation`).
     """
     with open(path) as fh:
         try:
@@ -259,6 +259,8 @@ def load_ansatz(path) -> Ansatz:
             except ValueError:
                 raise FcidumpError(f"{path}:{number}: expected 'single p q theta' or "
                                    "'double p q r s theta'") from None
+            if not np.isfinite(theta):
+                raise FcidumpError(f"{path}:{number}: angle {tokens[-1]} is not a finite number")
             try:
                 check_excitation(excitation, ansatz.n_qubits)
             except ValueError as exc:

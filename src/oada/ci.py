@@ -215,8 +215,6 @@ def sector_ground_state(h_sector: ProjectedOperator):
         ConvergenceError: when Davidson does not reach its residual.
     """
     matrix = h_sector.matrix
-    if np.iscomplexobj(matrix):
-        raise ValueError("sector_ground_state needs a real projected Hamiltonian")
     start = np.zeros(matrix.shape[0])
     start[int(np.argmin(matrix.diagonal()))] = 1.0
     energy, vec = _davidson(matrix, start)
@@ -305,13 +303,13 @@ def cipsi_initial_state(h_sector: ProjectedOperator) -> CipsiState:
     """The Hartree-Fock determinant alone: position 0 of the sector.
 
     Raises:
-        ValueError: unless the Hamiltonian is real and projected onto a
-            determinant sector (`Basis.sector`), a basis whose masks all
-            hold the same number of electrons.
+        ValueError: unless the Hamiltonian is projected onto a determinant
+            sector (`Basis.sector`), a basis whose masks all hold the same
+            number of electrons.
     """
     electrons = np.bitwise_count(h_sector.basis.masks)
-    if np.any(electrons != electrons[0]) or np.iscomplexobj(h_sector.matrix):
-        raise ValueError("CIPSI needs a real Hamiltonian projected onto a determinant sector")
+    if np.any(electrons != electrons[0]):
+        raise ValueError("CIPSI needs a Hamiltonian projected onto a determinant sector")
     return CipsiState(np.array([0]), np.array([1.0]), float(h_sector.matrix[0, 0]))
 
 
@@ -445,10 +443,10 @@ def read_wavefunction(path, basis: Basis) -> Statevector:
     state reads back bit for bit; `export_statevector` normalizes.
 
     Raises:
-        FcidumpError: on a malformed line, a header whose norb or nelec
-            does not fit the basis, a determinant that does not fit the
-            header or lies outside the basis, a determinant listed twice,
-            or no nonzero coefficient.
+        FcidumpError: on a malformed line or a non-finite coefficient, a
+            header whose norb or nelec does not fit the basis, a determinant
+            that does not fit the header or lies outside the basis, a
+            determinant listed twice, or no nonzero coefficient.
     """
     with open(path) as fh:
         try:
@@ -472,6 +470,8 @@ def read_wavefunction(path, basis: Basis) -> Statevector:
             except ValueError:
                 raise FcidumpError(f"{path}:{number}: expected 'coeff alpha_hex beta_hex'") \
                     from None
+            if not math.isfinite(coeff):
+                raise FcidumpError(f"{path}:{number}: coefficient {c} is not a finite number")
             if (alpha | beta) >> norb or alpha.bit_count() + beta.bit_count() != nelec:
                 raise FcidumpError(f"{path}:{number}: determinant does not fit "
                                    f"norb={norb} nelec={nelec}")

@@ -10,8 +10,9 @@ with NORB/NELEC/MS2 followed by integral records `value i j k l` with
 
 Two-electron integrals obey the 8-fold permutational symmetry of real
 orbitals and are stored under a canonical key. Fortran `D` exponents are
-accepted. Lines starting with `#` are comments; fixture files use them to
-carry `# REF_HF=` / `# REF_FCI=` reference energies.
+accepted, values that are not finite numbers refused. Lines starting with
+`#` are comments; fixture files use them to carry `# REF_HF=` /
+`# REF_FCI=` reference energies.
 """
 
 from __future__ import annotations
@@ -94,11 +95,14 @@ class MolecularHamiltonian:
         return 2.0 * (np.einsum("prqs->pqrs", g) - np.einsum("psqr->pqrs", g))
 
 
-def _parse_float(token, lineno):
+def _parse_float(token, where):
     try:
-        return float(token.replace("D", "E").replace("d", "e"))
+        value = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
-        raise FcidumpError(f"line {lineno}: malformed numeric token {token!r}") from None
+        raise FcidumpError(f"{where}: malformed numeric token {token!r}") from None
+    if not np.isfinite(value):
+        raise FcidumpError(f"{where}: {token!r} is not a finite number")
+    return value
 
 
 def _parse_namelist(lines):
@@ -162,7 +166,7 @@ def parse_fcidump(text) -> FcidumpData:
         tokens = line.split()
         if len(tokens) != 5:
             raise FcidumpError(f"line {lineno}: expected `value i j k l`, got {line!r}")
-        value = _parse_float(tokens[0], lineno)
+        value = _parse_float(tokens[0], f"line {lineno}")
         try:
             i, j, k, l = (int(t) for t in tokens[1:])
         except ValueError:
@@ -189,14 +193,15 @@ def read_fcidump(path) -> FcidumpData:
 
 
 def reference_energies(path) -> dict:
-    """Collect `# REF_<NAME>=<value>` comment lines from a fixture file."""
+    """Collect `# REF_<NAME>=<value>` comment lines from a fixture file; a
+    value that is not a finite number raises FcidumpError at `path:line`."""
     refs = {}
     with open(path, "r") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line.startswith("#") and "REF_" in line and "=" in line:
                 key, _, value = line.lstrip("# ").partition("=")
-                refs[key.strip()] = float(value)
+                refs[key.strip()] = _parse_float(value.strip(), f"{path}:{number}")
     return refs
 
 

@@ -11,10 +11,10 @@ optimize, linalg and sparse-linalg packages and their Fortran libraries,
 about 27 MB of resident memory, into every process. Each trial point is
 evaluated once, for both value and gradient, and the lowest value
 evaluated is kept, so a line-search failure still returns the best point
-seen, and the returned objective is never above the starting one. The final inverse-Hessian
-estimate, updated by the last step too, is returned, so a caller
-re-optimizing a grown parameter vector can start the next solve from the
-curvature already learned instead of from the identity.
+seen, and the returned objective is never above the starting one. The
+final inverse-Hessian estimate, updated by the last step too, is returned,
+so a caller re-optimizing a grown parameter vector can start the next
+solve from the curvature already learned instead of from the identity.
 
 A solve also stops at the objective's floating-point floor: once an
 accepted step has lowered the objective by no more than
@@ -172,8 +172,9 @@ def _line_search(evaluate, theta, direction, value, grad, old_value):
     `evaluate(x) -> (value, gradient)` is called once per trial point. The
     first trial step is 1.01 times the minimizer of the parabola with the
     current slope whose minimum lies `old_value - value` below `value`,
-    capped at 1 (1 when it is negative); it doubles until the sufficient decrease fails, the value stops falling
-    or the slope turns non-negative, and `_zoom` then searches the bracket.
+    capped at 1 (1 when it is negative); it doubles until the sufficient
+    decrease fails, the value stops falling or the slope turns
+    non-negative, and `_zoom` then searches the bracket.
     Returns (alpha, value, gradient) at the accepted point, or None when
     rounding has made the first step 0, or the bracketing phase or the zoom
     runs out of trials.

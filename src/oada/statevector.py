@@ -3,12 +3,16 @@
 A basis is a sorted array of occupation masks (bit p set = spin orbital p
 occupied): the full 2^N computational basis, the oracle for arbitrary
 states, or the fixed-(N_alpha, N_beta) sector that holds the Hartree-Fock
-reference. Every pool excitation conserves N and S_z, so the
-adaptive loops simulate only that sector, with real amplitudes: 400 of the
-4,096 basis states for H6, 1,225 of 16,384 for BeH2. The basis owns the
-mask -> position lookup, the index pairs each excitation couples and the
-projection of operators onto it; the kernels below are written once
-against it.
+reference. Every pool excitation conserves N and S_z, so the adaptive
+loops simulate only that sector: 400 of the 4,096 basis states for H6,
+1,225 of 16,384 for BeH2. The basis owns the mask -> position lookup, the
+index pairs each excitation couples and the projection of operators onto
+it; the kernels below are written once against it.
+
+Every state of the method is real: the Hartree-Fock reference, the Givens
+rotations below, and the targets of a real-integral Hamiltonian. So the
+simulator has one number type, float64; `Statevector` and
+`ProjectedOperator` refuse complex values.
 
 A qubit excitation evolution exp(theta T) acts as a Givens rotation between
 paired occupation patterns and carries no fermionic parity string:
@@ -44,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -236,11 +239,12 @@ class Basis:
         return pairs
 
     def project(self, operator) -> ProjectedOperator:
-        """The operator's matrix in this basis, real when its entries are.
+        """The operator's real matrix in this basis.
 
         Accepts a QubitOperator, projected term group by term group without
         the 2^N matrix, or an operator already projected onto an equal
-        basis, which is returned as it is.
+        basis, which is returned as it is. A matrix left with imaginary
+        entries (1e-13 or more), such as Y0's, raises ValueError.
         """
         if isinstance(operator, ProjectedOperator):
             if operator.basis != self:
@@ -265,7 +269,9 @@ class Basis:
         temporaries beside the kept entries stay within a fixed multiple of
         `CHUNK`. Each entry adds its group's terms to 0 one at a time
         in `sorted_terms` order (z ascending), the sum a term-by-term loop
-        takes, bit for bit.
+        takes, bit for bit. Complex coefficients are summed as such, since
+        `QubitOperator.to_sparse_matrix` serves general operators; `project`
+        refuses a matrix that stays complex.
         """
         strings = list(operator.terms)
         x = np.array([s.x_mask for s in strings], dtype=np.int64)
@@ -287,7 +293,6 @@ class Basis:
 
         block = max(1, CHUNK // max(1, len(keys)))
         indices, data, row_sizes = [], [], []
-        stored = 0  # entries a term loop stores, zeros included
         for r0 in range(0, self.dim, block):
             masks = self.masks[r0:r0 + block]
             cols = self.index(keys ^ masks)  # (group, row) candidates
@@ -295,18 +300,14 @@ class Basis:
             for n, z_j, scaled_j in ranks:
                 odd = np.bitwise_count(z_j & masks) & 1
                 values[:n] += np.where(odd, -scaled_j, scaled_j)
-            inside = cols >= 0
-            stored += np.count_nonzero(inside)
-            group, row = np.nonzero(inside & (values != 0))
+            group, row = np.nonzero((cols >= 0) & (values != 0))
             col = cols[group, row]
             order = np.argsort(row * self.dim + col)
             indices.append(col[order].astype(np.int32))
             data.append(values[group, row][order])
             row_sizes.append(np.bincount(row, minlength=len(masks)))
         data = np.concatenate(data)
-        if not stored:  # a term loop leaves an empty matrix complex
-            data = data.astype(np.complex128)
-        elif np.iscomplexobj(data) and np.max(np.abs(data.imag), initial=0) < 1e-13:
+        if np.iscomplexobj(data) and np.max(np.abs(data.imag), initial=0) < 1e-13:
             data = data.real.copy()
         indptr = np.zeros(self.dim + 1, dtype=np.int64)
         np.cumsum(np.concatenate(row_sizes), out=indptr[1:])
@@ -319,7 +320,7 @@ class Basis:
         """The state's amplitudes on this basis, as a state in it.
 
         Weight outside the basis is dropped, so overlaps with states of
-        this basis are unchanged. The amplitudes keep their dtype.
+        this basis are unchanged.
         """
         if state.basis is self:
             return state
@@ -330,11 +331,17 @@ class Basis:
         return Statevector(self.n_qubits, amplitudes, self)
 
 
-class ProjectedOperator(NamedTuple):
-    """An operator's matrix in the coordinates of a basis; see `Basis.project`."""
+@dataclass(frozen=True, eq=False)  # a sparse matrix has no truth value to compare by
+class ProjectedOperator:
+    """An operator's real matrix in the coordinates of a basis; see `Basis.project`."""
 
     basis: Basis
     matrix: object
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.matrix):
+            raise ValueError(f"a projected operator must be real, not {self.matrix.dtype}: "
+                             "the operator has imaginary matrix entries")
 
     @property
     def n_qubits(self):
@@ -342,10 +349,8 @@ class ProjectedOperator(NamedTuple):
 
 
 class Statevector:
-    """Amplitude vector over a basis, the full 2^N space unless one is given.
-
-    Amplitudes are float64 unless complex ones are given.
-    """
+    """Float64 amplitude vector over a basis, the full 2^N space unless one
+    is given; complex amplitudes raise ValueError."""
 
     def __init__(self, n_qubits: int, amplitudes=None, basis: Basis = None):
         if basis is None:
@@ -354,11 +359,12 @@ class Statevector:
             raise ValueError("basis and statevector disagree on the qubit count")
         self.n_qubits = n_qubits
         self.basis = basis
-        dtype = np.complex128 if np.iscomplexobj(amplitudes) else np.float64
+        if np.iscomplexobj(amplitudes):
+            raise ValueError("statevector amplitudes must be real")
         if amplitudes is None:
-            self.amplitudes = np.zeros(basis.dim, dtype=dtype)
+            self.amplitudes = np.zeros(basis.dim)
         else:
-            amplitudes = np.asarray(amplitudes, dtype=dtype)
+            amplitudes = np.asarray(amplitudes, dtype=np.float64)
             if amplitudes.shape != (basis.dim,):
                 raise ValueError("amplitude array has wrong length")
             self.amplitudes = amplitudes
@@ -441,10 +447,10 @@ class _PairPlan:
     Built once, pairs through `Basis._pairs_of`: each excitation's (2, n)
     pairs take a run of columns side by side, in order. The plan keeps the
     pairs, each run's slice (`_runs`), the start of each non-empty run and
-    the row buffer, (2, total) in that layout, with a view of each run
-    (`_buffer`). The row buffer holds a left vector's rows in the result
-    dtype of each call's two vectors; it is shared by every call, so a plan
-    is not re-entrant. Returned brackets are new arrays, never views of it.
+    the row buffer, a (2, total) float64 array in that layout, with a view
+    of each run (`_buffer`). The row buffer holds a left vector's rows; it
+    is shared by every call, so a plan is not re-entrant. Returned brackets
+    are new arrays, never views of it.
     """
 
     def __init__(self, basis: Basis, excitations):
@@ -457,30 +463,22 @@ class _PairPlan:
         self._starts = starts[self._nonempty]
         self._runs = [slice(a, a + n) for a, n in zip(starts.tolist(), sizes.tolist())]
         self._total = int(sizes.sum())
-        self._rows, self._row_runs = self._buffer(np.float64)
+        self._rows, self._row_runs = self._buffer()
 
-    def _buffer(self, dtype):
-        """A (2, total) buffer and its view of each run."""
-        buffer = np.empty((2, self._total), dtype)
+    def _buffer(self):
+        """A (2, total) float64 buffer and its view of each run."""
+        buffer = np.empty((2, self._total))
         return buffer, [buffer[:, run] for run in self._runs]
-
-    def _rows_in(self, dtype):
-        """The row buffer in `dtype`, reallocated with its views when the
-        last call's dtype differed."""
-        if self._rows.dtype != dtype:
-            self._rows, self._row_runs = self._buffer(dtype)
-        return self._rows
 
     def _bracket_sum(self, right_rows):
         """<left|T|right> per excitation, as a new array, from the left rows
         in the row buffer and `right_rows` in the same layout: each run sums
-        conj(left[dst]) right[src] - conj(left[src]) right[dst], 0 when it
-        is empty. Overwrites the row buffer."""
+        left[dst] right[src] - left[src] right[dst], 0 when it is empty.
+        Overwrites the row buffer."""
         lrows = self._rows
-        np.conjugate(lrows, out=lrows)
         terms = np.multiply(lrows[1], right_rows[0], out=lrows[1])
         np.subtract(terms, np.multiply(lrows[0], right_rows[1], out=lrows[0]), out=terms)
-        brackets = np.zeros(len(self.pairs), lrows.dtype)
+        brackets = np.zeros(len(self.pairs))
         brackets[self._nonempty] = np.add.reduceat(terms, self._starts)
         return brackets
 
@@ -489,7 +487,7 @@ class _Sweep(_PairPlan):
     """An ansatz's plan of the taped adjoint sweep in one basis: the pair
     plan of its excitations, the Hartree-Fock amplitudes and the tape, a
     (2, total) float64 buffer in the plan's layout, which the forward pass
-    fills with each evolution's rotated rows of the real psi_k. `brackets`
+    fills with each evolution's rotated rows of psi_k. `brackets`
     fills the row buffer as it turns a left vector back."""
 
     def __init__(self, ansatz: Ansatz, basis: Basis):
@@ -497,7 +495,7 @@ class _Sweep(_PairPlan):
         self.n_electrons = ansatz.n_electrons
         self.excitations = list(ansatz.excitations)
         self.hf = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis).amplitudes
-        self.tape, self._tape_runs = self._buffer(np.float64)
+        self.tape, self._tape_runs = self._buffer()
 
     def forward(self, givens):
         """The amplitudes of the ansatz at the angles of `givens`, as a new
@@ -513,11 +511,9 @@ class _Sweep(_PairPlan):
         """<left_k|T_k|psi_k> for every k, as a new array: psi_k's rows from
         the tape of the last `forward`, left_k a copy of `left` with
         evolutions k+1, k+2, ... undone by G^T."""
-        dtype = np.result_type(left, self.tape)
         if not self.pairs:
-            return np.zeros(0, dtype)
-        self._rows_in(dtype)
-        left = np.array(left, dtype)
+            return np.zeros(0)
+        left = left.copy()
         back = givens.transpose(0, 2, 1)
         for pairs, g, kept in zip(self.pairs[:0:-1], back[:0:-1], self._row_runs[:0:-1]):
             rows = left[pairs]
@@ -547,22 +543,18 @@ def apply_ansatz(ansatz: Ansatz, thetas=None, basis: Basis = None) -> Statevecto
 
 
 def expectation(state: Statevector, operator) -> float:
-    """<state|H|state> for a hermitian operator; imaginary residue is rejected."""
+    """<state|H|state>, for an operator that `Basis.project` takes."""
     matrix = state.basis.project(operator).matrix
-    value = np.vdot(state.amplitudes, matrix @ state.amplitudes)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(
-            f"expectation has imaginary part {value.imag:.3e}; operator not hermitian?")
-    return float(value.real)
+    return float(np.vdot(state.amplitudes, matrix @ state.amplitudes))
 
 
-def overlap(a: Statevector, b: Statevector) -> complex:
+def overlap(a: Statevector, b: Statevector) -> float:
     """<a|b>."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("statevector size mismatch")
     if a.basis != b.basis:
         b = a.basis.extract(b)
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return float(np.vdot(a.amplitudes, b.amplitudes))
 
 
 class PoolScreen(_PairPlan):
@@ -582,10 +574,10 @@ class PoolScreen(_PairPlan):
         self._table = (np.concatenate(self.pairs, axis=1) if self.pairs
                        else np.empty((2, 0), dtype=np.int64))
 
-    def _buffer(self, dtype):
+    def _buffer(self):
         """The left rows, in one block with the right rows (`_right`); each
         gather fills its rows whole, so no run needs a view."""
-        rows, self._right = np.empty((2, 2, self._total), dtype)
+        rows, self._right = np.empty((2, 2, self._total))
         return rows, None
 
     def brackets(self, left, right):
@@ -593,17 +585,20 @@ class PoolScreen(_PairPlan):
         operator without pairs.
 
         Raises:
-            ValueError: unless both vectors have one amplitude per basis state.
+            ValueError: unless both vectors are real, with one amplitude per
+                basis state.
         """
         if np.shape(left) != (self.basis.dim,) or np.shape(right) != (self.basis.dim,):
             raise ValueError(f"pool screen brackets need two vectors of length "
                              f"{self.basis.dim}, not {np.shape(left)} and {np.shape(right)}")
-        dtype = np.result_type(left, right)
-        rows = self._rows_in(dtype)  # and `_right` with them
+        # A gather into the float buffers would drop an imaginary part with
+        # no more than a ComplexWarning.
+        if np.iscomplexobj(left) or np.iscomplexobj(right):
+            raise ValueError("pool screen brackets need real vectors")
         # The table lies inside the checked vectors, and mode="raise" would
         # gather into a temporary before copying to `out`.
-        np.take(np.asarray(left, dtype), self._table, out=rows, mode="clip")
-        np.take(np.asarray(right, dtype), self._table, out=self._right, mode="clip")
+        np.take(left, self._table, out=self._rows, mode="clip")
+        np.take(right, self._table, out=self._right, mode="clip")
         return self._bracket_sum(self._right)
 
 
@@ -612,7 +607,7 @@ def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
 
     The simulation runs in the basis the Hamiltonian is projected onto
     (`Basis.project`). The sweep un-applies each evolution from
-    lambda = H|psi> only, reading off dE/dtheta_k = 2 Re <lambda_k|T_k|psi_k>
+    lambda = H|psi> only, reading off dE/dtheta_k = 2 <lambda_k|T_k|psi_k>
     against the forward tape's rows of psi_k.
 
     Raises:
@@ -624,11 +619,9 @@ def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
                         f"not {type(h).__name__}")
     state, givens, sweep = _forward(ansatz, thetas, h.basis)
     lam = h.matrix @ state.amplitudes
-    energy = np.vdot(state.amplitudes, lam)
-    if abs(energy.imag) > 1e-10 * max(1.0, abs(energy.real)):
-        raise ValueError("non-hermitian operator in energy evaluation")
-    grad = 2.0 * sweep.brackets(givens, lam).real
-    return float(energy.real), grad
+    # vdot, the bra-ket as written, gives dot's bits on real vectors.
+    energy = float(np.vdot(state.amplitudes, lam))
+    return energy, 2.0 * sweep.brackets(givens, lam)
 
 
 def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
@@ -639,11 +632,12 @@ def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
     state, givens, sweep = _forward(ansatz, thetas, target.basis)
     c = np.vdot(target.amplitudes, state.amplitudes)
     brackets = sweep.brackets(givens, target.amplitudes)
-    return float(abs(c) ** 2), 2.0 * (np.conjugate(c) * brackets).real
+    # abs(c) ** 2, not c * c: the two can differ in the last bit, and that
+    # bit moved the h6_3.0 CIPSI pipeline from 599 to 616 evaluations.
+    return float(abs(c) ** 2), 2.0 * (c * brackets)
 
 
 def format_state(state: Statevector) -> str:
-    """`mask amplitude_re amplitude_im` lines of the nonzero amplitudes, for
-    debugging dumps."""
-    return "\n".join(f"{mask} {a.real: .16e} {a.imag: .16e}"
+    """`mask amplitude` lines of the nonzero amplitudes, for debugging dumps."""
+    return "\n".join(f"{mask} {a: .16e}"
                      for mask, a in zip(state.basis.masks, state.amplitudes) if abs(a) > 0.0)

@@ -194,6 +194,14 @@ def test_stretched_beh2_symmetry_twins_go_to_the_lower_id(beh2_stretched):
 # without the inverse Hessian carried between iterations.
 H6_ADAPT_30_IDS = [80, 116, 46, 33, 18, 94, 65, 33, 80, 102, 11, 50, 99, 63, 112,
                    116, 11, 52, 80, 33, 46, 65, 13, 11, 80, 13, 94, 11, 6, 20]
+# Operators the two pipeline benchmark workloads select, (overlap stage,
+# energy stage); both stages stop by budget. Checked with the workloads'
+# evaluation counts in test_optimizer.py, which runs them.
+H6_CIPSI_PIPELINE_IDS = ([108, 80, 26, 36, 58, 67, 44, 108, 26, 88,
+                          58, 99, 44, 67, 108, 13, 99, 80, 13, 16],
+                         [8, 63, 112, 22, 33, 36, 110, 11, 102, 108])
+BEH2_FCI_PIPELINE_IDS = ([188, 143, 135, 140, 8, 12, 153, 172, 19, 23],
+                         [188, 146, 184, 128, 203, 91, 96, 200, 195, 99])
 
 
 def test_h6_inverse_hessian_reuse_keeps_the_sequence_and_saves_evaluations(h6):

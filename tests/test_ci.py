@@ -226,6 +226,8 @@ def test_wavefunction_file_round_trip(tmp_path, h4):
     ("norb=2 nelec=2\n1.0 3 0\n", ":2: .*does not fit"),
     ("norb=3 nelec=2\n1.0 1 1\n", "does not fit"),
     ("norb=2 nelec=2\n0.6 1 1\n0.8 1 1\n", ":3: .*listed twice"),
+    ("norb=2 nelec=2\nnan 1 1\n", ":2: coefficient nan is not a finite number"),
+    ("norb=2 nelec=2\n0.6 1 1\n-inf 2 2\n", ":3: coefficient -inf is not a finite"),
     ("norb=2 nelec=2\n0.0 1 1\n", "nonzero"),
 ])
 def test_read_wavefunction_rejects_bad_files(tmp_path, text, match):

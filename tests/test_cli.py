@@ -304,6 +304,16 @@ def test_parse_error_exit_code(tmp_path):
     assert "line" in result.stderr
 
 
+def test_non_finite_integral_exit_code(h2_path, tmp_path, capsys):
+    # a NaN (11|11) was dropped by the coefficient cutoff: the run printed a
+    # wrong E_FCI and exited 0
+    nan = tmp_path / "nan.fcidump"
+    nan.write_text(open(h2_path).read().replace(" 6.7448876778419997e-01", " nan"))
+    assert main(["run", "--method", "fci", "--fcidump", str(nan)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "line 7: 'nan' is not a finite number" in err[0]
+
+
 def test_dimension_cap_exit_code(tmp_path):
     big = tmp_path / "big.fcidump"
     big.write_text("&FCI NORB=30,NELEC=30,MS2=0,\n&END\n0.0 0 0 0 0\n")
@@ -337,8 +347,7 @@ def test_dimension_cap_fires_before_the_integrals_are_allocated(h2_path, tmp_pat
 
 def _state_lines(text):
     lines = [line.split() for line in text.strip().splitlines()]
-    return [int(m) for m, _, _ in lines], np.array([[float(re), float(im)]
-                                                   for _, re, im in lines])
+    return [int(m) for m, _ in lines], np.array([float(a) for _, a in lines])
 
 
 def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
@@ -350,8 +359,7 @@ def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
     full = apply_ansatz(load_ansatz(ansatz_file)).amplitudes
     masks, values = _state_lines(dump.read_text())
     assert masks == np.flatnonzero(full).tolist()
-    assert np.max(np.abs(values[:, 0] - full[masks].real)) < 1e-14
-    assert not np.any(values[:, 1])
+    assert np.max(np.abs(values - full[masks])) < 1e-14
 
     assert main(["run", "--method", "fci", "--fcidump", h4_path,
                  "--dump-state", str(dump)]) == 0
@@ -360,7 +368,7 @@ def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
     full = Basis.full(mol.n_spin_orbitals).extract(state).amplitudes
     masks, values = _state_lines(dump.read_text())
     assert masks == np.flatnonzero(full).tolist()
-    assert np.max(np.abs(values[:, 0] - full[masks].real)) < 1e-14
+    assert np.max(np.abs(values - full[masks])) < 1e-14
 
 
 def test_wrong_sector_wavefunction_target_exit_code(h2_path, tmp_path):
@@ -385,6 +393,7 @@ def test_wrong_molecule_ansatz_target_exit_code(h2_path, tmp_path):
     ("double 2 9 0 1 0.1", "orbital index outside [0, 4)"),
     ("single 2 1 0.1", "does not conserve S_z"),
     ("double 2 2 0 1 0.1", "repeated orbital index"),
+    ("double 2 3 0 1 nan", "angle nan is not a finite number"),
 ])
 def test_bad_stored_excitation_exit_code(h2_path, tmp_path, capsys, line, problem):
     (tmp_path / "a.txt").write_text(f"n_qubits=4 n_electrons=2\n{line}\n")

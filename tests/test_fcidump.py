@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oada.fcidump import (FcidumpData, FcidumpError, dump_fcidump, parse_fcidump,
-                          to_spin_orbital)
+                          reference_energies, to_spin_orbital)
 from oada.pauli import jw_hamiltonian
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n&END\n"
@@ -57,6 +57,21 @@ def test_missing_namelist_key():
 def test_malformed_numeric_reports_line():
     with pytest.raises(FcidumpError, match="line 5"):
         parse_fcidump(HEADER + "oops 1 1 0 0\n")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1D999"])
+def test_non_finite_value_reports_line(token):
+    # a NaN integral fails the coefficient cutoff and its term would vanish
+    with pytest.raises(FcidumpError, match=f"line 6: '{token}' is not a finite number"):
+        parse_fcidump(HEADER + f"0.5 1 1 0 0\n{token} 1 1 1 1\n")
+
+
+@pytest.mark.parametrize("value, problem", [("abc", "malformed"), ("nan", "not a finite")])
+def test_reference_energies_refuse_bad_values(tmp_path, value, problem):
+    path = tmp_path / "ref.fcidump"
+    path.write_text(f"# REF_HF=-1.0\n# REF_FCI={value}\n" + HEADER)
+    with pytest.raises(FcidumpError, match=f"ref.fcidump:2: .*{problem}"):
+        reference_energies(path)
 
 
 def test_index_out_of_range():

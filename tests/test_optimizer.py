@@ -8,6 +8,7 @@ import oada
 from oada import adapt, optimizer
 from oada.optimizer import FLOOR_K, NEAR_MISS, _line_search, minimize
 from oada.statevector import Ansatz, energy_and_gradient
+from test_adapt import BEH2_FCI_PIPELINE_IDS, H6_ADAPT_30_IDS, H6_CIPSI_PIPELINE_IDS
 
 
 def quadratic(center):
@@ -279,7 +280,8 @@ def test_a_nan_theta_is_evaluated_once_per_trial_point():
 
 
 def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkeypatch):
-    # the benchmark's three solves, counted as its tracer counts them
+    # the benchmark's three solves, counted as its tracer counts them, and
+    # the operators each selects
     counted = []
     solve = adapt.minimize
 
@@ -289,11 +291,18 @@ def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkey
         return result
 
     monkeypatch.setattr(adapt, "minimize", counting)
-    oada.run_adapt(h6.ham, h6.pool, n_electrons=h6.n_electrons, eps=1e-8, max_ops=30)
-    oada.pipeline(h6.mol, h6.ham, h6.pool, "cipsi", 20, 30, cipsi_max_dets=50)
-    oada.pipeline(beh2_stretched.mol, beh2_stretched.ham, beh2_stretched.pool, "fci", 10, 20)
+    _, h6_trace = oada.run_adapt(h6.ham, h6.pool, n_electrons=h6.n_electrons,
+                                 eps=1e-8, max_ops=30)
+    h6_run = oada.pipeline(h6.mol, h6.ham, h6.pool, "cipsi", 20, 30, cipsi_max_dets=50)
+    beh2_run = oada.pipeline(beh2_stretched.mol, beh2_stretched.ham, beh2_stretched.pool,
+                             "fci", 10, 20)
     assert [sum(counted[:30]), sum(counted[30:60]), sum(counted[60:])] == [564, 599, 193]
     assert len(counted) == 80
+    assert [r.op_id for r in h6_trace.records] == H6_ADAPT_30_IDS
+    for run, ids in ((h6_run, H6_CIPSI_PIPELINE_IDS), (beh2_run, BEH2_FCI_PIPELINE_IDS)):
+        traces = (run.overlap_trace, run.adapt_trace)
+        assert tuple([r.op_id for r in t.records] for t in traces) == ids
+        assert [t.stop_reason for t in traces] == ["budget", "budget"]
 
 
 def line(value, slope):

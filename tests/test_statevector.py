@@ -9,9 +9,10 @@ from oada.adapt import screen_energy_gradients
 from oada.overlap_adapt import screen_overlap_gradients
 from oada.pauli import QubitOperator
 from oada.pool import DoubleExcitation, SingleExcitation
-from oada.statevector import (Ansatz, Basis, PoolScreen, Statevector, apply_ansatz,
-                              apply_excitation, energy_and_gradient, expectation,
-                              format_state, overlap, overlap_and_gradient, prepare_hf)
+from oada.statevector import (Ansatz, Basis, PoolScreen, ProjectedOperator, Statevector,
+                              apply_ansatz, apply_excitation, energy_and_gradient,
+                              expectation, format_state, overlap, overlap_and_gradient,
+                              prepare_hf)
 from reference_kernels import pair_bracket, pool_brackets
 
 
@@ -36,14 +37,14 @@ def test_qubit_cap_guard():
 
 def test_zero_angle_is_identity():
     rng = np.random.default_rng(0)
-    state = Statevector(4, rng.normal(size=16) + 1j * rng.normal(size=16))
+    state = Statevector(4, rng.normal(size=16))
     out = apply_excitation(state, SingleExcitation(2, 0), 0.0)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_single_excitation_quarter_turn():
     # |01> (orbital 0 occupied) rotates fully onto |10> at theta = pi/2
-    state = Statevector(2, np.array([0, 1, 0, 0], dtype=complex))
+    state = Statevector(2, np.array([0.0, 1.0, 0.0, 0.0]))
     out = apply_excitation(state, SingleExcitation(1, 0), np.pi / 2)
     assert abs(out.amplitudes[0b10] - 1.0) < 1e-12
     # dense matrix exponential oracle
@@ -54,7 +55,7 @@ def test_single_excitation_quarter_turn():
 
 def test_double_excitation_annihilates_missing_occupation():
     # bit r = 0 in the state: amplitude untouched for any angle
-    state = Statevector(4, np.zeros(16, dtype=complex))
+    state = Statevector(4)
     state.amplitudes[0b0010] = 1.0  # orbital 1 occupied only
     out = apply_excitation(state, DoubleExcitation(2, 3, 0, 1), 1.234)
     assert np.array_equal(out.amplitudes, state.amplitudes)
@@ -87,7 +88,7 @@ def test_expectation_hf_and_fci(h2):
 
 def test_expectation_identity_scaling():
     rng = np.random.default_rng(5)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps = rng.normal(size=8)
     state = Statevector(3, amps / np.linalg.norm(amps))
     assert abs(expectation(state, QubitOperator.identity(3, -2.5)) + 2.5) < 1e-12
 
@@ -95,7 +96,7 @@ def test_expectation_identity_scaling():
 def test_expectation_rejects_non_hermitian():
     state = prepare_hf(2, 1)
     bad = QubitOperator.from_word(2, [("Z", 0)], 1j)  # anti-hermitian
-    with pytest.raises(ValueError, match="hermitian"):
+    with pytest.raises(ValueError, match="must be real"):
         expectation(state, bad)
 
 
@@ -106,12 +107,12 @@ def test_expectation_size_mismatch():
 
 def test_overlap_basics():
     rng = np.random.default_rng(9)
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    amps = rng.normal(size=16)
     psi = Statevector(4, amps / np.linalg.norm(amps))
     assert abs(overlap(psi, psi) - 1.0) < 1e-12
-    a = Statevector(2, np.array([1, 0, 0, 0], dtype=complex))
-    b = Statevector(2, np.array([0, 0, 1, 0], dtype=complex))
-    assert overlap(a, b) == 0.0
+    a = Statevector(2, np.array([1.0, 0.0, 0.0, 0.0]))
+    b = Statevector(2, np.array([0.0, 0.0, 1.0, 0.0]))
+    assert overlap(a, b) == 0.0 and type(overlap(a, b)) is float
     with pytest.raises(ValueError):
         overlap(a, psi)
 
@@ -187,6 +188,24 @@ def test_project_takes_qubit_operators_and_its_own_projections(h2):
         Basis.sector(4, 2).project(h2.full)
 
 
+def test_a_statevector_refuses_complex_amplitudes():
+    with pytest.raises(ValueError, match="must be real"):
+        Statevector(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+
+
+def test_a_projected_operator_refuses_a_complex_matrix(h2):
+    with pytest.raises(ValueError, match="must be real, not complex128"):
+        ProjectedOperator(h2.full.basis, h2.full.matrix.astype(complex))
+
+
+def test_projecting_y_is_refused():
+    # hermitian, with the imaginary matrix [[0, -i], [i, 0]]
+    y = QubitOperator.from_word(1, [("Y", 0)])
+    assert y.is_hermitian()
+    with pytest.raises(ValueError, match="imaginary matrix entries"):
+        Basis.full(1).project(y)
+
+
 def test_overlap_gradient_trivial_and_fd(h4):
     hf = prepare_hf(h4.n, h4.n_electrons)
     empty = Ansatz(h4.n, h4.n_electrons)
@@ -211,7 +230,7 @@ def test_overlap_gradient_trivial_and_fd(h4):
 
 def test_overlap_orthogonal_target_is_zero():
     # target outside the particle-number sector the ansatz can reach
-    target = Statevector(4, np.zeros(16, dtype=complex))
+    target = Statevector(4)
     target.amplitudes[0b0001] = 1.0  # one electron, ansatz sector has two
     ansatz = Ansatz(4, 2)
     ansatz.append(DoubleExcitation(2, 3, 0, 1), 0.7)
@@ -232,7 +251,7 @@ def test_norm_and_sector_preserved_over_random_sequence(h4):
 
 def test_inverse_rotation_roundtrip(h4):
     rng = np.random.default_rng(13)
-    state = Statevector(h4.n, rng.normal(size=1 << h4.n) * (1 + 0j))
+    state = Statevector(h4.n, rng.normal(size=1 << h4.n))
     state.amplitudes /= state.norm()
     for op in h4.pool[:20]:
         theta = rng.uniform(-np.pi, np.pi)
@@ -244,7 +263,7 @@ def test_inverse_rotation_roundtrip(h4):
 def test_format_state():
     state = prepare_hf(2, 1)
     lines = format_state(state).splitlines()
-    assert lines == [f"1 {1.0: .16e} {0.0: .16e}"]
+    assert lines == [f"1 {1.0: .16e}"]
 
 
 @pytest.mark.parametrize("n_qubits", [0, 1, 4])
@@ -258,20 +277,18 @@ def test_full_basis_index_matches_search(n_qubits):
     assert np.array_equal(basis.index(basis.masks), np.arange(basis.dim))
 
 
-def _random_complex_state(rng, n_qubits):
-    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+def _random_state(rng, n_qubits):
+    amps = rng.normal(size=1 << n_qubits)
     return Statevector(n_qubits, amps / np.linalg.norm(amps))
 
 
-def test_pool_screens_match_the_per_operator_bracket_on_complex_states(h4):
-    # the one-pass screens conjugate the left vector, as `pair_bracket`'s
-    # vdot does; real states cannot tell the two apart
+def test_pool_screens_match_the_per_operator_bracket(h4):
     rng = np.random.default_rng(5)
-    state, target = _random_complex_state(rng, h4.n), _random_complex_state(rng, h4.n)
+    state, target = _random_state(rng, h4.n), _random_state(rng, h4.n)
     basis = state.basis
     h_psi = h4.full.matrix @ state.amplitudes
     pairs = [basis.pairs(op.excitation) for op in h4.pool]
-    energy = [2.0 * pair_bracket(h_psi, state.amplitudes, p).real for p in pairs]
+    energy = [2.0 * pair_bracket(h_psi, state.amplitudes, p) for p in pairs]
     overlap_grads = [abs(pair_bracket(target.amplitudes, state.amplitudes, p))
                      for p in pairs]
     plan = PoolScreen(basis, h4.pool)
@@ -304,7 +321,7 @@ def test_gradient_sweeps_leave_their_inputs_alone(h4):
     rng = np.random.default_rng(9)
     ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 6)
     thetas = list(ansatz.thetas)
-    target = _random_complex_state(rng, h4.n)
+    target = _random_state(rng, h4.n)
     amplitudes = target.amplitudes.copy()
     overlap_and_gradient(ansatz, target)
     assert target.amplitudes.tobytes() == amplitudes.tobytes()
@@ -322,20 +339,6 @@ def test_pool_screen_brackets_are_bit_identical_to_the_reference(name, request):
     for _ in range(3):  # the buffers are reused from the second call on
         left, right = rng.normal(size=(2, basis.dim))
         assert np.array_equal(plan.brackets(left, right),
-                              pool_brackets(left, right, basis, excitations))
-
-
-def test_pool_screen_brackets_follow_the_dtype_of_each_call(h4):
-    basis = Basis.full(h4.n)
-    excitations = [op.excitation for op in h4.pool]
-    plan = PoolScreen(basis, h4.pool)
-    rng = np.random.default_rng(12)
-    real = rng.normal(size=(2, basis.dim))
-    complex_ = [_random_complex_state(rng, h4.n).amplitudes for _ in range(2)]
-    for left, right in (real, complex_, real):
-        brackets = plan.brackets(left, right)
-        assert brackets.dtype == np.result_type(left, right)
-        assert np.array_equal(brackets,
                               pool_brackets(left, right, basis, excitations))
 
 
@@ -358,6 +361,16 @@ def test_pool_screen_brackets_refuse_vectors_of_another_length(h4):
         for left, right in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match=f"length {plan.basis.dim}"):
                 plan.brackets(left, right)
+
+
+def test_pool_screen_brackets_refuse_complex_vectors(h4):
+    # a gather into the float buffers would drop the imaginary part
+    plan = PoolScreen(h4.sector.basis, h4.pool)
+    good = np.ones(plan.basis.dim)
+    bad = good + 1j
+    for left, right in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="real vectors"):
+            plan.brackets(left, right)
 
 
 def test_a_screen_with_a_built_plan_allocates_nothing_pool_sized(beh2_stretched):
