@@ -6,6 +6,10 @@ one of the overlap-guided pipelines. It accepts a plain key=value config
 file; command-line flags win over config values. The other three print
 the pool, the qubit Hamiltonian or the invariant checks of an input.
 
+`--log-level` (before the subcommand, default warning) sets the least
+severity of the package's log lines printed to stderr, such as the
+optimizer's near-miss warnings (debug adds the routine floor stops).
+
 Exit codes follow the exception type, each with a one-line diagnostic:
 2 bad input (FcidumpError, a missing file), 3 a dimension cap
 (DimensionCapError), 4 a non-finite objective (ObjectiveError), 1 any
@@ -15,8 +19,10 @@ other ValueError or a Davidson run that did not converge (ConvergenceError).
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
+from contextlib import contextmanager
 
 from . import ci
 from .adapt import load_ansatz, run_adapt, save_ansatz
@@ -43,6 +49,8 @@ METHOD_FLAGS = {
     "overlap-adapt-cipsi": _OVERLAP_FLAGS | {"cipsi_max_dets", "cipsi_target_e2"},
     "overlap-adapt-ansatz": _OVERLAP_FLAGS | {"target_ansatz"},
 }
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -253,6 +261,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="oada",
         description="Adaptive and overlap-guided ansatz experiments on FCIDUMP inputs")
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="least severity of the log lines printed to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a configured experiment")
@@ -292,6 +302,23 @@ def build_parser():
     return parser
 
 
+@contextmanager
+def _log_to_stderr(level):
+    """Print the package's log records at `level` and above to stderr, one
+    line each as 'LEVEL: message', until the block ends."""
+    package = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    saved = package.level
+    package.setLevel(level.upper())
+    package.addHandler(handler)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(saved)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -323,7 +350,8 @@ def main(argv=None):
                     and args.p_overlap > args.max_ops:
                 raise FcidumpError(f"--p-overlap {args.p_overlap} exceeds "
                                    f"--max-ops {args.max_ops}")
-        return args.func(args)
+        with _log_to_stderr(args.log_level):
+            return args.func(args)
     except (FcidumpError, FileNotFoundError) as exc:
         return _fail(exc, EXIT_PARSE)
     except DimensionCapError as exc:

@@ -243,8 +243,11 @@ class Basis:
 
         Accepts a QubitOperator, projected term group by term group without
         the 2^N matrix, or an operator already projected onto an equal
-        basis, which is returned as it is. A matrix left with imaginary
-        entries (1e-13 or more), such as Y0's, raises ValueError.
+        basis, which is returned as it is. A QubitOperator that is not
+        hermitian (`is_hermitian()`), such as a generator T, raises
+        ValueError; `QubitOperator.to_sparse_matrix` takes any operator. A
+        hermitian operator whose matrix keeps imaginary entries (1e-13 or
+        more), such as Y0, raises ValueError too.
         """
         if isinstance(operator, ProjectedOperator):
             if operator.basis != self:
@@ -254,6 +257,8 @@ class Basis:
             raise TypeError(f"unsupported operator type {type(operator).__name__}")
         if operator.n_qubits != self.n_qubits:
             raise ValueError("qubit-count mismatch between operator and state")
+        if not operator.is_hermitian():
+            raise ValueError("cannot project an operator that is not hermitian")
         return ProjectedOperator(self, self._project_terms(operator))
 
     def _project_terms(self, operator):

@@ -267,6 +267,27 @@ def test_other_spin_sector_exit_code(h2_path, tmp_path, capsys):
     assert len(err) == 1 and "MS2=2" in err[0]
 
 
+def test_log_level_sets_which_optimizer_lines_print(tmp_path, capsys):
+    # The 35-operator stretched BeH2 run has routine floor stops (logged at
+    # DEBUG) and one near-miss line search at iteration 35 (WARNING, the
+    # default level).
+    run = ["run", "--method", "adapt", "--max-ops", "35",
+           "--fcidump", oada.fixture_path("beh2_3.0"),
+           "--out-trace", str(tmp_path / "trace.csv")]
+    near_miss = "WARNING: ADAPT iteration 35: optimizer stopped by line search"
+    lines = {}
+    for level, flag in [("debug", ["--log-level", "debug"]), ("warning", []),
+                        ("error", ["--log-level", "error"])]:
+        assert main([*flag, *run]) == 0
+        lines[level] = capsys.readouterr().err.splitlines()
+    debug = lines["debug"]
+    assert any(line.startswith(near_miss) for line in debug)
+    assert any(line.startswith("DEBUG: ADAPT iteration ")
+               and "optimizer stopped by floor" in line for line in debug)
+    assert lines["warning"] == [line for line in debug if line.startswith("WARNING")]
+    assert lines["warning"] and lines["error"] == []
+
+
 def test_dump_pool(h2_path, tmp_path):
     result = run_cli(["dump-pool", "--fcidump", h2_path], tmp_path)
     assert result.returncode == 0, result.stderr

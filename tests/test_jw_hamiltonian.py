@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oada
-from oada import ci
+from oada import ci, pauli
 from oada.fcidump import (FcidumpData, MolecularHamiltonian, _canonical_two_body,
                           to_spin_orbital)
 from oada.pauli import (COEFF_CUTOFF, MAX_MASK_QUBITS, PauliString, QubitOperator,
@@ -105,6 +105,39 @@ def test_bit_identical_beyond_a_packed_key_width():
     assert_bit_identical(to_spin_orbital(data))
 
 
+@pytest.mark.parametrize("case", ["h4_1.5", "h6_3.0", "random"])
+def test_bit_identical_across_small_chunks(case, monkeypatch):
+    # An odd row budget cuts chunks inside each creation index's rows, so
+    # most strings are merged with known keys across many chunks.
+    monkeypatch.setattr(pauli, "JW_CHUNK", 7)
+    if case == "random":
+        mol = to_spin_orbital(random_integrals(5, 4, 11))
+    else:
+        mol = to_spin_orbital(oada.read_fcidump(oada.fixture_path(case)))
+    assert_bit_identical(mol)
+
+
+def test_in_chunks_keeps_order_and_size():
+    batches = [(np.arange(a, b)[:, None], np.arange(a, b) * 0.5)
+               for a, b in [(0, 3), (3, 3), (3, 12), (12, 13)]]
+    chunks = list(pauli._in_chunks(batches, 4))
+    assert [len(values) for _, values in chunks] == [4, 4, 4, 1]
+    assert np.array_equal(np.concatenate([rows for rows, _ in chunks]).ravel(),
+                          np.arange(13))
+    assert np.array_equal(np.concatenate([values for _, values in chunks]),
+                          np.arange(13) * 0.5)
+
+
+def test_asymmetric_one_body_is_not_hermitian():
+    n = 4
+    h1 = np.zeros((n, n))
+    h1[0, 2], h1[2, 0] = 0.3, 0.1
+    mol = MolecularHamiltonian(n_spin_orbitals=n, n_electrons=2, core_energy=0.0,
+                               h_pq=h1, h_pqrs=np.zeros((n,) * 4))
+    with pytest.raises(ValueError, match="not hermitian"):
+        jw_hamiltonian(mol)
+
+
 def test_top_mask_bit_hopping():
     n = MAX_MASK_QUBITS
     top = n - 1
@@ -118,7 +151,16 @@ def test_top_mask_bit_hopping():
                 + QubitOperator.from_word(n, [("Y", 0)] + string + [("Y", top)], 0.125)
                 + QubitOperator.identity(n, 0.5)
                 + QubitOperator.from_word(n, [("Z", top)], -0.5))
-    assert (jw_hamiltonian(mol) - expected).max_abs_coeff() == 0.0
+    tracemalloc.start()
+    try:
+        ham = jw_hamiltonian(mol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ham - expected).max_abs_coeff() == 0.0
+    # The integrals are selected an n^3 slice at a time (about 2.4 MB here);
+    # a selection over all n^4 = 1.5e7 of them would take over 100 MB.
+    assert peak < 8_000_000
 
 
 def test_mask_cap_raises_before_allocating():

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 import oada
 from oada.adapt import screen_energy_gradients
 from oada.overlap_adapt import screen_overlap_gradients
-from oada.pauli import QubitOperator
+from oada.pauli import QubitOperator, single_excitation_generator
 from oada.pool import DoubleExcitation, SingleExcitation
 from oada.statevector import (Ansatz, Basis, PoolScreen, ProjectedOperator, Statevector,
                               apply_ansatz, apply_excitation, energy_and_gradient,
@@ -96,8 +96,21 @@ def test_expectation_identity_scaling():
 def test_expectation_rejects_non_hermitian():
     state = prepare_hf(2, 1)
     bad = QubitOperator.from_word(2, [("Z", 0)], 1j)  # anti-hermitian
-    with pytest.raises(ValueError, match="must be real"):
+    with pytest.raises(ValueError, match="not hermitian"):
         expectation(state, bad)
+
+
+def test_projecting_a_generator_is_refused():
+    # T is anti-hermitian; its sector matrix is real, so only the check stops it.
+    state = prepare_hf(2, 1)
+    generator = single_excitation_generator(1, 0, 2)
+    assert not generator.is_hermitian()
+    with pytest.raises(ValueError, match="not hermitian"):
+        expectation(state, generator)
+    with pytest.raises(ValueError, match="not hermitian"):
+        Basis.sector(4, 2).project(single_excitation_generator(2, 0, 4))
+    dense = generator.to_dense_matrix()  # general operators still realize
+    assert np.allclose(dense, -dense.T) and np.any(dense)
 
 
 def test_expectation_size_mismatch():
