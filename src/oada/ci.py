@@ -304,11 +304,9 @@ def cipsi_initial_state(h_sector: ProjectedOperator) -> CipsiState:
 
     Raises:
         ValueError: unless the Hamiltonian is projected onto a determinant
-            sector (`Basis.sector`), a basis whose masks all hold the same
-            number of electrons.
+            sector (`Basis.sector`), a basis that records its electron counts.
     """
-    electrons = np.bitwise_count(h_sector.basis.masks)
-    if np.any(electrons != electrons[0]):
+    if h_sector.basis.counts is None:
         raise ValueError("CIPSI needs a Hamiltonian projected onto a determinant sector")
     return CipsiState(np.array([0]), np.array([1.0]), float(h_sector.matrix[0, 0]))
 

@@ -80,6 +80,8 @@ MAX_SECTOR_DIM = 1 << MAX_QUBITS
 # Candidates, (row, term group) of a projection or (excitation, basis state)
 # of a pairing, handled per array pass; bounds their temporaries.
 CHUNK = 1 << 15
+# Spin orbitals are interleaved: even bits alpha, odd bits beta.
+ALPHA_BITS = 0x5555555555555555
 
 
 def sector_dimension(n_qubits, n_electrons):
@@ -112,10 +114,11 @@ class Basis:
     excitations applied in it.
     """
 
-    def __init__(self, n_qubits, masks):
+    def __init__(self, n_qubits, masks, counts=None):
         self.n_qubits = n_qubits
         self.masks = masks  # ascending int64 occupation masks, one per position
         self.dim = len(masks)
+        self.counts = counts  # (N_alpha, N_beta) of a sector; None for the full basis
         self._pairs = {}
         self._hf = {}  # electron count -> Hartree-Fock position
 
@@ -146,11 +149,22 @@ class Basis:
                             dtype=np.int64)
 
         masks = strings(n_even, n_alpha, 0)[:, None] | strings(n_odd, n_beta, 1)[None, :]
-        return cls(n_qubits, np.sort(masks.ravel()))
+        return cls(n_qubits, np.sort(masks.ravel()), (n_alpha, n_beta))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Basis) and self.n_qubits == other.n_qubits
                                  and np.array_equal(self.masks, other.masks))
+
+    def holds(self, masks):
+        """Whether each occupation mask is a state of this basis, from its
+        bits alone: none at or above n_qubits and, in a sector, N_alpha on
+        the even bits and N_beta on the odd ones."""
+        held = masks >> self.n_qubits == 0
+        if self.counts is not None:
+            n_alpha, n_beta = self.counts
+            held &= np.bitwise_count(masks & ALPHA_BITS) == n_alpha
+            held &= np.bitwise_count(masks) == n_alpha + n_beta
+        return held
 
     def index(self, masks):
         """Positions of occupation masks in this basis; -1 marks a mask outside it."""
@@ -268,13 +282,27 @@ class Basis:
 
         Terms sharing an x_mask send each basis state to the same image, so
         they form one group, and entry (row, col) holds the terms of the one
-        group x = masks[row] ^ masks[col]; images outside the basis are
-        dropped. The rows are swept in blocks against every group at once,
-        at most `CHUNK` (row, group) candidates per block, so the
-        temporaries beside the kept entries stay within a fixed multiple of
-        `CHUNK`. Each entry adds its group's terms to 0 one at a time
-        in `sorted_terms` order (z ascending), the sum a term-by-term loop
-        takes, bit for bit. Complex coefficients are summed as such, since
+        group x = masks[row] ^ masks[col]. Each entry adds its group's terms
+        to 0 one at a time in `sorted_terms` order (z ascending): the sum a
+        term-by-term loop takes, bit for bit. The sums stay sequential on
+        purpose; numpy's `sum` over a table of terms adds pairwise when the
+        table has one column or is F-ordered, and rounds differently.
+
+        The x = 0 group maps every row to itself, so its terms are added
+        once over all rows, in steps of at most `CHUNK` (term, row) pairs.
+        The other groups are swept in row blocks of at most `CHUNK` // 2
+        (group, row) candidates. A candidate whose image the basis does not
+        hold (`holds`, from its bits alone) is dropped before anything else:
+        about 60% of them on the committed sectors. Only the rest are
+        summed, and only the nonzero sums are looked up. Groups are ordered
+        largest first and the candidates group by group, so those of the
+        groups holding a j-th term are a prefix of the survivors. A block's
+        diagonal entries join its off-diagonal ones before the one sort into
+        row order. Each block's temporaries are freed before the next, so
+        beside the kept entries, which are held twice while the blocks are
+        joined, the temporaries stay within a fixed multiple of `CHUNK`.
+
+        Complex coefficients are summed as such, since
         `QubitOperator.to_sparse_matrix` serves general operators; `project`
         refuses a matrix that stays complex.
         """
@@ -287,30 +315,54 @@ class Basis:
             scaled = scaled.real
         by_x = np.lexsort((z, x))  # `sorted_terms` order within each x group
         x, z, scaled = x[by_x], z[by_x], scaled[by_x]
-        keys, starts, sizes = np.unique(x, return_index=True, return_counts=True)
+        # Term t adds signed[t, k], k the parity of z_t & mask: +c_t or -c_t.
+        signed = np.stack([scaled, -scaled], axis=1)
+
+        n_diagonal = int(np.count_nonzero(x == 0))  # the x = 0 group sorts first
+        diagonal = np.zeros(self.dim, dtype=scaled.dtype)
+        step = max(1, CHUNK // max(1, n_diagonal))
+
+        def add_diagonal(r0):  # a function, so that its table is freed at once
+            odd = np.bitwise_count(z[:n_diagonal, None] & self.masks[r0:r0 + step]) & 1
+            sums = diagonal[r0:r0 + step]
+            for term in np.where(odd, signed[:n_diagonal, 1:], signed[:n_diagonal, :1]):
+                sums += term
+
+        for r0 in range(0, self.dim, step):
+            add_diagonal(r0)
+
+        keys, starts, sizes = np.unique(x[n_diagonal:], return_index=True, return_counts=True)
         # Groups by size, largest first: the groups holding a j-th term are a prefix.
         by_size = np.argsort(-sizes, kind="stable")
-        keys, starts, sizes = keys[by_size, None], starts[by_size], sizes[by_size]
-        ranks = []
-        for j in range(sizes.max(initial=0)):
-            t = starts[sizes > j] + j  # the j-th term of every group that has one
-            ranks.append((len(t), z[t, None], scaled[t, None]))
+        keys, starts, sizes = keys[by_size], starts[by_size] + n_diagonal, sizes[by_size]
+        jth = [starts[sizes > j] + j for j in range(sizes.max(initial=0))]  # of each holder
+        holders = [len(t) for t in jth]  # the groups holding a j-th term
+        ranks = [(z[t], signed[t].ravel()) for t in jth]  # group g's signs at 2g, 2g + 1
+        # Half-size blocks: full ones left the pipelines' solves up to 0.4 MB
+        # more peak RSS (fresh processes, measured).
+        block = max(1, CHUNK // 2 // max(1, len(keys)))
 
-        block = max(1, CHUNK // max(1, len(keys)))
-        indices, data, row_sizes = [], [], []
-        for r0 in range(0, self.dim, block):
+        def sweep(r0):
+            """Column indices, values and row lengths of the rows from r0."""
             masks = self.masks[r0:r0 + block]
-            cols = self.index(keys ^ masks)  # (group, row) candidates
-            values = np.zeros(cols.shape, dtype=scaled.dtype)
-            for n, z_j, scaled_j in ranks:
-                odd = np.bitwise_count(z_j & masks) & 1
-                values[:n] += np.where(odd, -scaled_j, scaled_j)
-            group, row = np.nonzero((cols >= 0) & (values != 0))
-            col = cols[group, row]
+            # (group, row) candidates whose image the basis holds, group-major
+            group, row = np.divmod(np.flatnonzero(self.holds(keys[:, None] ^ masks)), len(masks))
+            row_masks, twice = masks[row], 2 * group
+            values = np.zeros(len(row), dtype=scaled.dtype)
+            for (z_j, signed_j), n in zip(ranks, np.searchsorted(group, holders).tolist()):
+                odd = np.bitwise_count(z_j[group[:n]] & row_masks[:n]) & 1
+                values[:n] += signed_j[twice[:n] + odd]
+            kept = np.flatnonzero(values)
+            col = np.searchsorted(self.masks, keys[group[kept]] ^ row_masks[kept])
+            diagonal_rows = np.flatnonzero(diagonal[r0:r0 + block])
+            row = np.concatenate([diagonal_rows, row[kept]])
+            col = np.concatenate([diagonal_rows + r0, col])
             order = np.argsort(row * self.dim + col)
-            indices.append(col[order].astype(np.int32))
-            data.append(values[group, row][order])
-            row_sizes.append(np.bincount(row, minlength=len(masks)))
+            return (col[order].astype(np.int32),
+                    np.concatenate([diagonal[r0 + diagonal_rows], values[kept]])[order],
+                    np.bincount(row, minlength=len(masks)))
+
+        indices, data, row_sizes = zip(*map(sweep, range(0, self.dim, block)))
         data = np.concatenate(data)
         if np.iscomplexobj(data) and np.max(np.abs(data.imag), initial=0) < 1e-13:
             data = data.real.copy()

@@ -20,7 +20,7 @@ from oada.cli import main
 from oada.overlap_adapt import pipeline
 from oada.pauli import _I_POWERS, PauliString, QubitOperator
 from oada.pool import DoubleExcitation, SingleExcitation
-from oada.statevector import (Ansatz, Basis, Statevector, energy_and_gradient,
+from oada.statevector import (CHUNK, Ansatz, Basis, Statevector, energy_and_gradient,
                               overlap_and_gradient, prepare_hf)
 
 
@@ -119,6 +119,76 @@ def test_complex_projection_is_the_term_loop_bit_for_bit():
         assert_same_csr(basis._project_terms(op), reference_project_terms(basis, op))
 
 
+def _random_operator(n, x_masks, z_masks, seed):
+    """Operator with one normal(0, 1) coefficient per (x, z) mask pair."""
+    rng = np.random.default_rng(seed)
+    return QubitOperator(n, {PauliString(int(x), int(z)): float(c)
+                             for x, z, c in zip(x_masks, z_masks, rng.normal(size=len(x_masks)))})
+
+
+def _edge_operators(n, seed):
+    rng = np.random.default_rng(seed)
+    top = 1 << n
+    return {
+        "no x = 0 group": _random_operator(n, rng.integers(1, top, size=40),
+                                           rng.integers(top, size=40), seed),
+        "Z only": _random_operator(n, np.zeros(12, dtype=int), rng.integers(top, size=12), seed),
+        "identity alone": QubitOperator.identity(n, 0.375),
+        "mixed": _random_operator(n, rng.integers(4, size=60) * rng.integers(top, size=60),
+                                  rng.integers(top, size=60), seed),
+    }
+
+
+@pytest.mark.parametrize("n, n_electrons", [(7, 3), (8, 5), (6, 0), (6, 6), (5, 2)])
+def test_projection_edge_cases_are_the_term_loop_bit_for_bit(n, n_electrons):
+    # (7, 3) and (8, 5) have N_alpha != N_beta; (6, 0) and (6, 6) one state each
+    for basis in (Basis.sector(n, n_electrons), Basis.full(n)):
+        for kind, op in _edge_operators(n, seed=10 * n + n_electrons).items():
+            projected = basis._project_terms(op)
+            reference = reference_project_terms(basis, op)
+            assert projected.nnz == reference.nnz, (basis.dim, kind)
+            if reference.nnz:  # the term loop leaves an empty matrix complex
+                assert_same_csr(projected, reference)
+            else:
+                assert not projected.indptr.any()
+
+
+def test_a_last_block_of_one_row_is_the_term_loop_bit_for_bit():
+    # The diagonal pass takes CHUNK // terms rows at a time and the sweep
+    # CHUNK // 2 // groups: with these counts both end on one row, where
+    # numpy's sum over a (terms, 1) table would turn pairwise.
+    basis = Basis.full(10)
+    terms = next(t for t in range(2, basis.dim) if basis.dim % (CHUNK // t) == 1)
+    groups = next(g for g in range(2, basis.dim) if basis.dim % (CHUNK // 2 // g) == 1)
+    rng = np.random.default_rng(5)
+    x_masks = np.repeat(rng.choice(np.arange(1, basis.dim), size=groups, replace=False), 3)
+    z_masks = rng.choice(basis.dim, size=terms, replace=False)
+    op = (_random_operator(10, np.zeros(terms, dtype=int), z_masks, seed=1)
+          + _random_operator(10, x_masks, rng.integers(basis.dim, size=3 * groups), seed=2))
+    assert sum(s.x_mask == 0 for s in op.terms) == terms
+    assert len({s.x_mask for s in op.terms}) == groups + 1
+    assert_same_csr(basis._project_terms(op), reference_project_terms(basis, op))
+
+
+@pytest.mark.parametrize("n, n_electrons", [(4, 2), (7, 3), (8, 5), (6, 0), (6, 6), (12, 6)])
+def test_membership_is_the_lookup(n, n_electrons):
+    sector = Basis.sector(n, n_electrons)
+    assert sector.counts == ((n_electrons + 1) // 2, n_electrons // 2)
+    assert Basis.full(n).counts is None
+    every = np.arange(1 << n, dtype=np.int64)
+    # A sector mask with a bit moved to or above n_qubits, on the same spin:
+    # its popcounts still match.
+    occupied = sector.masks[sector.masks != 0]
+    low = occupied & -occupied
+    moved = (occupied ^ low) | (low << 2 * ((n + 1) // 2))
+    top = (occupied ^ low) | np.where(low & 0x5555555555555555, 1 << 62, 1 << 61)
+    for basis in (sector, Basis.full(n)):
+        assert np.array_equal(basis.holds(every), basis.index(every) >= 0)
+        for outside in (moved, top):
+            assert not basis.holds(outside).any()
+            assert np.all(basis.index(outside) < 0)
+
+
 def test_projection_of_an_operator_without_terms_is_an_empty_real_matrix():
     # the term loop leaves an empty matrix complex; a projected operator is real
     for basis in (Basis.full(3), Basis.sector(4, 2)):
@@ -140,9 +210,16 @@ def _peak_bytes(build):
 def test_projection_peak_memory_stays_within_the_term_loop(name, request):
     problem = request.getfixturevalue(name)
     for basis in (_sector(problem), Basis.full(problem.n)):
-        new = _peak_bytes(lambda: basis._project_terms(problem.ham))
+        built = []
+        new = _peak_bytes(lambda: built.append(basis._project_terms(problem.ham)))
         ref = _peak_bytes(lambda: reference_project_terms(basis, problem.ham))
         assert new <= ref, (basis.dim, new, ref)
+        # Beside the returned matrix, whose data are held twice while the
+        # row blocks are joined, the temporaries stay within a multiple of
+        # CHUNK: 0.7-1.2 CHUNK * 8 bytes on these bases.
+        matrix = built.pop()
+        kept = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert new - kept - matrix.data.nbytes < 3 * CHUNK * 8, (basis.dim, new, kept)
 
 
 @pytest.mark.parametrize("name", ["h6", "beh2_stretched", "n2"])
