@@ -1,21 +1,22 @@
-"""The adaptive growth loop, its trace, and the energy stage.
+"""The adaptive growth loop, its record, and the energy stage.
 
 Both stages run `grow`. Each iteration screens every pool operator by its
 gradient at zero angle, appends the best one, and re-optimizes every angle
 from the previous optimum (warm start, new angle at 0, and the previous
 solve's inverse Hessian bordered with 1 for it). The stages differ only in
-the screen, the objective and the threshold: `run_adapt` screens the
-energy gradient and minimizes the energy; `overlap_adapt.run_overlap_adapt`
-screens |<target|T|psi>| and maximizes the overlap. Energy screening
-shares one H|psi> across all candidates, so it costs a single Hamiltonian
-application.
-"""
+the screen, the objective, the threshold and how the energy of the
+optimized iterate is read: `run_adapt` screens the energy gradient and
+minimizes the energy, whose value is the record's energy;
+`overlap_adapt.run_overlap_adapt` screens |<target|T|psi>|, maximizes the
+overlap and reads <psi|H|psi>. Energy screening shares one H|psi> across
+all candidates, so it costs a single Hamiltonian application. `grow`
+records each iteration of either stage as one `GrowthRecord`, so both
+stages write one CSV format (`CSV_HEADER`)."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .statevector import (Ansatz, Basis, PoolScreen, Statevector, apply_ansatz,
                           energy_and_gradient)
 
 __all__ = [
-    "EnergyRecord",
+    "CSV_HEADER",
+    "GrowthRecord",
     "GrowthTrace",
     "TIE_RTOL",
     "select_operator",
@@ -45,38 +47,49 @@ logger = logging.getLogger(__name__)
 TIE_RTOL = 1e-6
 
 
-@dataclass
-class EnergyRecord:
-    COLUMNS: ClassVar[str] = "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
+# The one trace CSV header, for the rows of both stages.
+CSV_HEADER = ("stage,iter,op_id,kind,grad,energy,error_vs_fci,infidelity,params,"
+              "cnots,evals,stop")
 
+
+@dataclass
+class GrowthRecord:
+    """One iteration of either stage: the operator appended, its screening
+    gradient, and the optimized iterate. The infidelity is NaN in the
+    energy stage; `stop` is why the iteration's solve ended
+    (`OptimizeResult.stop`)."""
+
+    stage: str  # "overlap" or "energy"
     iteration: int
     op_id: int
     kind: str
     gradient: float
     energy: float
     error_vs_ref: float
+    infidelity: float
     n_params: int
     cnots: int
     n_evaluations: int
-    optimizer_converged: bool = True
-    thetas: tuple = ()
-
-    def csv_row(self):
-        return (f"{self.iteration},{self.op_id},{self.kind},{self.gradient!r},"
-                f"{self.energy!r},{self.error_vs_ref!r},{self.n_params},"
-                f"{self.cnots},{self.n_evaluations}")
+    stop: str
+    thetas: tuple
 
 
 @dataclass
 class GrowthTrace:
     """One stage's records, one per appended operator, and why it stopped."""
 
-    columns: str
     records: list = field(default_factory=list)
     stop_reason: str = ""
 
-    def to_csv(self):
-        return "\n".join([self.columns] + [r.csv_row() for r in self.records]) + "\n"
+    def to_csv(self, *later):
+        """`CSV_HEADER`, this trace's rows, then the rows of each trace in
+        `later` (a pipeline writes its overlap trace, then its energy trace)."""
+        rows = [CSV_HEADER]
+        for r in (record for trace in (self, *later) for record in trace.records):
+            rows.append(f"{r.stage},{r.iteration},{r.op_id},{r.kind},{r.gradient!r},"
+                        f"{r.energy!r},{r.error_vs_ref!r},{r.infidelity!r},{r.n_params},"
+                        f"{r.cnots},{r.n_evaluations},{r.stop}")
+        return "\n".join(rows) + "\n"
 
     def energies(self):
         return np.array([r.energy for r in self.records])
@@ -113,9 +126,10 @@ def select_operator(grads) -> int:
     return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
 
 
-def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, make_record,
-         trace: GrowthTrace, *, threshold, budget, stage):
-    """Grow `ansatz` in place until the gradient or budget stop fires.
+def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, energy, *,
+         threshold, budget, stage, e_ref=np.nan):
+    """Grow `ansatz` in place until the gradient or budget stop fires, and
+    record each iteration.
 
     Args:
         ansatz: the starting ansatz; operators are appended to it and its
@@ -123,16 +137,19 @@ def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, make_record,
         pool: the stage's pool screen; its `operators` are the candidates,
             and the ansatz state is simulated in its basis.
         screen: state -> zero-angle gradient of every pool operator.
-        objective: angles -> (value, gradient) of `ansatz`, minimized.
-        make_record: (iteration, pool operator, |gradient|, OptimizeResult)
-            -> the trace record of that iteration.
-        trace: receives the records and the stop reason.
+        objective: angles -> (value, gradient) of `ansatz`, minimized; in
+            the overlap stage its value is the infidelity.
+        energy: (state of the optimized iterate, OptimizeResult) -> the
+            energy recorded for it. The state is the one the next screen
+            reads, so reading the energy from it costs no forward pass.
         threshold: stop when the largest |gradient| is below this.
         budget: stop when the ansatz holds this many operators (None: never).
-        stage: names the stage in the optimizer's near-miss log line.
+        stage: "overlap" or "energy"; names the stage in the records and in
+            the optimizer's near-miss log line.
+        e_ref: reference energy of the records' error (NaN: none).
 
     Returns:
-        trace
+        GrowthTrace of the stage's GrowthRecords and its stop reason.
 
     Raises:
         ValueError: when threshold is not positive and budget is None, so
@@ -143,10 +160,12 @@ def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, make_record,
                          "with no budget never stops")
     if not pool.operators:
         raise ValueError(f"the {stage} pool is empty: there is no operator to screen")
+    trace = GrowthTrace()
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
+    state = apply_ansatz(ansatz, basis=pool.basis)
     while True:
-        grads = screen(apply_ansatz(ansatz, basis=pool.basis))
+        grads = screen(state)
         best = select_operator(grads)
         gmax = float(abs(grads[best]))
         if gmax < threshold:
@@ -156,7 +175,8 @@ def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, make_record,
             trace.stop_reason = "budget"
             return trace
         iteration += 1
-        ansatz.append(pool.operators[best].excitation, 0.0)
+        op = pool.operators[best]
+        ansatz.append(op.excitation, 0.0)
         result = minimize(objective, ansatz.thetas, hess_inv0=hess_inv)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         hess_inv = result.hess_inv
@@ -167,7 +187,15 @@ def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, make_record,
                        "%s iteration %d: optimizer stopped by %s "
                        "(gradient norm %.2e)", stage, iteration, result.stop,
                        result.gradient_norm)
-        trace.records.append(make_record(iteration, pool.operators[best], gmax, result))
+        state = apply_ansatz(ansatz, basis=pool.basis)
+        value = energy(state, result)
+        trace.records.append(GrowthRecord(
+            stage=stage, iteration=iteration, op_id=op.id, kind=op.kind, gradient=gmax,
+            energy=value, error_vs_ref=value - e_ref,
+            infidelity=result.objective_value if stage == "overlap" else np.nan,
+            n_params=len(ansatz), cnots=ansatz_resource_counts(ansatz.excitations)[2],
+            n_evaluations=result.n_evaluations, stop=result.stop,
+            thetas=tuple(ansatz.thetas)))
 
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
@@ -187,7 +215,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
         e_ref: reference energy for the trace error column (NaN if absent).
 
     Returns:
-        (optimized Ansatz, GrowthTrace of EnergyRecords)
+        (optimized Ansatz, GrowthTrace of the energy stage's GrowthRecords)
     """
     if init is None:
         if n_electrons is None:
@@ -195,28 +223,12 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
         init = Ansatz(hamiltonian.n_qubits, n_electrons)
     ansatz = init.copy()
     h_eval = Basis.sector(ansatz.n_qubits, ansatz.n_electrons).project(hamiltonian)
-    e_ref = np.nan if e_ref is None else float(e_ref)
-
-    def record(iteration, op, gradient, result):
-        return EnergyRecord(
-            iteration=iteration,
-            op_id=op.id,
-            kind=op.kind,
-            gradient=gradient,
-            energy=result.objective_value,
-            error_vs_ref=result.objective_value - e_ref,
-            n_params=len(ansatz),
-            cnots=ansatz_resource_counts(ansatz.excitations)[2],
-            n_evaluations=result.n_evaluations,
-            optimizer_converged=result.converged,
-            thetas=tuple(ansatz.thetas),
-        )
-
     screen = PoolScreen(h_eval.basis, pool)
     trace = grow(ansatz, screen, lambda psi: screen_energy_gradients(psi, h_eval, screen),
                  lambda theta: energy_and_gradient(ansatz, h_eval, theta),
-                 record, GrowthTrace(EnergyRecord.COLUMNS), threshold=eps,
-                 budget=max_ops, stage="ADAPT")
+                 lambda psi, result: result.objective_value, threshold=eps,
+                 budget=max_ops, stage="energy",
+                 e_ref=np.nan if e_ref is None else float(e_ref))
     return ansatz, trace
 
 

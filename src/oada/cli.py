@@ -6,6 +6,10 @@ one of the overlap-guided pipelines. It accepts a plain key=value config
 file; command-line flags win over config values. The other three print
 the pool, the qubit Hamiltonian or the invariant checks of an input.
 
+Every method but fci writes one trace CSV: cipsi a row per step, the
+growing methods `adapt.CSV_HEADER` rows (a pipeline's overlap rows, then
+its energy rows) and a summary line that ends with each stage's stop.
+
 `--log-level` (before the subcommand, default warning) sets the least
 severity of the package's log lines printed to stderr, such as the
 optimizer's near-miss warnings (debug adds the routine floor stops).
@@ -25,7 +29,7 @@ import sys
 from contextlib import contextmanager
 
 from . import ci
-from .adapt import load_ansatz, run_adapt, save_ansatz
+from .adapt import CSV_HEADER, load_ansatz, run_adapt, save_ansatz
 from .errors import ConvergenceError, DimensionCapError, ObjectiveError
 from .fcidump import FcidumpError, read_fcidump, reference_energies, to_spin_orbital
 from .overlap_adapt import pipeline
@@ -37,13 +41,13 @@ from .verify import run_verification
 METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
            "overlap-adapt-ansatz", "cipsi", "fci")
 
-# The `run` flags without a default that each method reads. A method given
-# another one, by flag or config key, exits 2 rather than ignore it.
-_ADAPT_FLAGS = {"max_ops", "eps", "out_ansatz", "dump_state", "gnuplot"}
+# The optional `run` flags that each method reads. A method given another
+# one, by flag or config key, exits 2 rather than ignore it.
+_ADAPT_FLAGS = {"max_ops", "eps", "out_trace", "out_ansatz", "dump_state", "gnuplot"}
 _OVERLAP_FLAGS = _ADAPT_FLAGS | {"p_overlap", "target_wavefunction"}
 METHOD_FLAGS = {
     "fci": {"out_wavefunction", "dump_state"},
-    "cipsi": {"cipsi_max_dets", "cipsi_target_e2", "out_wavefunction"},
+    "cipsi": {"cipsi_max_dets", "cipsi_target_e2", "out_trace", "out_wavefunction"},
     "adapt": _ADAPT_FLAGS,
     "overlap-adapt-fci": _OVERLAP_FLAGS,
     "overlap-adapt-cipsi": _OVERLAP_FLAGS | {"cipsi_max_dets", "cipsi_target_e2"},
@@ -51,6 +55,8 @@ METHOD_FLAGS = {
 }
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+
+DEFAULT_TRACE = "trace.csv"  # where every method but fci writes its trace
 
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
@@ -61,7 +67,7 @@ set logscale y
 set xlabel 'parameters in the ansatz'
 set ylabel 'energy error vs FCI (Ha)'
 set object 1 rect from graph 0, first 1e-10 to graph 1, first 1e-3 fc rgb '#ffccdd' fs solid 0.3 noborder
-plot '{trace}' every ::1 using 7:6 with linespoints title '{title}'
+plot '{trace}' every ::1 using {params}:{error_vs_fci} with linespoints title '{title}'
 """
 
 
@@ -123,11 +129,16 @@ def _cipsi_trace(h_sector, args):
     return state, rows
 
 
-def _summary_line(method, energy, e_ref, excitations):
+def _summary_line(method, energy, e_ref, excitations, trace, overlap_trace):
+    """The run's last line; it ends with the stop reason of each stage, the
+    overlap stage's (when there is one) first."""
     sq, dq, cnots = ansatz_resource_counts(excitations)
     err = energy - e_ref if e_ref is not None else math.nan
+    stops = f"stop={trace.stop_reason}"
+    if overlap_trace is not None:
+        stops = f"overlap_stop={overlap_trace.stop_reason} {stops}"
     return (f"method={method} final_energy={energy:.12f} error_vs_fci={err:.6e} "
-            f"params={len(excitations)} SQ={sq} DQ={dq} CNOTS={cnots}")
+            f"params={len(excitations)} SQ={sq} DQ={dq} CNOTS={cnots} {stops}")
 
 
 def _check_ansatz(ansatz, path, mol):
@@ -167,7 +178,7 @@ def cmd_run(args):
 
     if args.method == "cipsi":
         state, rows = _cipsi_trace(h_sector, args)
-        _write(args.out_trace, "\n".join(rows) + "\n")
+        _write(args.out_trace or DEFAULT_TRACE, "\n".join(rows) + "\n")
         print(f"E_v = {state.e_variational:.12f}  E2 = {state.e_pt2:.6e}  "
               f"E_CIPSI = {state.e_cipsi:.12f}  dets = {len(state.dets)}")
         if args.out_wavefunction:
@@ -214,23 +225,27 @@ def cmd_run(args):
                           target_wavefunction=target_wavefunction, eps=eps, e_ref=e_ref)
         ansatz, trace, overlap_trace = result.ansatz, result.adapt_trace, result.overlap_trace
 
-    _write(args.out_trace, trace.to_csv())
-    if overlap_trace is not None:
-        _write(args.out_overlap_trace, overlap_trace.to_csv())
+    out_trace = args.out_trace or DEFAULT_TRACE
+    # One file: a pipeline's overlap rows, then its energy rows.
+    _write(out_trace, trace.to_csv() if overlap_trace is None
+           else overlap_trace.to_csv(trace))
     if args.out_ansatz:
         save_ansatz(ansatz, args.out_ansatz)
     if args.dump_state:
         _write(args.dump_state,
                format_state(apply_ansatz(ansatz, basis=h_sector.basis)) + "\n")
     if args.gnuplot:
-        _write(args.gnuplot, GNUPLOT_TEMPLATE.format(trace=args.out_trace,
-                                                     title=args.method))
+        # gnuplot counts the trace's columns from 1
+        columns = {name: i + 1 for i, name in enumerate(CSV_HEADER.split(","))}
+        _write(args.gnuplot, GNUPLOT_TEMPLATE.format(trace=out_trace, title=args.method,
+                                                     **columns))
     if trace.records:
         final_energy = trace.final_energy
     else:
         # No operator was added in the last stage: report the ansatz as it stands.
         final_energy, _ = energy_and_gradient(ansatz, h_sector)
-    print(_summary_line(args.method, final_energy, e_ref, ansatz.excitations))
+    print(_summary_line(args.method, final_energy, e_ref, ansatz.excitations, trace,
+                        overlap_trace))
     return 0
 
 
@@ -278,8 +293,7 @@ def build_parser():
     run.add_argument("--target-ansatz")
     run.add_argument("--target-wavefunction",
                      help="stored determinant expansion to use as the overlap target")
-    run.add_argument("--out-trace", default="trace.csv")
-    run.add_argument("--out-overlap-trace", default="overlap_trace.csv")
+    run.add_argument("--out-trace", help=f"trace CSV; default {DEFAULT_TRACE}")
     run.add_argument("--out-ansatz")
     run.add_argument("--out-wavefunction")
     run.add_argument("--dump-state")

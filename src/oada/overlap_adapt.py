@@ -6,7 +6,10 @@ expansion, or a previously grown ansatz). The result then seeds a regular
 adaptive energy run, which is the practical two-stage algorithm: the
 overlap stage steers the operator selection past the energy plateaus that
 trap a cold start. Both stages run the one growth loop, `adapt.grow`; this
-one differs only in its screen, objective and threshold.
+one differs only in its screen, objective and threshold, and in reading
+each iterate's energy as <psi|H|psi>. Its records are the energy stage's
+`adapt.GrowthRecord`s with stage "overlap", so a pipeline's two traces
+make one CSV: `overlap_trace.to_csv(adapt_trace)`.
 
 Screening uses the zero-angle overlap derivative |<ref|T|psi>|; the
 four-angle formula re-expresses that derivative through four overlap
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .statevector import (Ansatz, Basis, PoolScreen, Statevector, apply_ansatz,
                           apply_excitation, expectation, overlap, overlap_and_gradient)
 
 __all__ = [
-    "OverlapRecord",
     "screen_overlap_gradients",
     "four_angle_gradient",
     "run_overlap_adapt",
@@ -41,24 +42,6 @@ __all__ = [
 # The overlap stage stops when the largest overlap-gradient magnitude falls
 # below this.
 GTOL_OVERLAP = 1e-7
-
-
-@dataclass
-class OverlapRecord:
-    COLUMNS: ClassVar[str] = "iter,op_id,kind,grad,infidelity,energy,params"
-
-    iteration: int
-    op_id: int
-    kind: str
-    gradient: float
-    infidelity: float
-    energy: float
-    n_params: int
-    thetas: tuple = ()
-
-    def csv_row(self):
-        return (f"{self.iteration},{self.op_id},{self.kind},{self.gradient!r},"
-                f"{self.infidelity!r},{self.energy!r},{self.n_params}")
 
 
 def screen_overlap_gradients(reference: Statevector, state: Statevector, pool: PoolScreen):
@@ -110,14 +93,16 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
     The objective minimized at each step is the infidelity
     1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum and
     inverse Hessian. When `hamiltonian` is given, each record also carries
-    the energy of the optimized iterate (purely diagnostic; it never
-    influences selection).
+    the energy <psi|H|psi> of the optimized iterate, read from the state
+    the next screen uses (purely diagnostic; it never influences
+    selection); without it the energy is NaN. The records' error column is
+    NaN: the stage has no reference energy.
     The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
     it is already projected; the reference is extracted into it once.
     `pool` is a list of pool operators.
 
     Returns:
-        (optimized Ansatz, GrowthTrace of OverlapRecords)
+        (optimized Ansatz, GrowthTrace of the overlap stage's GrowthRecords)
     """
     ansatz = Ansatz(reference.n_qubits, n_electrons)
     basis = Basis.sector(ansatz.n_qubits, n_electrons)
@@ -131,24 +116,12 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
         value, grad = overlap_and_gradient(ansatz, target, theta)
         return 1.0 - value, -grad
 
-    def record(iteration, op, gradient, result):
-        energy = (np.nan if h_eval is None
-                  else expectation(apply_ansatz(ansatz, basis=basis), h_eval))
-        return OverlapRecord(
-            iteration=iteration,
-            op_id=op.id,
-            kind=op.kind,
-            gradient=gradient,
-            infidelity=result.objective_value,
-            energy=energy,
-            n_params=len(ansatz),
-            thetas=tuple(ansatz.thetas),
-        )
+    def energy(psi, result):
+        return np.nan if h_eval is None else expectation(psi, h_eval)
 
     screen = PoolScreen(basis, pool)
     trace = grow(ansatz, screen, lambda psi: screen_overlap_gradients(target, psi, screen),
-                 objective, record, GrowthTrace(OverlapRecord.COLUMNS),
-                 threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
+                 objective, energy, threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
     return ansatz, trace
 
 

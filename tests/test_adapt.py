@@ -120,11 +120,15 @@ def test_csv_header_and_shape(h2):
         _, trace = run_adapt(h2.ham, h2.pool, n_electrons=2, eps=1e-8, max_ops=2,
                              e_ref=e_ref)
         lines = trace.to_csv().splitlines()
-        assert lines[0] == "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
-        assert all(len(line.split(",")) == 9 for line in lines[1:])
+        assert lines[0] == ("stage,iter,op_id,kind,grad,energy,error_vs_fci,infidelity,"
+                            "params,cnots,evals,stop")
+        assert all(len(line.split(",")) == 12 for line in lines[1:])
         for line in lines[1:]:
-            for column, cell in enumerate(line.split(",")):
-                if column != 2:  # kind
+            cells = line.split(",")
+            assert cells[0] == "energy"
+            assert cells[-1] in ("gtol", "floor", "line search", "max_iter")
+            for column, cell in enumerate(cells[1:-1], start=1):
+                if column != 3:  # kind
                     float(cell)
 
 

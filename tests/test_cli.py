@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oada
+from oada import verify
 from oada.adapt import load_ansatz
 from oada.cli import main
 from oada.statevector import Basis, apply_ansatz
@@ -52,10 +53,17 @@ def test_run_adapt_summary_and_trace(h2_path, tmp_path):
     fields = dict(kv.split("=") for kv in summary.split())
     assert abs(float(fields["error_vs_fci"])) < 1e-8
     assert int(fields["CNOTS"]) == 3 * int(fields["SQ"]) + 13 * int(fields["DQ"])
-    trace = (tmp_path / "t.csv").read_text()
-    assert trace.splitlines()[0] == "iter,op_id,kind,grad,energy,error_vs_fci,params,cnots,evals"
+    # one double is exact on H2, so the gradient stop fires before the budget
+    assert summary.endswith(" stop=gradient") and "overlap_stop" not in fields
+    header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
+    assert header == ["stage", "iter", "op_id", "kind", "grad", "energy", "error_vs_fci",
+                      "infidelity", "params", "cnots", "evals", "stop"]
     assert (tmp_path / "a.txt").exists()
-    assert "logscale" in (tmp_path / "plot.gp").read_text()
+    script = (tmp_path / "plot.gp").read_text()
+    assert "logscale" in script
+    # the script plots the error against the parameter count, by column position
+    using = script.split(" using ")[1].split()[0]
+    assert [header[int(c) - 1] for c in using.split(":")] == ["params", "error_vs_fci"]
 
 
 def test_run_adapt_empty_trace_reports_hf_energy(h2_path, tmp_path):
@@ -108,12 +116,17 @@ def test_run_deterministic_traces(h4_path, tmp_path):
 
 def test_run_overlap_adapt_fci(h2_path, tmp_path):
     result = run_cli(["run", "--method", "overlap-adapt-fci", "--fcidump", h2_path,
-                      "--p-overlap", "2", "--max-ops", "3",
-                      "--out-trace", "t.csv", "--out-overlap-trace", "o.csv"],
+                      "--p-overlap", "2", "--max-ops", "3", "--out-trace", "t.csv"],
                      tmp_path)
     assert result.returncode == 0, result.stderr
-    overlap_trace = (tmp_path / "o.csv").read_text()
-    assert overlap_trace.splitlines()[0] == "iter,op_id,kind,grad,infidelity,energy,params"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == oada.adapt.CSV_HEADER
+    # the overlap stage reproduces the FCI target with one double and stops
+    # by its gradient; the energy stage then has nothing to add
+    assert [line.split(",")[0] for line in lines[1:]] == ["overlap"]
+    summary = result.stdout.strip().splitlines()[-1]
+    assert summary.endswith(" overlap_stop=gradient stop=gradient")
 
 
 def test_run_overlap_budget_above_the_total_exits_with_one_line(h4_path, tmp_path):
@@ -130,6 +143,8 @@ def test_run_overlap_budget_above_the_total_exits_with_one_line(h4_path, tmp_pat
       "--gnuplot", "g.gp"], "--method cipsi does not use --dump-state, --gnuplot"),
     (["--method", "adapt", "--max-ops", "2", "--out-wavefunction", "wf.dets"],
      "--method adapt does not use --out-wavefunction"),
+    # fci writes no trace: a trace path it would ignore is refused
+    (["--method", "fci", "--out-trace", "x.csv"], "--method fci does not use --out-trace"),
 ])
 def test_run_refuses_flags_the_method_does_not_use(h4_path, tmp_path, flags, message):
     result = run_cli(["run", "--fcidump", h4_path, *flags], tmp_path)
@@ -227,10 +242,10 @@ def test_reference_energy_from_sector_hamiltonian(h4_path, tmp_path, monkeypatch
     for fcidump in (h4_path, str(stripped)):
         trace = tmp_path / "t.csv"
         assert main(["run", "--method", "overlap-adapt-fci", "--fcidump", fcidump,
-                     "--p-overlap", "2", "--max-ops", "3", "--out-trace", str(trace),
-                     "--out-overlap-trace", str(tmp_path / "o.csv")]) == 0
-        errors.append([float(line.split(",")[5])
-                       for line in trace.read_text().splitlines()[1:]])
+                     "--p-overlap", "2", "--max-ops", "3", "--out-trace", str(trace)]) == 0
+        header, *rows = [line.split(",") for line in trace.read_text().splitlines()]
+        errors.append([float(row[header.index("error_vs_fci")])
+                       for row in rows if row[0] == "energy"])
     assert errors[0]
     assert errors[1] == pytest.approx(errors[0], abs=1e-10)
 
@@ -274,7 +289,7 @@ def test_log_level_sets_which_optimizer_lines_print(tmp_path, capsys):
     run = ["run", "--method", "adapt", "--max-ops", "35",
            "--fcidump", oada.fixture_path("beh2_3.0"),
            "--out-trace", str(tmp_path / "trace.csv")]
-    near_miss = "WARNING: ADAPT iteration 35: optimizer stopped by line search"
+    near_miss = "WARNING: energy iteration 35: optimizer stopped by line search"
     lines = {}
     for level, flag in [("debug", ["--log-level", "debug"]), ("warning", []),
                         ("error", ["--log-level", "error"])]:
@@ -282,7 +297,7 @@ def test_log_level_sets_which_optimizer_lines_print(tmp_path, capsys):
         lines[level] = capsys.readouterr().err.splitlines()
     debug = lines["debug"]
     assert any(line.startswith(near_miss) for line in debug)
-    assert any(line.startswith("DEBUG: ADAPT iteration ")
+    assert any(line.startswith("DEBUG: energy iteration ")
                and "optimizer stopped by floor" in line for line in debug)
     assert lines["warning"] == [line for line in debug if line.startswith("WARNING")]
     assert lines["warning"] and lines["error"] == []
@@ -309,6 +324,18 @@ def test_verify_subcommand(h2_path, tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     assert "FAIL" not in result.stdout
     assert result.stdout.count("PASS") >= 8
+
+
+def test_verify_counts_weight_in_another_spin_sector(h2_path, monkeypatch):
+    # two alpha electrons: N is right and S_z is not, which an electron
+    # count alone would pass
+    def wrong_sz_state(ansatz):
+        return oada.Statevector(4, np.eye(16)[0b0101])
+
+    monkeypatch.setattr(verify, "apply_ansatz", wrong_sz_state)
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_verification(h2_path)}
+    ok, detail = checks["norm, N and S_z preserved over 100 random evolutions"]
+    assert not ok and detail.endswith("sector = 1.0e+00")
 
 
 def test_missing_file_single_line_diagnostic(tmp_path):
@@ -431,8 +458,7 @@ def test_davidson_failure_exit_code_in_process(h2_path, tmp_path, monkeypatch, c
 
     monkeypatch.setattr(oada.ci, "_davidson", no_convergence)
     code = main(["run", "--method", "overlap-adapt-fci", "--fcidump", h2_path,
-                 "--max-ops", "2", "--out-trace", str(tmp_path / "t.csv"),
-                 "--out-overlap-trace", str(tmp_path / "o.csv")])
+                 "--max-ops", "2", "--out-trace", str(tmp_path / "t.csv")])
     assert code == 1
     assert capsys.readouterr().err.strip().splitlines() == [
         "error: Davidson did not reach residual"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oada
+from oada.adapt import CSV_HEADER
 from oada.overlap_adapt import (four_angle_gradient, pipeline, run_overlap_adapt,
                                 screen_overlap_gradients)
 from oada.statevector import (Ansatz, PoolScreen, Statevector, apply_excitation,
@@ -155,10 +156,32 @@ def test_pipeline_rejects_an_overlap_budget_above_the_total(h2):
         pipeline(h2.mol, h2.ham, h2.pool, "fci", 3, 2)
 
 
-def test_overlap_trace_csv_shape(h2):
-    target = h2.fci_state()
-    _, trace = run_overlap_adapt(target, h2.pool, 2, n_electrons=2,
-                                 hamiltonian=h2.ham)
-    lines = trace.to_csv().splitlines()
-    assert lines[0] == "iter,op_id,kind,grad,infidelity,energy,params"
-    assert all(len(line.split(",")) == 7 for line in lines[1:])
+# Trace CSV column -> GrowthRecord attribute.
+CSV_FIELDS = {"stage": "stage", "iter": "iteration", "op_id": "op_id", "kind": "kind",
+              "grad": "gradient", "energy": "energy", "error_vs_fci": "error_vs_ref",
+              "infidelity": "infidelity", "params": "n_params", "cnots": "cnots",
+              "evals": "n_evaluations", "stop": "stop"}
+
+
+def test_overlap_trace_csv_shape(h4):
+    # a pipeline writes one CSV: the overlap rows, then the energy rows,
+    # numbered on across the stages, each cell the record's value exactly
+    result = pipeline(h4.mol, h4.ham, h4.pool, "fci", 3, 6, e_ref=h4.e_fci)
+    overlap_records, energy_records = result.overlap_trace.records, result.adapt_trace.records
+    header, *rows = [line.split(",") for line in
+                     result.overlap_trace.to_csv(result.adapt_trace).splitlines()]
+    assert header == CSV_HEADER.split(",") and list(CSV_FIELDS) == header
+    assert [row[0] for row in rows] == ["overlap"] * 3 + ["energy"] * 3
+    assert [int(row[1]) for row in rows] == list(range(1, len(rows) + 1))
+    for row, record in zip(rows, overlap_records + energy_records, strict=True):
+        for column, cell in zip(header, row, strict=True):
+            value = getattr(record, CSV_FIELDS[column])
+            if isinstance(value, str):
+                assert cell == value
+            elif np.isnan(value):
+                assert np.isnan(float(cell))
+            else:
+                assert float(cell) == value, (record.iteration, column)
+    assert all(np.isnan(r.infidelity) for r in energy_records)
+    assert all(np.isnan(r.error_vs_ref) and r.energy >= h4.e_fci for r in overlap_records)
+    assert [r.cnots for r in overlap_records + energy_records] == [13 * k for k in range(1, 7)]

@@ -432,7 +432,7 @@ def test_an_empty_pool_screens_to_nothing_and_is_refused_by_the_loops(h4):
     assert PoolScreen(state.basis, []).brackets(state.amplitudes,
                                                 state.amplitudes).shape == (0,)
     assert screen_energy_gradients(state, h4.ham, PoolScreen(state.basis, [])).shape == (0,)
-    with pytest.raises(ValueError, match="ADAPT pool is empty"):
+    with pytest.raises(ValueError, match="energy pool is empty"):
         oada.run_adapt(h4.ham, [], n_electrons=h4.n_electrons)
     with pytest.raises(ValueError, match="overlap pool is empty"):
         oada.run_overlap_adapt(state, [], 3, n_electrons=h4.n_electrons)
