@@ -15,7 +15,7 @@ severity of the package's log lines printed to stderr, such as the
 optimizer's near-miss warnings (debug adds the routine floor stops).
 
 Exit codes follow the exception type, each with a one-line diagnostic:
-2 bad input (FcidumpError, a missing file), 3 a dimension cap
+2 bad input (FcidumpError, a usage error, a missing file), 3 a dimension cap
 (DimensionCapError), 4 a non-finite objective (ObjectiveError), 1 any
 other ValueError or a Davidson run that did not converge (ConvergenceError).
 """
@@ -27,6 +27,7 @@ import logging
 import math
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from . import ci
 from .adapt import CSV_HEADER, load_ansatz, run_adapt, save_ansatz
@@ -38,20 +39,30 @@ from .pool import ansatz_resource_counts, build_pool, format_pool
 from .statevector import Basis, apply_ansatz, energy_and_gradient, format_state
 from .verify import run_verification
 
-METHODS = ("adapt", "overlap-adapt-fci", "overlap-adapt-cipsi",
-           "overlap-adapt-ansatz", "cipsi", "fci")
 
-# The optional `run` flags that each method reads. A method given another
-# one, by flag or config key, exits 2 rather than ignore it.
-_ADAPT_FLAGS = {"max_ops", "eps", "out_trace", "out_ansatz", "dump_state", "gnuplot"}
-_OVERLAP_FLAGS = _ADAPT_FLAGS | {"p_overlap", "target_wavefunction"}
-METHOD_FLAGS = {
-    "fci": {"out_wavefunction", "dump_state"},
-    "cipsi": {"cipsi_max_dets", "cipsi_target_e2", "out_trace", "out_wavefunction"},
-    "adapt": _ADAPT_FLAGS,
-    "overlap-adapt-fci": _OVERLAP_FLAGS,
-    "overlap-adapt-cipsi": _OVERLAP_FLAGS | {"cipsi_max_dets", "cipsi_target_e2"},
-    "overlap-adapt-ansatz": _OVERLAP_FLAGS | {"target_ansatz"},
+class Method(NamedTuple):
+    """A `run` method: the target `overlap_adapt.pipeline` builds (None: no
+    pipeline), the optional flags it reads (any other one, by flag or config
+    key, exits 2) and the flag groups it needs one flag of at least."""
+    source: str | None
+    flags: tuple
+    needs: tuple = ()
+
+
+_GROW = ("max_ops", "eps", "out_trace", "out_ansatz", "dump_state", "gnuplot")
+_OVERLAP = _GROW + ("p_overlap",)
+_CIPSI_STOP = ("cipsi_max_dets", "cipsi_target_e2")
+METHODS = {
+    "adapt": Method(None, _GROW),
+    "overlap-adapt-fci": Method("fci", _OVERLAP, (("max_ops",),)),
+    "overlap-adapt-cipsi": Method("cipsi", _OVERLAP + _CIPSI_STOP,
+                                  (("max_ops",), _CIPSI_STOP)),
+    "overlap-adapt-ansatz": Method("adapt-ansatz", _OVERLAP + ("target_ansatz",),
+                                   (("max_ops",), ("target_ansatz",))),
+    "overlap-adapt-wavefunction": Method("wavefunction", _OVERLAP + ("target_wavefunction",),
+                                         (("max_ops",), ("target_wavefunction",))),
+    "cipsi": Method(None, _CIPSI_STOP + ("out_trace", "out_wavefunction"), (_CIPSI_STOP,)),
+    "fci": Method(None, ("out_wavefunction", "dump_state")),
 }
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -86,28 +97,22 @@ def _read_config(path):
 
 
 def _config_defaults(path, parser):
-    """The config file's values, typed and checked like the `parser` flags
-    they name; `main` installs them as that parser's defaults, so a flag
-    on the command line wins."""
+    """The config file's values, parsed by the `run` `parser` as the flags
+    they name; `main` takes each one whose flag the command line omits."""
     config = _read_config(path)
-    actions = {action.dest: action for action in parser._actions
-               if action.dest not in ("help", "config")}
-    unknown = sorted(set(config) - set(actions))
+    dests = {action.dest for action in parser._actions} - {"help", "config"}
+    unknown = sorted(set(config) - dests)
     if unknown:
         raise FcidumpError(f"unknown config keys: {', '.join(unknown)}")
-    values = {}
-    for key, raw in config.items():
-        action = actions[key]
-        try:
-            value = raw if action.type is None else action.type(raw)
-        except ValueError:
-            raise FcidumpError(f"config key {key}: {raw!r} is not a valid "
-                               f"{action.type.__name__}") from None
-        if action.choices is not None and value not in action.choices:
-            raise FcidumpError(f"config key {key}: {raw!r} is not one of "
-                               f"{', '.join(action.choices)}")
-        values[key] = value
-    return values
+    try:
+        values = parser.parse_args([f"{_flag(key)}={raw}" for key, raw in config.items()])
+    except FcidumpError as exc:
+        raise FcidumpError(f"config {path}: {exc}") from None
+    return {key: getattr(values, key) for key in config}
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
 
 
 def _load_problem(args):
@@ -157,9 +162,6 @@ def _write(path, text):
 def cmd_run(args):
     mol, refs = _load_problem(args)
     n = mol.n_spin_orbitals
-    if args.method == "cipsi" and args.cipsi_max_dets is None \
-            and args.cipsi_target_e2 is None:
-        raise FcidumpError("cipsi needs --cipsi-max-dets and/or --cipsi-target-e2")
     # Every method works on the Jordan-Wigner Hamiltonian projected onto the
     # Hartree-Fock sector; `verify` checks it against the Slater-Condon
     # matrix, which is not built here.
@@ -194,32 +196,19 @@ def cmd_run(args):
                                   eps=eps, max_ops=args.max_ops, e_ref=e_ref)
         overlap_trace = None
     else:
-        source = {"overlap-adapt-fci": "fci",
-                  "overlap-adapt-cipsi": "cipsi",
-                  "overlap-adapt-ansatz": "adapt-ansatz"}[args.method]
-        if args.max_ops is None:
-            raise FcidumpError("overlap methods need --max-ops")
         p_overlap = args.p_overlap
         if p_overlap is None:
             p_overlap = max(1, round(0.45 * args.max_ops))  # 40-50% rule of thumb
         target_wavefunction = None
         if args.target_wavefunction:
-            # a stored determinant expansion replaces the in-process target
-            source = "wavefunction"
             target_wavefunction = ci.read_wavefunction(args.target_wavefunction,
                                                        h_sector.basis)
-        if source == "cipsi" and args.cipsi_max_dets is None \
-                and args.cipsi_target_e2 is None:
-            raise FcidumpError("overlap-adapt-cipsi needs --cipsi-max-dets "
-                               "and/or --cipsi-target-e2 (or --target-wavefunction)")
         target_ansatz = None
         if args.target_ansatz:
             target_ansatz = load_ansatz(args.target_ansatz)
             _check_ansatz(target_ansatz, args.target_ansatz, mol)
-        if source == "adapt-ansatz" and target_ansatz is None:
-            raise FcidumpError("overlap-adapt-ansatz needs --target-ansatz")
-        result = pipeline(mol, h_sector, pool, source, p_overlap, args.max_ops,
-                          cipsi_max_dets=args.cipsi_max_dets,
+        result = pipeline(mol, h_sector, pool, METHODS[args.method].source, p_overlap,
+                          args.max_ops, cipsi_max_dets=args.cipsi_max_dets,
                           cipsi_target_e2=args.cipsi_target_e2,
                           target_ansatz=target_ansatz,
                           target_wavefunction=target_wavefunction, eps=eps, e_ref=e_ref)
@@ -272,8 +261,16 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as FcidumpError, which `main` prints as one
+    line and exits 2 on, instead of printing the usage text."""
+
+    def error(self, message):
+        raise FcidumpError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oada",
         description="Adaptive and overlap-guided ansatz experiments on FCIDUMP inputs")
     parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
@@ -292,7 +289,7 @@ def build_parser():
     run.add_argument("--cipsi-target-e2", type=float)
     run.add_argument("--target-ansatz")
     run.add_argument("--target-wavefunction",
-                     help="stored determinant expansion to use as the overlap target")
+                     help="stored .dets expansion, the overlap-adapt-wavefunction target")
     run.add_argument("--out-trace", help=f"trace CSV; default {DEFAULT_TRACE}")
     run.add_argument("--out-ansatz")
     run.add_argument("--out-wavefunction")
@@ -335,35 +332,35 @@ def _log_to_stderr(level):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
-            # Taken before a config file installs its values as defaults.
-            optional = [action.dest for action in parser.run_parser._actions
-                        if action.default is None
-                        and action.dest not in ("config", "fcidump", "method")]
             if args.config:
-                parser.run_parser.set_defaults(**_config_defaults(args.config,
-                                                                  parser.run_parser))
-                args = parser.parse_args(argv)
-            if args.fcidump is None:
-                raise FcidumpError("run needs --fcidump (flag or config)")
-            if args.method is None:
-                raise FcidumpError("run needs --method (flag or config)")
-            unread = [f"--{dest.replace('_', '-')}" for dest in optional
-                      if getattr(args, dest) is not None
-                      and dest not in METHOD_FLAGS[args.method]]
+                for key, value in _config_defaults(args.config, parser.run_parser).items():
+                    if getattr(args, key) is None:  # the flag wins
+                        setattr(args, key, value)
+            for dest in ("fcidump", "method"):
+                if getattr(args, dest) is None:
+                    raise FcidumpError(f"run needs {_flag(dest)} (flag or config)")
+            method = METHODS[args.method]
+            unread = [_flag(action.dest) for action in parser.run_parser._actions
+                      if action.default is None and getattr(args, action.dest) is not None
+                      and action.dest not in ("config", "fcidump", "method", *method.flags)]
             if unread:
                 raise FcidumpError(f"--method {args.method} does not use "
                                    f"{', '.join(unread)}")
             for name in ("max_ops", "p_overlap", "eps", "cipsi_max_dets", "cipsi_target_e2"):
                 value = getattr(args, name)
                 if value is not None and not value > 0:  # NaN is not positive
-                    raise FcidumpError(f"--{name.replace('_', '-')} must be positive")
+                    raise FcidumpError(f"{_flag(name)} must be positive")
             if args.p_overlap is not None and args.max_ops is not None \
                     and args.p_overlap > args.max_ops:
                 raise FcidumpError(f"--p-overlap {args.p_overlap} exceeds "
                                    f"--max-ops {args.max_ops}")
+            for group in method.needs:
+                if all(getattr(args, dest) is None for dest in group):
+                    raise FcidumpError(f"--method {args.method} needs "
+                                       f"{' and/or '.join(map(_flag, group))}")
         with _log_to_stderr(args.log_level):
             return args.func(args)
     except (FcidumpError, FileNotFoundError) as exc:

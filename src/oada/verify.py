@@ -60,8 +60,9 @@ def run_verification(fcidump_path):
 
     h_full = Basis.full(n).project(ham)
     h_sparse = h_full.matrix
-    for name, sym in (("particle number", _number_operator(n)), ("S_z", _sz_operator(n))):
-        s_sparse = sym.to_sparse_matrix()
+    n_op = _number_operator(n).to_sparse_matrix()
+    sz_op = _sz_operator(n).to_sparse_matrix()
+    for name, s_sparse in (("particle number", n_op), ("S_z", sz_op)):
         comm = h_sparse @ s_sparse - s_sparse @ h_sparse
         dev = np.max(np.abs(comm.data)) if comm.nnz else 0.0
         checks.append((f"[H, {name}] = 0", dev < 1e-9, f"max |comm| = {dev:.2e}"))
@@ -95,8 +96,6 @@ def run_verification(fcidump_path):
                    ok and dev < 1e-9, detail))
 
     pool = build_pool(n, mol.n_electrons)
-    n_op = _number_operator(n).to_sparse_matrix()
-    sz_op = _sz_operator(n).to_sparse_matrix()
     dev = 0.0
     for op in pool:
         t = op.generator(n).to_sparse_matrix()

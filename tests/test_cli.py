@@ -145,6 +145,16 @@ def test_run_overlap_budget_above_the_total_exits_with_one_line(h4_path, tmp_pat
      "--method adapt does not use --out-wavefunction"),
     # fci writes no trace: a trace path it would ignore is refused
     (["--method", "fci", "--out-trace", "x.csv"], "--method fci does not use --out-trace"),
+    # a stored target is its own method: the other overlap methods refuse it
+    (["--method", "overlap-adapt-cipsi", "--cipsi-max-dets", "4", "--max-ops", "4",
+      "--target-wavefunction", "wf.dets"],
+     "--method overlap-adapt-cipsi does not use --target-wavefunction"),
+    (["--method", "overlap-adapt-ansatz", "--target-ansatz", "a.txt", "--max-ops", "4",
+      "--target-wavefunction", "wf.dets"],
+     "--method overlap-adapt-ansatz does not use --target-wavefunction"),
+    (["--method", "overlap-adapt-wavefunction", "--target-wavefunction", "wf.dets",
+      "--max-ops", "4", "--cipsi-max-dets", "4"],
+     "--method overlap-adapt-wavefunction does not use --cipsi-max-dets"),
 ])
 def test_run_refuses_flags_the_method_does_not_use(h4_path, tmp_path, flags, message):
     result = run_cli(["run", "--fcidump", h4_path, *flags], tmp_path)
@@ -166,11 +176,11 @@ def test_stored_wavefunction_as_overlap_target(h4_path, tmp_path):
     r1 = run_cli(["run", "--method", "cipsi", "--fcidump", h4_path,
                   "--cipsi-max-dets", "8", "--out-wavefunction", "wf.dets"], tmp_path)
     assert r1.returncode == 0, r1.stderr
-    r2 = run_cli(["run", "--method", "overlap-adapt-cipsi", "--fcidump", h4_path,
+    r2 = run_cli(["run", "--method", "overlap-adapt-wavefunction", "--fcidump", h4_path,
                   "--target-wavefunction", "wf.dets",
                   "--p-overlap", "2", "--max-ops", "4"], tmp_path)
     assert r2.returncode == 0, r2.stderr
-    assert "method=overlap-adapt-cipsi" in r2.stdout
+    assert "method=overlap-adapt-wavefunction" in r2.stdout
 
 
 def test_overlap_adapt_cipsi_requires_stop(h4_path, tmp_path):
@@ -223,7 +233,32 @@ def test_run_cipsi_trace(case, tmp_path, capsys):
 def test_run_cipsi_requires_stop(h4_path, capsys):
     assert main(["run", "--method", "cipsi", "--fcidump", h4_path]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
-        "error: cipsi needs --cipsi-max-dets and/or --cipsi-target-e2"]
+        "error: --method cipsi needs --cipsi-max-dets and/or --cipsi-target-e2"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "overlap-adapt-fci"], "--method overlap-adapt-fci needs --max-ops"),
+    (["--method", "overlap-adapt-ansatz", "--max-ops", "2"],
+     "--method overlap-adapt-ansatz needs --target-ansatz"),
+    (["--method", "overlap-adapt-wavefunction", "--max-ops", "2"],
+     "--method overlap-adapt-wavefunction needs --target-wavefunction"),
+])
+def test_run_method_needs_its_flags(h4_path, capsys, flags, message):
+    assert main(["run", "--fcidump", h4_path, *flags]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+# argparse's own errors, too, print one line instead of the usage text
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--method", "cipsi", "--out-overlap-trace", "y.csv"], "--out-overlap-trace"),
+    (["run", "--method", "bogus"], "--method"),
+    (["--log-level", "loud", "run"], "--log-level"),
+    ([], "command"),
+])
+def test_usage_error_exits_2_with_one_line(capsys, argv, named):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
 
 
 def test_reference_energy_from_sector_hamiltonian(h4_path, tmp_path, monkeypatch):
@@ -421,7 +456,7 @@ def test_dump_state_is_the_sector_state(h4_path, tmp_path, capsys):
 
 def test_wrong_sector_wavefunction_target_exit_code(h2_path, tmp_path):
     (tmp_path / "wf.dets").write_text("norb=2 nelec=1\n1.0 1 0\n")
-    result = run_cli(["run", "--method", "overlap-adapt-cipsi", "--fcidump", h2_path,
+    result = run_cli(["run", "--method", "overlap-adapt-wavefunction", "--fcidump", h2_path,
                       "--target-wavefunction", "wf.dets", "--max-ops", "2"], tmp_path)
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
@@ -481,8 +516,8 @@ def test_config_file_with_flag_override(h2_path, tmp_path):
 
 
 @pytest.mark.parametrize("line, flags, code, message", [
-    ("method=bogus", [], 2, "config key method: 'bogus' is not one of"),
-    ("max_ops=abc", [], 2, "config key max_ops: 'abc' is not a valid int"),
+    ("method=bogus", [], 2, "config exp.conf: argument --method: invalid choice: 'bogus'"),
+    ("max_ops=abc", [], 2, "config exp.conf: argument --max-ops: invalid int value: 'abc'"),
     ("dump_pool=pool.txt", [], 2, "unknown config keys: dump_pool"),
     ("out_trace=c.csv", ["--out-trace", "trace.csv"], 0, ""),
     ("gtol=1e-9", [], 2, "unknown config keys: gtol"),
