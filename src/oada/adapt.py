@@ -9,9 +9,12 @@ optimized iterate is read: `run_adapt` screens the energy gradient and
 minimizes the energy, whose value is the record's energy;
 `overlap_adapt.run_overlap_adapt` screens |<target|T|psi>|, maximizes the
 overlap and reads <psi|H|psi>. Energy screening shares one H|psi> across
-all candidates, so it costs a single Hamiltonian application. `grow`
-records each iteration of either stage as one `GrowthRecord`, so both
-stages write one CSV format (`CSV_HEADER`)."""
+all candidates, so it costs a single Hamiltonian application, and that one
+is the solve's own: each solve's lowest evaluation carries its state (and
+H|psi>) into the record and the next screen, and, since a new angle of 0
+leaves the state unchanged, its value and gradient into the next solve's
+start. `grow` records each iteration of either stage as one
+`GrowthRecord`, so both stages write one CSV format (`CSV_HEADER`)."""
 
 from __future__ import annotations
 
@@ -99,22 +102,22 @@ class GrowthTrace:
         return self.records[-1].energy if self.records else np.nan
 
 
-def screen_energy_gradients(state: Statevector, hamiltonian, pool: PoolScreen):
+def screen_energy_gradients(state: Statevector, h_psi, pool: PoolScreen):
     """d/dtheta <psi|U^ H U|psi> at theta=0 for every operator of `pool`,
-    a `PoolScreen` on the state's basis.
+    a `PoolScreen` on the state's basis, from H|psi> (`h_psi`, in that
+    basis too).
 
     Equals <psi|[H, T]|psi> = 2 <H psi|T psi> for the real anti-symmetric
     generator T; the single H|psi> is shared across all candidates, and all
-    brackets are taken in one pass (`PoolScreen.brackets`). The
-    Hamiltonian is taken in the state's basis.
+    brackets are taken in one pass (`PoolScreen.brackets`). The growth loop
+    hands in the H|psi> of the solve's lowest evaluation, so a screen
+    applies no Hamiltonian.
 
     Raises:
         ValueError: when the pool screen was built on another basis.
     """
-    basis = state.basis
-    if pool.basis != basis:
+    if pool.basis != state.basis:
         raise ValueError("the pool screen was built on another basis than the state's")
-    h_psi = basis.project(hamiltonian).matrix @ state.amplitudes
     return 2.0 * pool.brackets(h_psi, state.amplitudes)
 
 
@@ -126,26 +129,36 @@ def select_operator(grads) -> int:
     return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
 
 
-def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, energy, *,
-         threshold, budget, stage, e_ref=np.nan):
+def grow(ansatz: Ansatz, stage, *, threshold, budget, e_ref=np.nan):
     """Grow `ansatz` in place until the gradient or budget stop fires, and
     record each iteration.
+
+    `stage` is the stage's objective and screen over `ansatz` (`EnergyStage`
+    or `overlap_adapt.OverlapStage`). Its `objective(theta)` returns
+    (value, gradient, state, aux): the minimized objective, its gradient,
+    the state psi and the stage's by-product of psi (`aux`); `minimize`
+    returns state and aux of its lowest evaluation. Besides `name` and the
+    `pool` screen it provides:
+
+    - `at(state) -> (value, aux)` for the state of the given ansatz;
+    - `screen(state, aux) -> gradients`, signed, one per pool operator, the
+      largest magnitude appended;
+    - `slope(aux, gradient)`, the objective's derivative along the new
+      angle at 0 from the operator's screen gradient;
+    - `energy(state, aux, value)`, the energy recorded for the iterate.
+
+    Each solve starts from the previous optimum, the new angle at 0, and
+    the previous solve's inverse Hessian bordered with 1. G(0) is the
+    identity, so the objective there is known: the optimum's value, and its
+    gradient with the new angle's slope appended. Only the first solve of a
+    stage whose ansatz arrives with angles evaluates its start.
 
     Args:
         ansatz: the starting ansatz; operators are appended to it and its
             angles re-optimized.
-        pool: the stage's pool screen; its `operators` are the candidates,
-            and the ansatz state is simulated in its basis.
-        screen: state -> zero-angle gradient of every pool operator.
-        objective: angles -> (value, gradient) of `ansatz`, minimized; in
-            the overlap stage its value is the infidelity.
-        energy: (state of the optimized iterate, OptimizeResult) -> the
-            energy recorded for it. The state is the one the next screen
-            reads, so reading the energy from it costs no forward pass.
+        stage: the stage, as above.
         threshold: stop when the largest |gradient| is below this.
         budget: stop when the ansatz holds this many operators (None: never).
-        stage: "overlap" or "energy"; names the stage in the records and in
-            the optimizer's near-miss log line.
         e_ref: reference energy of the records' error (NaN: none).
 
     Returns:
@@ -155,17 +168,20 @@ def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, energy, *,
         ValueError: when threshold is not positive and budget is None, so
             that no stop could ever fire, or when the pool is empty.
     """
+    name, pool = stage.name, stage.pool
     if not threshold > 0 and budget is None:
-        raise ValueError(f"need a stopping rule: {stage} threshold {threshold} "
+        raise ValueError(f"need a stopping rule: {name} threshold {threshold} "
                          "with no budget never stops")
     if not pool.operators:
-        raise ValueError(f"the {stage} pool is empty: there is no operator to screen")
+        raise ValueError(f"the {name} pool is empty: there is no operator to screen")
     trace = GrowthTrace()
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
     state = apply_ansatz(ansatz, basis=pool.basis)
+    value, aux = stage.at(state)
+    grad = None if len(ansatz) else np.zeros(0)  # the objective's gradient, when known
     while True:
-        grads = screen(state)
+        grads = stage.screen(state, aux)
         best = select_operator(grads)
         gmax = float(abs(grads[best]))
         if gmax < threshold:
@@ -177,25 +193,54 @@ def grow(ansatz: Ansatz, pool: PoolScreen, screen, objective, energy, *,
         iteration += 1
         op = pool.operators[best]
         ansatz.append(op.excitation, 0.0)
-        result = minimize(objective, ansatz.thetas, hess_inv0=hess_inv)
+        start = (None if grad is None else
+                 (value, np.append(grad, stage.slope(aux, grads[best])), state, aux))
+        result = minimize(stage.objective, ansatz.thetas, hess_inv0=hess_inv, start=start)
         ansatz.thetas = [float(t) for t in result.theta_opt]
         hess_inv = result.hess_inv
+        value, grad, (state, aux) = result.objective_value, result.gradient, result.extra
         if not result.converged:
             # Floor stops and other near-misses (within NEAR_MISS x GTOL) are routine.
             routine = result.stop == "floor" or result.gradient_norm < NEAR_MISS * GTOL
             logger.log(logging.DEBUG if routine else logging.WARNING,
                        "%s iteration %d: optimizer stopped by %s "
-                       "(gradient norm %.2e)", stage, iteration, result.stop,
+                       "(gradient norm %.2e)", name, iteration, result.stop,
                        result.gradient_norm)
-        state = apply_ansatz(ansatz, basis=pool.basis)
-        value = energy(state, result)
+        energy = stage.energy(state, aux, value)
         trace.records.append(GrowthRecord(
-            stage=stage, iteration=iteration, op_id=op.id, kind=op.kind, gradient=gmax,
-            energy=value, error_vs_ref=value - e_ref,
-            infidelity=result.objective_value if stage == "overlap" else np.nan,
+            stage=name, iteration=iteration, op_id=op.id, kind=op.kind, gradient=gmax,
+            energy=energy, error_vs_ref=energy - e_ref,
+            infidelity=value if name == "overlap" else np.nan,
             n_params=len(ansatz), cnots=ansatz_resource_counts(ansatz.excitations)[2],
             n_evaluations=result.n_evaluations, stop=result.stop,
             thetas=tuple(ansatz.thetas)))
+
+
+class EnergyStage:
+    """The energy stage of `grow` over `ansatz`: minimize <psi|H|psi> and
+    screen 2 <H psi|T|psi>; aux is H|psi>, shared by the record (the value)
+    and the next screen."""
+
+    name = "energy"
+
+    def __init__(self, ansatz: Ansatz, h, pool: PoolScreen):
+        self.ansatz, self.h, self.pool = ansatz, h, pool
+
+    def objective(self, theta):
+        return energy_and_gradient(self.ansatz, self.h, theta, with_state=True)
+
+    def at(self, state):
+        h_psi = self.h.matrix @ state.amplitudes
+        return float(np.vdot(state.amplitudes, h_psi)), h_psi
+
+    def screen(self, state, h_psi):
+        return screen_energy_gradients(state, h_psi, self.pool)
+
+    def slope(self, h_psi, gradient):
+        return gradient
+
+    def energy(self, state, h_psi, value):
+        return value
 
 
 def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
@@ -223,11 +268,8 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
         init = Ansatz(hamiltonian.n_qubits, n_electrons)
     ansatz = init.copy()
     h_eval = Basis.sector(ansatz.n_qubits, ansatz.n_electrons).project(hamiltonian)
-    screen = PoolScreen(h_eval.basis, pool)
-    trace = grow(ansatz, screen, lambda psi: screen_energy_gradients(psi, h_eval, screen),
-                 lambda theta: energy_and_gradient(ansatz, h_eval, theta),
-                 lambda psi, result: result.objective_value, threshold=eps,
-                 budget=max_ops, stage="energy",
+    stage = EnergyStage(ansatz, h_eval, PoolScreen(h_eval.basis, pool))
+    trace = grow(ansatz, stage, threshold=eps, budget=max_ops,
                  e_ref=np.nan if e_ref is None else float(e_ref))
     return ansatz, trace
 

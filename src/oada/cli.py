@@ -14,8 +14,12 @@ its energy rows) and a summary line that ends with each stage's stop.
 severity of the package's log lines printed to stderr, such as the
 optimizer's near-miss warnings (debug adds the routine floor stops).
 
+Output paths are checked before anything is computed: a missing directory
+or a path that is a directory exits 2 before the run prints a line.
+
 Exit codes follow the exception type, each with a one-line diagnostic:
-2 bad input (FcidumpError, a usage error, a missing file), 3 a dimension cap
+2 bad input (FcidumpError, a usage error, a missing or unreadable file or
+any other OSError), 3 a dimension cap
 (DimensionCapError), 4 a non-finite objective (ObjectiveError), 1 any
 other ValueError or a Davidson run that did not converge (ConvergenceError).
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -64,6 +69,10 @@ METHODS = {
     "cipsi": Method(None, _CIPSI_STOP + ("out_trace", "out_wavefunction"), (_CIPSI_STOP,)),
     "fci": Method(None, ("out_wavefunction", "dump_state")),
 }
+
+# The metavar of every flag that names a file `run` writes, by which
+# `_check_outputs` finds them.
+OUT = "OUT"
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
@@ -113,6 +122,21 @@ def _config_defaults(path, parser):
 
 def _flag(dest):
     return "--" + dest.replace("_", "-")
+
+
+def _check_outputs(args, run_parser):
+    """Refuse an output path (a flag with metavar `OUT`) whose directory
+    does not exist or that is a directory, before the run computes
+    anything it could not write."""
+    for action in run_parser._actions:
+        path = getattr(args, action.dest) if action.metavar == OUT else None
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FcidumpError(f"{_flag(action.dest)} {path}: no directory {folder}")
+        if os.path.isdir(path):
+            raise FcidumpError(f"{_flag(action.dest)} {path} is a directory")
 
 
 def _load_problem(args):
@@ -290,11 +314,11 @@ def build_parser():
     run.add_argument("--target-ansatz")
     run.add_argument("--target-wavefunction",
                      help="stored .dets expansion, the overlap-adapt-wavefunction target")
-    run.add_argument("--out-trace", help=f"trace CSV; default {DEFAULT_TRACE}")
-    run.add_argument("--out-ansatz")
-    run.add_argument("--out-wavefunction")
-    run.add_argument("--dump-state")
-    run.add_argument("--gnuplot", help="write a ready-to-plot gnuplot script")
+    run.add_argument("--out-trace", metavar=OUT, help=f"trace CSV; default {DEFAULT_TRACE}")
+    run.add_argument("--out-ansatz", metavar=OUT)
+    run.add_argument("--out-wavefunction", metavar=OUT)
+    run.add_argument("--dump-state", metavar=OUT)
+    run.add_argument("--gnuplot", metavar=OUT, help="write a ready-to-plot gnuplot script")
     run.set_defaults(func=cmd_run)
 
     dp = sub.add_parser("dump-pool", help="print the operator pool")
@@ -361,9 +385,10 @@ def main(argv=None):
                 if all(getattr(args, dest) is None for dest in group):
                     raise FcidumpError(f"--method {args.method} needs "
                                        f"{' and/or '.join(map(_flag, group))}")
+            _check_outputs(args, parser.run_parser)
         with _log_to_stderr(args.log_level):
             return args.func(args)
-    except (FcidumpError, FileNotFoundError) as exc:
+    except (FcidumpError, OSError) as exc:
         return _fail(exc, EXIT_PARSE)
     except DimensionCapError as exc:
         return _fail(exc, EXIT_DIMENSION)

@@ -15,6 +15,8 @@ seen, and the returned objective is never above the starting one. The
 final inverse-Hessian estimate, updated by the last step too, is returned,
 so a caller re-optimizing a grown parameter vector can start the next
 solve from the curvature already learned instead of from the identity.
+A caller that already knows the objective at the starting point passes it
+in (`start`), and the solve evaluates only new points.
 
 A solve also stops at the objective's floating-point floor: once an
 accepted step has lowered the objective by no more than
@@ -29,6 +31,7 @@ warns, so every warning the caller sees is the objective's own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +79,8 @@ class OptimizeResult:
     n_iterations: int = 0
     hess_inv: np.ndarray = None
     stop: str = "gtol"  # "gtol", "floor", "line search" or "max_iter"
+    gradient: np.ndarray = None  # the objective's gradient at theta_opt
+    extra: tuple = ()  # the objective's further return items at theta_opt
 
 
 def _initial_hess_inv(hess_inv0, n):
@@ -206,8 +211,9 @@ def _line_search(evaluate, theta, direction, value, grad, old_value):
 
 
 def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
-             hess_inv0=None) -> OptimizeResult:
-    """Minimize `objective(theta) -> (value, gradient)` from theta0 with BFGS.
+             hess_inv0=None, start=None) -> OptimizeResult:
+    """Minimize `objective(theta) -> (value, gradient, *extra)` from theta0
+    with BFGS.
 
     The solve ends when max|g| <= gtol ("gtol"), at the floating-point
     floor described in the module docstring ("floor"), when the line search
@@ -217,7 +223,9 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     fires only above gtol, is never converged.
 
     Args:
-        objective: callable returning the value and its analytic gradient.
+        objective: callable returning the value, its analytic gradient and
+            any further items, which the result keeps (`extra`) for the
+            point it returns.
         theta0: starting angles.
         gtol: convergence threshold on the gradient infinity norm.
         max_iter: BFGS iteration cap.
@@ -226,27 +234,34 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
             `hess_inv` of a solve over the leading angles; it is bordered
             with 1 on the diagonal for the angles it lacks. None, or a
             matrix that is not positive definite, starts from the identity.
+        start: what `objective(theta0)` returns, when the caller already
+            knows it; the solve then does not evaluate theta0, and
+            `n_evaluations` counts only the evaluations it makes.
 
     Raises:
         ObjectiveError: if the objective evaluates to NaN or infinity.
     """
     theta = np.array(theta0, dtype=float)
     hess_inv = _initial_hess_inv(hess_inv0, len(theta))
-    # (theta, value, gradient) of the lowest evaluation
+    # (theta, value, gradient, extra) of the lowest evaluation
     n_evals, best = 0, None
 
-    def evaluate(x):
-        nonlocal n_evals, best
-        n_evals += 1
-        value, grad = objective(x)
-        if not np.isfinite(value):
+    def record(x, returned):
+        nonlocal best
+        value, grad, *extra = returned
+        if not math.isfinite(value):
             raise ObjectiveError(f"objective evaluated to {value} at theta={x}")
         value, grad = float(value), np.asarray(grad, dtype=float)
         if best is None or value < best[1]:
-            best = x, value, grad
+            best = x, value, grad, extra
         return value, grad
 
-    value, grad = evaluate(theta)
+    def evaluate(x):
+        nonlocal n_evals
+        n_evals += 1
+        return record(x, objective(x))
+
+    value, grad = evaluate(theta) if start is None else record(theta, start)
     # scipy's BFGS guess for the first line search: a step of length about 1
     old_value = value + np.linalg.norm(grad) / 2
     gnorm = np.max(np.abs(grad), initial=0.0)
@@ -278,11 +293,12 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
             cross = column * h_change
             hess_inv += (rho * rho * (change @ h_change) + rho) * (column * step)
             hess_inv -= rho * (cross + cross.T)
-        gnorm = np.max(np.abs(grad))
+        gnorm = np.abs(grad).max()
         if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
             stop = "floor"
             break
-    theta, value, grad = best
+    theta, value, grad, extra = best
     gnorm = float(np.max(np.abs(grad), initial=0.0))
     return OptimizeResult(theta, value, n_evals, stop == "gtol" and gnorm <= gtol, gnorm,
-                          n_iterations=n_iter, hess_inv=hess_inv, stop=stop)
+                          n_iterations=n_iter, hess_inv=hess_inv, stop=stop, gradient=grad,
+                          extra=tuple(extra))

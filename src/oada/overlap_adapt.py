@@ -11,7 +11,7 @@ each iterate's energy as <psi|H|psi>. Its records are the energy stage's
 `adapt.GrowthRecord`s with stage "overlap", so a pipeline's two traces
 make one CSV: `overlap_trace.to_csv(adapt_trace)`.
 
-Screening uses the zero-angle overlap derivative |<ref|T|psi>|; the
+Screening ranks by the zero-angle overlap derivative |<ref|T|psi>|; the
 four-angle formula re-expresses that derivative through four overlap
 magnitudes and is kept as a verification / measurement-model mode.
 """
@@ -45,9 +45,10 @@ GTOL_OVERLAP = 1e-7
 
 
 def screen_overlap_gradients(reference: Statevector, state: Statevector, pool: PoolScreen):
-    """|d/dtheta <ref|exp(theta T)|psi>| at theta=0 = |<ref|T|psi>| per
-    operator of `pool`, a `PoolScreen` on the state's basis, all in one pass
-    (`PoolScreen.brackets`).
+    """d/dtheta <ref|exp(theta T)|psi> at theta=0 = <ref|T|psi> per operator
+    of `pool`, a `PoolScreen` on the state's basis, all in one pass
+    (`PoolScreen.brackets`). Signed: the screen ranks by magnitude, and the
+    sign gives the infidelity's slope along the selected operator.
 
     Raises:
         ValueError: when the pool screen was built on another basis.
@@ -56,7 +57,7 @@ def screen_overlap_gradients(reference: Statevector, state: Statevector, pool: P
     if pool.basis != basis:
         raise ValueError("the pool screen was built on another basis than the state's")
     reference = basis.extract(reference)
-    return np.abs(pool.brackets(reference.amplitudes, state.amplitudes))
+    return pool.brackets(reference.amplitudes, state.amplitudes)
 
 
 def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
@@ -92,14 +93,16 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
 
     The objective minimized at each step is the infidelity
     1 - |<ref|psi(theta)>|^2, warm-started from the previous optimum and
-    inverse Hessian. When `hamiltonian` is given, each record also carries
-    the energy <psi|H|psi> of the optimized iterate, read from the state
-    the next screen uses (purely diagnostic; it never influences
-    selection); without it the energy is NaN. The records' error column is
-    NaN: the stage has no reference energy.
+    inverse Hessian (`OverlapStage`). When `hamiltonian` is given, each
+    record also carries the energy <psi|H|psi> of the optimized iterate,
+    read from the state the next screen uses (purely diagnostic; it never
+    influences selection); without it the energy is NaN. The records' error
+    column is NaN: the stage has no reference energy.
     The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
     it is already projected; the reference is extracted into it once.
-    `pool` is a list of pool operators.
+    `pool` is a list of pool operators. The returned ansatz is a copy, which
+    carries no sweep plan, so a pipeline's energy stage does not hold this
+    stage's.
 
     Returns:
         (optimized Ansatz, GrowthTrace of the overlap stage's GrowthRecords)
@@ -110,19 +113,40 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
     if hamiltonian is not None:
         h_eval = basis.project(hamiltonian)
         basis = h_eval.basis  # an operator passed through keeps its pair cache
-    target = basis.extract(reference)
+    stage = OverlapStage(ansatz, basis.extract(reference), h_eval, PoolScreen(basis, pool))
+    trace = grow(ansatz, stage, threshold=GTOL_OVERLAP, budget=p_max)
+    return ansatz.copy(), trace
 
-    def objective(theta):
-        value, grad = overlap_and_gradient(ansatz, target, theta)
-        return 1.0 - value, -grad
 
-    def energy(psi, result):
-        return np.nan if h_eval is None else expectation(psi, h_eval)
+class OverlapStage:
+    """The overlap stage of `adapt.grow` over `ansatz`: minimize the
+    infidelity 1 - |<target|psi>|^2 and screen <target|T|psi>; aux is
+    c = <target|psi>, by which the infidelity's slope along a new angle is
+    -2 c <target|T|psi>. The recorded energy is <psi|H|psi> (NaN without
+    `h`)."""
 
-    screen = PoolScreen(basis, pool)
-    trace = grow(ansatz, screen, lambda psi: screen_overlap_gradients(target, psi, screen),
-                 objective, energy, threshold=GTOL_OVERLAP, budget=p_max, stage="overlap")
-    return ansatz, trace
+    name = "overlap"
+
+    def __init__(self, ansatz: Ansatz, target: Statevector, h, pool: PoolScreen):
+        self.ansatz, self.target, self.h, self.pool = ansatz, target, h, pool
+
+    def objective(self, theta):
+        value, grad, state, c = overlap_and_gradient(self.ansatz, self.target, theta,
+                                                     with_state=True)
+        return 1.0 - value, -grad, state, c
+
+    def at(self, state):
+        c = np.vdot(self.target.amplitudes, state.amplitudes)
+        return 1.0 - float(abs(c) ** 2), c
+
+    def screen(self, state, c):
+        return screen_overlap_gradients(self.target, state, self.pool)
+
+    def slope(self, c, bracket):
+        return -(2.0 * (c * bracket))
+
+    def energy(self, state, c, value):
+        return np.nan if self.h is None else expectation(state, self.h)
 
 
 @dataclass

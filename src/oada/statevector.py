@@ -24,23 +24,25 @@ so d/dtheta exp(theta T)|source> at 0 is +|destination>: the gathered
 (2, n) rows of an excitation's pairs turn by G = [[c, -s], [s, c]]
 (`_givens`), fixed here once and shared by every kernel and gradient.
 
-The forward pass applies each evolution as one 2x2 product on its rows and
-keeps the rotated rows, psi_k on pairs k, as a tape of at most m * dim
-amplitudes (an excitation moves each position at most once). The adjoint
-sweep of both gradients turns back only lambda = H|psi> (or the target),
-with G^T: two gathers, two scatters and two 2x2 products per evolution,
-plus one Hamiltonian application.
+The sweep is single-assignment: every amplitude an evolution writes gets a
+slot of its own, so the forward pass applies each evolution as one gather
+and one 2x2 product written straight into its slots, and those rows, psi_k
+on pairs k, are the tape (an excitation moves each position at most once,
+so the tape holds at most m * dim amplitudes). The adjoint sweep of both
+gradients turns back only lambda = H|psi> (or the target), with G^T, along
+the same slots in reverse: one 2x2 product per evolution and one scatter into
+the slots that the evolutions before it read, plus one Hamiltonian application.
 
 Both gradient brackets <lambda_k|T_k|psi_k> and the pool screen's
 <left|T_k|right> come from one pair plan (`_PairPlan`): the pairs of a list
 of excitations laid side by side in one row buffer, summed per excitation
 by one pass of products and `np.add.reduceat`. An ansatz keeps the plan of
 its sweep for the basis it was last evaluated in (`_Sweep`), which adds the
-Hartree-Fock amplitudes and the tape; a growth stage builds one
-`PoolScreen`, which adds the pool's operators and one (2, P) gather table.
-Nothing is looked up, concatenated or sized per call, and the plans are not
-re-entrant. Both give the brackets of the rows concatenated afresh, bit
-for bit.
+two slot buffers and the slot each evolution reads; a growth stage builds
+one `PoolScreen`, which adds the pool's operators and one (2, P) gather
+table. Nothing is looked up, concatenated or sized per call, and the plans
+are not re-entrant. Both give the brackets of the rows concatenated afresh,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ MAX_SECTOR_DIM = 1 << MAX_QUBITS
 CHUNK = 1 << 15
 # Spin orbitals are interleaved: even bits alpha, odd bits beta.
 ALPHA_BITS = 0x5555555555555555
+# A sector finds positions in two tables indexed by the masks' high and low
+# bits (`Basis._positions`) while each half has at most this many bits (up
+# to 4,096 entries a table, every sector of the dense-simulation cap), and
+# searches the sorted masks beyond.
+MAX_LOOKUP_BITS = 12
 
 
 def sector_dimension(n_qubits, n_electrons):
@@ -121,6 +128,28 @@ class Basis:
         self.counts = counts  # (N_alpha, N_beta) of a sector; None for the full basis
         self._pairs = {}
         self._hf = {}  # electron count -> Hartree-Fock position
+        self._lookup = self._lookup_tables()
+
+    def _lookup_tables(self):
+        """(low_bits, start, rank) of a sector: a held mask with high bits h
+        and low bits l sits at start[h] + rank[l]. The masks are sorted, so
+        those with high bits h start at start[h] and run through the low
+        patterns with the (N_alpha, N_beta) counts that complete h, in
+        ascending order; rank[l] counts the patterns below l with the
+        counts of l. None when a half has more than `MAX_LOOKUP_BITS` bits,
+        or for the full basis."""
+        low_bits = self.n_qubits // 2
+        if self.counts is None or self.n_qubits - low_bits > MAX_LOOKUP_BITS:
+            return None
+        lows = np.arange(1 << low_bits, dtype=np.int64)
+        counts = (np.bitwise_count(lows & ALPHA_BITS).astype(np.intp) * (low_bits + 1)
+                  + np.bitwise_count(lows))
+        order = np.argsort(counts, kind="stable")
+        ordered = counts[order]
+        rank = np.empty(len(lows), dtype=np.intp)
+        rank[order] = np.arange(len(lows)) - np.searchsorted(ordered, ordered)
+        highs = np.arange(1 << (self.n_qubits - low_bits), dtype=np.int64) << low_bits
+        return low_bits, np.searchsorted(self.masks, highs), rank
 
     @classmethod
     def full(cls, n_qubits):
@@ -170,8 +199,19 @@ class Basis:
         """Positions of occupation masks in this basis; -1 marks a mask outside it."""
         if self.dim == 1 << self.n_qubits:  # the full basis, where mask == position
             return np.where((masks >= 0) & (masks < self.dim), masks, -1)
-        pos = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
-        return np.where(self.masks[pos] == masks, pos, -1)
+        if self._lookup is None:
+            pos = np.minimum(np.searchsorted(self.masks, masks), self.dim - 1)
+            return np.where(self.masks[pos] == masks, pos, -1)
+        held = self.holds(masks)
+        return np.where(held, self._positions(np.where(held, masks, 0)), -1)
+
+    def _positions(self, masks):
+        """Positions of occupation masks of a sector that it holds: looked up
+        in the sector's tables, or searched for without them."""
+        if self._lookup is None:
+            return np.searchsorted(self.masks, masks)
+        low_bits, start, rank = self._lookup
+        return start[masks >> low_bits] + rank[masks & ((1 << low_bits) - 1)]
 
     def _hf_position(self, n_electrons):
         """Position of the n-electron Hartree-Fock mask, the lowest n bits
@@ -353,7 +393,7 @@ class Basis:
                 odd = np.bitwise_count(z_j[group[:n]] & row_masks[:n]) & 1
                 values[:n] += signed_j[twice[:n] + odd]
             kept = np.flatnonzero(values)
-            col = np.searchsorted(self.masks, keys[group[kept]] ^ row_masks[kept])
+            col = self._positions(keys[group[kept]] ^ row_masks[kept])
             diagonal_rows = np.flatnonzero(diagonal[r0:r0 + block])
             row = np.concatenate([diagonal_rows, row[kept]])
             col = np.concatenate([diagonal_rows + r0, col])
@@ -493,6 +533,7 @@ class Ansatz:
         sweep = self._sweep
         if (sweep is None or sweep.basis is not basis or sweep.n_electrons != self.n_electrons
                 or sweep.excitations != self.excitations):
+            self._sweep = sweep = None  # the old plan goes before the new one is built
             sweep = self._sweep = _Sweep(self, basis)
         return sweep
 
@@ -503,11 +544,11 @@ class _PairPlan:
 
     Built once, pairs through `Basis._pairs_of`: each excitation's (2, n)
     pairs take a run of columns side by side, in order. The plan keeps the
-    pairs, each run's slice (`_runs`), the start of each non-empty run and
-    the row buffer, a (2, total) float64 array in that layout, with a view
-    of each run (`_buffer`). The row buffer holds a left vector's rows; it
-    is shared by every call, so a plan is not re-entrant. Returned brackets
-    are new arrays, never views of it.
+    pairs, each run's slice (`_runs`) and the start of each non-empty run;
+    a subclass adds the row buffer (`_rows`), a (2, total) float64 array
+    in that layout. The row buffer holds a left vector's rows; it is shared
+    by every call, so a plan is not re-entrant. Returned brackets are new
+    arrays, never views of it.
     """
 
     def __init__(self, basis: Basis, excitations):
@@ -520,12 +561,6 @@ class _PairPlan:
         self._starts = starts[self._nonempty]
         self._runs = [slice(a, a + n) for a, n in zip(starts.tolist(), sizes.tolist())]
         self._total = int(sizes.sum())
-        self._rows, self._row_runs = self._buffer()
-
-    def _buffer(self):
-        """A (2, total) float64 buffer and its view of each run."""
-        buffer = np.empty((2, self._total))
-        return buffer, [buffer[:, run] for run in self._runs]
 
     def _bracket_sum(self, right_rows):
         """<left|T|right> per excitation, as a new array, from the left rows
@@ -541,43 +576,113 @@ class _PairPlan:
 
 
 class _Sweep(_PairPlan):
-    """An ansatz's plan of the taped adjoint sweep in one basis: the pair
-    plan of its excitations, the Hartree-Fock amplitudes and the tape, a
-    (2, total) float64 buffer in the plan's layout, which the forward pass
-    fills with each evolution's rotated rows of psi_k. `brackets`
-    fills the row buffer as it turns a left vector back."""
+    """An ansatz's single-assignment plan of the adjoint sweep in one basis.
+
+    Each direction has a slot buffer laid out alike: dim positions, then a
+    slot for every amplitude an evolution moves. The slots follow the
+    plan's runs pair-major: run k is a C-contiguous (n_k, 2) block of
+    (source, destination) rows. At build time each slot is given the slot
+    that holds its position's value before its evolution: that of the last
+    evolution before it that moved the position, else the position itself.
+    This read table is one (2T,) intp array (T = total pairs) of which each
+    run's (n_k, 2) block is a view: an index of another dtype is cast on
+    every gather. Every position's last slot (`_final`, itself at an
+    untouched position) closes the chain.
+
+    Forward, a step is `np.dot(rows, G^T)` on the rows its block reads,
+    written into the block, with the bits of the former G @ rows
+    (`_turns`); the blocks are the tape of psi_k rows and the state is one
+    gather of every position's last slot. Reverse runs the same chains
+    backwards in the second buffer: lambda is scattered to each position's
+    last slot, and a step turns its block back, `np.dot(rows, G)`, and
+    scatters the rows to the slots its block reads, which are the blocks of
+    the evolutions before it. So each reverse block ends up holding
+    lambda_k's rows, and is the left side of the bracket sum. The plan
+    holds 24 * dim + 48 * T bytes.
+    """
 
     def __init__(self, ansatz: Ansatz, basis: Basis):
         super().__init__(basis, ansatz.excitations)
         self.n_electrons = ansatz.n_electrons
         self.excitations = list(ansatz.excitations)
-        self.hf = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis).amplitudes
-        self.tape, self._tape_runs = self._buffer()
+        hf = prepare_hf(ansatz.n_qubits, ansatz.n_electrons, basis).amplitudes
+        dim, n_slots = basis.dim, 2 * self._total
+        # One allocation holds the index tables, one the buffers.
+        tables = np.empty(n_slots + dim, dtype=np.intp)
+        self._reads = tables[:n_slots]
+        self._final = tables[n_slots:]
+        self._final[:] = np.arange(dim)
+        if n_slots:
+            self._find_reads(dim, n_slots)
+        # The buffers come after the tables' temporaries are freed, which
+        # keeps the build's peak memory at the plan's own.
+        buffers = np.empty(2 * (dim + n_slots))
+        self._ahead = buffers[:dim + n_slots]
+        self._ahead[:dim] = hf
+        self._back = buffers[dim + n_slots:]
+        self._rows = self._back[dim:].reshape(-1, 2).T
+        # Pair-major, run k is rows `_runs[k]`; run 0 is never turned back.
+        ahead, back = self._ahead[dim:].reshape(-1, 2), self._back[dim:].reshape(-1, 2)
+        reads = self._reads.reshape(-1, 2)
+        self._steps = [(reads[r], ahead[r], back[r]) for r in self._runs]
+        self._singles = [k for k, r in enumerate(self._runs) if r.stop - r.start == 1]
+        self._tape = ahead.T
+
+    def _find_reads(self, dim, n_slots):
+        """Fill the read table and the last slot of every position, with no
+        temporary larger than two (2T,) arrays."""
+        # Positions are distinct within a run, so sorting the slots by
+        # (position, slot) lists each position's slots in evolution order.
+        held = np.concatenate([p.T for p in self.pairs]).ravel()  # position of each slot
+        held *= n_slots
+        held += np.arange(n_slots)
+        held.sort()
+        order = held % n_slots
+        held //= n_slots
+        # Each sorted slot reads the slot before it, save the first of each
+        # position, which reads the position; the last is its final slot.
+        firsts = np.flatnonzero(held[1:] != held[:-1]) + 1
+        self._reads[order[1:]] = order[:-1]
+        self._reads += dim
+        self._reads[order[0]] = held[0]
+        self._reads[order[firsts]] = held[firsts]
+        self._final[held[firsts - 1]] = order[firsts - 1] + dim
+        self._final[held[-1]] = order[-1] + dim
 
     def forward(self, givens):
         """The amplitudes of the ansatz at the angles of `givens`, as a new
-        array; the tape receives each evolution's rotated rows."""
-        amps = self.hf.copy()
-        for pairs, g, taped in zip(self.pairs, givens, self._tape_runs):
-            rows = g.dot(amps[pairs])
-            amps[pairs] = rows
-            taped[...] = rows
-        return amps
+        array; the forward buffer's blocks receive each evolution's rows."""
+        ahead = self._ahead
+        for (reads, block, _), g in zip(self._steps, self._turns(givens.transpose(0, 2, 1))):
+            np.dot(ahead[reads], g, out=block)
+        return ahead[self._final]
 
     def brackets(self, givens, left):
         """<left_k|T_k|psi_k> for every k, as a new array: psi_k's rows from
-        the tape of the last `forward`, left_k a copy of `left` with
-        evolutions k+1, k+2, ... undone by G^T."""
+        the tape of the last `forward`, left_k `left` with evolutions k+1,
+        k+2, ... undone by G^T. Every reverse slot is written once per call:
+        the last ones from `left`, the others by the evolution after them
+        (a first slot's scatter lands in the unused first dim entries)."""
         if not self.pairs:
             return np.zeros(0)
-        left = left.copy()
-        back = givens.transpose(0, 2, 1)
-        for pairs, g, kept in zip(self.pairs[:0:-1], back[:0:-1], self._row_runs[:0:-1]):
-            rows = left[pairs]
-            kept[...] = rows
-            left[pairs] = g.dot(rows)
-        self._row_runs[0][...] = left[self.pairs[0]]
-        return self._bracket_sum(self.tape)
+        back = self._back
+        back[self._final] = left
+        for (reads, _, block), g in zip(self._steps[:0:-1], self._turns(givens)[:0:-1]):
+            back[reads] = np.dot(block, g)
+        return self._bracket_sum(self._tape)
+
+    def _turns(self, matrices):
+        """Each evolution's M of `rows @ M` (G^T forward, G in reverse),
+        C-contiguous: the product then has the bits of the former
+        `M^T @ rows` with M^T C-contiguous. On a run of one pair np.dot is
+        a matrix-vector product, which keeps them only with M the
+        transposed view of a C-contiguous M^T."""
+        turns = np.ascontiguousarray(matrices)
+        if self._singles:
+            turns = list(turns)
+            for k in self._singles:
+                turns[k] = np.ascontiguousarray(matrices[k].T).T
+        return turns
 
 
 def _forward(ansatz: Ansatz, thetas, basis):
@@ -630,12 +735,8 @@ class PoolScreen(_PairPlan):
         super().__init__(basis, [op.excitation for op in self.operators])
         self._table = (np.concatenate(self.pairs, axis=1) if self.pairs
                        else np.empty((2, 0), dtype=np.int64))
-
-    def _buffer(self):
-        """The left rows, in one block with the right rows (`_right`); each
-        gather fills its rows whole, so no run needs a view."""
-        rows, self._right = np.empty((2, 2, self._total))
-        return rows, None
+        # The left rows, in one block with the right rows.
+        self._rows, self._right = np.empty((2, 2, self._total))
 
     def brackets(self, left, right):
         """<left|T|right> per pool operator, as a new array, 0 for an
@@ -659,13 +760,15 @@ class PoolScreen(_PairPlan):
         return self._bracket_sum(self._right)
 
 
-def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
+def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None, *,
+                        with_state=False):
     """E(theta) = <psi|H|psi> and dE/dtheta_k for all k via a reverse sweep.
 
     The simulation runs in the basis the Hamiltonian is projected onto
     (`Basis.project`). The sweep un-applies each evolution from
     lambda = H|psi> only, reading off dE/dtheta_k = 2 <lambda_k|T_k|psi_k>
-    against the forward tape's rows of psi_k.
+    against the forward tape's rows of psi_k. With `with_state`, psi (a
+    Statevector) and lambda follow the energy and gradient.
 
     Raises:
         TypeError: when `h` is not a ProjectedOperator.
@@ -678,12 +781,15 @@ def energy_and_gradient(ansatz: Ansatz, h: ProjectedOperator, thetas=None):
     lam = h.matrix @ state.amplitudes
     # vdot, the bra-ket as written, gives dot's bits on real vectors.
     energy = float(np.vdot(state.amplitudes, lam))
-    return energy, 2.0 * sweep.brackets(givens, lam)
+    grad = 2.0 * sweep.brackets(givens, lam)
+    return (energy, grad, state, lam) if with_state else (energy, grad)
 
 
-def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
+def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None, *,
+                         with_state=False):
     """F(theta) = |<target|psi(theta)>|^2 and its gradient via a reverse sweep,
-    in the target's basis; a wrong number of angles raises ValueError."""
+    in the target's basis; a wrong number of angles raises ValueError.
+    With `with_state`, psi (a Statevector) and <target|psi> follow."""
     if target.n_qubits != ansatz.n_qubits:
         raise ValueError("target size mismatch")
     state, givens, sweep = _forward(ansatz, thetas, target.basis)
@@ -691,7 +797,8 @@ def overlap_and_gradient(ansatz: Ansatz, target: Statevector, thetas=None):
     brackets = sweep.brackets(givens, target.amplitudes)
     # abs(c) ** 2, not c * c: the two can differ in the last bit, and that
     # bit moved the h6_3.0 CIPSI pipeline from 599 to 616 evaluations.
-    return float(abs(c) ** 2), 2.0 * (c * brackets)
+    value, grad = float(abs(c) ** 2), 2.0 * (c * brackets)
+    return (value, grad, state, c) if with_state else (value, grad)
 
 
 def format_state(state: Statevector) -> str:

@@ -114,8 +114,8 @@ def test_criterion_3_gradient_correctness(h2, h4):
 
         state = apply_ansatz(ansatz)
         if abs(overlap(target, state)) > 1e-6:
-            direct = screen_overlap_gradients(target, state,
-                                              PoolScreen(state.basis, problem.pool[:5]))
+            direct = np.abs(screen_overlap_gradients(
+                target, state, PoolScreen(state.basis, problem.pool[:5])))
             for op, d in zip(problem.pool[:5], direct):
                 fa = four_angle_gradient(target, state, op.excitation)
                 worst_fa = max(worst_fa, abs(fa - d))

@@ -8,15 +8,20 @@ from oada.statevector import (Ansatz, PoolScreen, apply_ansatz, energy_and_gradi
                               prepare_hf)
 
 
+def _h_psi(hamiltonian, state):
+    return state.basis.project(hamiltonian).matrix @ state.amplitudes
+
+
 def test_screening_vanishes_at_eigenstate(h2):
     state = h2.fci_state()
-    grads = screen_energy_gradients(state, h2.full, PoolScreen(state.basis, h2.pool))
+    grads = screen_energy_gradients(state, _h_psi(h2.full, state),
+                                    PoolScreen(state.basis, h2.pool))
     assert np.max(np.abs(grads)) < 1e-8
 
 
 def test_h2_hf_screening_selects_double_channel(h2):
     hf = prepare_hf(4, 2)
-    grads = screen_energy_gradients(hf, h2.full, PoolScreen(hf.basis, h2.pool))
+    grads = screen_energy_gradients(hf, _h_psi(h2.full, hf), PoolScreen(hf.basis, h2.pool))
     dense = h2.ham.to_dense_matrix()
     for op, g in zip(h2.pool, grads):
         t = op.generator(4).to_dense_matrix()
@@ -34,7 +39,8 @@ def test_screening_matches_finite_difference(h4):
     for k in rng.integers(len(h4.pool), size=4):
         base.append(h4.pool[int(k)].excitation, rng.uniform(-0.7, 0.7))
     state = apply_ansatz(base)
-    grads = screen_energy_gradients(state, h4.full, PoolScreen(state.basis, h4.pool))
+    grads = screen_energy_gradients(state, _h_psi(h4.full, state),
+                                    PoolScreen(state.basis, h4.pool))
     step = 1e-5
     for k in (0, 7, len(h4.pool) - 1):
         probe = base.copy()
@@ -188,7 +194,7 @@ def test_stretched_beh2_symmetry_twins_go_to_the_lower_id(beh2_stretched):
     ansatz, _ = run_adapt(problem.sector, problem.pool,
                           n_electrons=problem.n_electrons, eps=1e-8, max_ops=6)
     psi = apply_ansatz(ansatz, basis=problem.sector.basis)
-    grads = np.abs(screen_energy_gradients(psi, problem.sector,
+    grads = np.abs(screen_energy_gradients(psi, _h_psi(problem.sector, psi),
                                            PoolScreen(psi.basis, problem.pool)))
     assert abs(grads[8] - grads[12]) <= TIE_RTOL * grads[8]
     assert problem.pool[select_operator(grads)].id == 8

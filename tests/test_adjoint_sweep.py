@@ -8,8 +8,9 @@ rows of psi and turns back only the left vector; both gradients must
 agree with the reference to 1e-12.
 
 `reference_kernels` keeps the kernel's former per-evaluation path (a pair
-lookup per evolution, a list tape and two concatenations); the kept sweep
-plan must give exactly its values, through the plan's whole life cycle.
+lookup per evolution, a list tape and two concatenations); the kept
+single-assignment sweep plan must give exactly its values, through the
+plan's whole life cycle.
 """
 
 import math
@@ -17,10 +18,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from oada import adapt
 from oada.overlap_adapt import pipeline
-from oada.statevector import (Ansatz, Basis, Statevector, apply_ansatz, energy_and_gradient,
-                              overlap_and_gradient, prepare_hf)
+from oada.pool import DoubleExcitation, SingleExcitation
+from oada.statevector import (Ansatz, Basis, ProjectedOperator, Statevector, apply_ansatz,
+                              energy_and_gradient, overlap_and_gradient, prepare_hf)
 import reference_kernels as reference
 
 TOL = 1e-12
@@ -204,6 +208,101 @@ def test_the_kept_plan_follows_edits_bases_and_copies(h4):
     assert_bit_identical(ansatz, sector, target)
     assert np.array_equal(apply_ansatz(ansatz, basis=sector.basis).amplitudes,
                           reference.forward(ansatz, sector.basis)[0].amplitudes)
+
+
+@pytest.mark.parametrize("m", [0, 1, 30])
+def test_single_assignment_sweep_is_the_former_path_at_every_length(h6, m):
+    rng = np.random.default_rng(200 + m)
+    h = h6.sector
+    ansatz = _random_ansatz(rng, h6.pool, h6.n, h6.n_electrons, m)
+    target = _random_state(rng, h.basis)
+    for _ in range(2):
+        assert_bit_identical(ansatz, h, target)
+        assert np.array_equal(apply_ansatz(ansatz, basis=h.basis).amplitudes,
+                              reference.forward(ansatz, h.basis)[0].amplitudes)
+        ansatz.thetas = list(rng.uniform(-1.0, 1.0, m))
+    sweep = ansatz._sweep
+    assert sweep._reads.dtype == np.intp and sweep._final.dtype == np.intp
+    # one slot per amplitude written, after the starting vector
+    assert sweep._ahead.shape == sweep._back.shape == (h.basis.dim + 2 * sweep._total,)
+    # one read table for both directions: the plan is 24 dim + 48 T bytes
+    assert (sweep._reads.base.nbytes + sweep._ahead.base.nbytes
+            == 24 * h.basis.dim + 48 * sweep._total)
+
+
+def test_single_assignment_sweep_follows_appends_and_replacements(h4):
+    rng = np.random.default_rng(53)
+    h = h4.sector
+    ansatz = Ansatz(h4.n, h4.n_electrons)
+    target = _random_state(rng, h.basis)
+    for _ in range(8):  # grown one evolution at a time, some repeated
+        ansatz.append(h4.pool[int(rng.integers(len(h4.pool)))].excitation,
+                      rng.uniform(-1.0, 1.0))
+        assert_bit_identical(ansatz, h, target)
+    for k in (0, 3, 7):
+        before = ansatz._sweep
+        ansatz.excitations[k] = h4.pool[int(rng.integers(len(h4.pool)))].excitation
+        assert_bit_identical(ansatz, h, target)
+        assert ansatz._sweep is not before
+
+
+@pytest.mark.parametrize("n, n_electrons", [(4, 1), (4, 3), (6, 1), (6, 5), (6, 2)])
+def test_single_assignment_sweep_is_the_former_path_on_tiny_sectors(n, n_electrons):
+    # runs of one pair and of none, repeated and in any order (the first
+    # run the smallest), where a 2x2 product on one pair is a
+    # matrix-vector product
+    basis = Basis.sector(n, n_electrons)
+    rng = np.random.default_rng(10 * n + n_electrons)
+    a = rng.normal(size=(basis.dim, basis.dim))
+    h = ProjectedOperator(basis, sp.csr_matrix(a + a.T))
+    excitations = [SingleExcitation(p, q) for p in range(n) for q in range(p % 2, p, 2)]
+    excitations += [DoubleExcitation(p, q, r, s) for p in range(n) for q in range(p + 1, n)
+                    for r in range(n) for s in range(r + 1, n)
+                    if len({p, q, r, s}) == 4 and (p % 2 + q % 2) == (r % 2 + s % 2)]
+    sizes = [basis.pairs(e).shape[1] for e in excitations]
+    assert 1 in sizes
+    for _ in range(4):
+        ansatz = Ansatz(n, n_electrons)
+        ansatz.append(excitations[int(np.argmin(sizes))], 0.5)
+        for i in rng.integers(len(excitations), size=12):
+            ansatz.append(excitations[i], rng.uniform(-1.0, 1.0))
+        assert_bit_identical(ansatz, h, _random_state(rng, basis))
+        assert np.array_equal(apply_ansatz(ansatz, basis=basis).amplitudes,
+                              reference.forward(ansatz, basis)[0].amplitudes)
+
+
+def _carried_starts(monkeypatch):
+    """Every solve's start as `adapt.grow` passes it, beside a fresh
+    evaluation of the stage's objective at the same angles."""
+    starts = []
+    solve = adapt.minimize
+
+    def checking(objective, theta0, **kwargs):
+        starts.append((kwargs["start"], objective(np.array(theta0))))
+        return solve(objective, theta0, **kwargs)
+
+    monkeypatch.setattr(adapt, "minimize", checking)
+    return starts
+
+
+def test_a_carried_start_is_a_fresh_evaluation_bit_for_bit(h4, h6, monkeypatch):
+    # G(0) is the identity: at the new angle 0 the previous optimum's
+    # value, gradient and state, with the screen's slope appended
+    starts = _carried_starts(monkeypatch)
+    _, trace = adapt.run_adapt(h6.ham, h6.pool, n_electrons=h6.n_electrons, eps=1e-8,
+                               max_ops=8)
+    result = pipeline(h4.mol, h4.ham, h4.pool, "fci", 3, 6)
+    assert len(trace.records) == 8 and len(starts) == 8 + 6
+    # only a pipeline's first energy solve evaluates its start
+    assert [k for k, (start, _) in enumerate(starts) if start is None] == [8 + 3]
+    assert len(result.overlap_trace.records) == 3
+    for start, fresh in starts:
+        if start is None:
+            continue
+        value, grad, state, aux = start
+        assert value == fresh[0] and np.array_equal(grad, fresh[1])
+        assert np.array_equal(state.amplitudes, fresh[2].amplitudes)
+        assert np.array_equal(aux, fresh[3])
 
 
 def test_returned_states_and_gradients_outlive_later_evaluations(h6):

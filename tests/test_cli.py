@@ -379,6 +379,36 @@ def test_missing_file_single_line_diagnostic(tmp_path):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["--config", "--fcidump"])
+def test_a_directory_as_input_exits_2_with_one_line(h2_path, tmp_path, capsys, flag):
+    # it printed an IsADirectoryError traceback
+    argv = ["run", "--method", "fci", "--fcidump", h2_path, flag, str(tmp_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "Is a directory" in err[0]
+
+
+@pytest.mark.parametrize("method, flag", [
+    ("fci", "--out-wavefunction"), ("fci", "--dump-state"), ("adapt", "--out-trace"),
+    ("adapt", "--out-ansatz"), ("adapt", "--gnuplot"), ("cipsi", "--out-wavefunction"),
+])
+@pytest.mark.parametrize("missing", [True, False])
+def test_an_unwritable_output_path_exits_2_before_the_run(h2_path, tmp_path, capsys,
+                                                          monkeypatch, method, flag, missing):
+    # the run printed its energy, then failed to write
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "nodir" / "x") if missing else str(tmp_path)
+    argv = ["run", "--method", method, "--fcidump", h2_path, flag, path]
+    argv += {"fci": [], "adapt": ["--max-ops", "1"], "cipsi": ["--cipsi-max-dets", "2"]}[method]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and os.listdir(tmp_path) == []
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} {path}")
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.fcidump"
     bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nnot_a_number 1 1 0 0\n")

@@ -279,9 +279,44 @@ def test_a_nan_theta_is_evaluated_once_per_trial_point():
     assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
+def test_a_known_start_is_not_evaluated_again():
+    # the solve from a start the caller passes in is the solve that
+    # evaluates it, one evaluation fewer; the result keeps the objective's
+    # further items and gradient at the returned point
+    center = np.array([1.0, -2.0, 0.5])
+    seen = []
+
+    def objective(theta):
+        seen.append(theta.copy())
+        value, grad = quadratic(center)(theta)
+        return value, grad, theta.sum()
+
+    theta0 = np.array([0.3, 0.0, -0.1])
+    fresh = minimize(objective, theta0, gtol=1e-10)
+    first = seen[0]
+    seen.clear()
+    carried = minimize(objective, theta0, gtol=1e-10, start=objective(theta0))
+    assert np.array_equal(seen[0], first)  # the start call above
+    assert not any(np.array_equal(x, theta0) for x in seen[1:])
+    assert carried.n_evaluations == fresh.n_evaluations - 1 == len(seen) - 1
+    assert np.array_equal(carried.theta_opt, fresh.theta_opt)
+    assert carried.objective_value == fresh.objective_value
+    assert np.array_equal(carried.gradient, quadratic(center)(carried.theta_opt)[1])
+    assert carried.extra == (carried.theta_opt.sum(),)
+
+
+def test_a_start_that_is_already_converged_returns_it():
+    result = minimize(quadratic(np.zeros(2)), np.zeros(2),
+                      start=(0.0, np.zeros(2), "kept"))
+    assert result.n_evaluations == 0 and result.converged
+    assert result.extra == ("kept",)
+
+
 def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkeypatch):
     # the benchmark's three solves, counted as its tracer counts them, and
-    # the operators each selects
+    # the operators each selects. Each solve starts from the previous
+    # optimum, which it no longer evaluates, except a pipeline's first
+    # energy solve: 564, 599 and 193 evaluations before the carried start.
     counted = []
     solve = adapt.minimize
 
@@ -296,7 +331,7 @@ def test_workload_objective_evaluations_are_unchanged(h6, beh2_stretched, monkey
     h6_run = oada.pipeline(h6.mol, h6.ham, h6.pool, "cipsi", 20, 30, cipsi_max_dets=50)
     beh2_run = oada.pipeline(beh2_stretched.mol, beh2_stretched.ham, beh2_stretched.pool,
                              "fci", 10, 20)
-    assert [sum(counted[:30]), sum(counted[30:60]), sum(counted[60:])] == [564, 599, 193]
+    assert [sum(counted[:30]), sum(counted[30:60]), sum(counted[60:])] == [534, 570, 174]
     assert len(counted) == 80
     assert [r.op_id for r in h6_trace.records] == H6_ADAPT_30_IDS
     for run, ids in ((h6_run, H6_CIPSI_PIPELINE_IDS), (beh2_run, BEH2_FCI_PIPELINE_IDS)):

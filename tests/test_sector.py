@@ -189,6 +189,43 @@ def test_membership_is_the_lookup(n, n_electrons):
             assert np.all(basis.index(outside) < 0)
 
 
+def _searched(basis, masks):
+    """Positions by binary search over the sorted masks, the former lookup."""
+    pos = np.minimum(np.searchsorted(basis.masks, masks), basis.dim - 1)
+    return np.where(basis.masks[pos] == masks, pos, -1)
+
+
+@pytest.mark.parametrize("n, n_electrons",
+                         [(4, 2), (7, 3), (8, 5), (6, 0), (6, 6), (12, 6), (14, 6), (24, 3),
+                          (26, 2)])
+def test_sector_positions_are_the_binary_search(n, n_electrons):
+    sector = Basis.sector(n, n_electrons)
+    # two tables of 2^(N/2) entries while a half has at most 12 bits
+    assert (sector._lookup is None) == (n > 24)
+    rng = np.random.default_rng(n)
+    masks = [sector.masks, rng.integers(-(1 << 62), 1 << 62, size=4096),
+             rng.integers(0, 1 << n, size=4096), sector.masks + (1 << n), -sector.masks - 1]
+    if n <= 16:
+        masks.append(np.arange(1 << n, dtype=np.int64))
+    masks = np.concatenate(masks)
+    positions = sector.index(masks)
+    assert positions.dtype == np.intp
+    assert np.array_equal(positions, _searched(sector, masks))
+    assert np.array_equal(sector.index(sector.masks), np.arange(sector.dim))
+
+
+@pytest.mark.parametrize("name", ["h6", "beh2_stretched", "n2"])
+def test_projection_and_pairs_by_table_are_those_by_search(name, request):
+    problem = request.getfixturevalue(name)
+    excitations = [op.excitation for op in problem.pool]
+    tables, searched = _sector(problem), _sector(problem)
+    searched._lookup = None
+    assert tables._lookup is not None
+    assert_same_csr(tables.project(problem.ham).matrix, searched.project(problem.ham).matrix)
+    for a, b in zip(tables._pairs_of(excitations), searched._pairs_of(excitations)):
+        assert np.array_equal(a, b)
+
+
 def test_projection_of_an_operator_without_terms_is_an_empty_real_matrix():
     # the term loop leaves an empty matrix complex; a projected operator is real
     for basis in (Basis.full(3), Basis.sector(4, 2)):
