@@ -129,7 +129,7 @@ def select_operator(grads) -> int:
     return int(np.argmax(magnitudes >= magnitudes.max() * (1.0 - TIE_RTOL)))
 
 
-def grow(ansatz: Ansatz, stage, *, threshold, budget, e_ref=np.nan):
+def grow(ansatz: Ansatz, stage, *, threshold, budget, e_ref=None):
     """Grow `ansatz` in place until the gradient or budget stop fires, and
     record each iteration.
 
@@ -159,7 +159,7 @@ def grow(ansatz: Ansatz, stage, *, threshold, budget, e_ref=np.nan):
         stage: the stage, as above.
         threshold: stop when the largest |gradient| is below this.
         budget: stop when the ansatz holds this many operators (None: never).
-        e_ref: reference energy of the records' error (NaN: none).
+        e_ref: reference energy of the records' error (None: NaN errors).
 
     Returns:
         GrowthTrace of the stage's GrowthRecords and its stop reason.
@@ -175,6 +175,7 @@ def grow(ansatz: Ansatz, stage, *, threshold, budget, e_ref=np.nan):
     if not pool.operators:
         raise ValueError(f"the {name} pool is empty: there is no operator to screen")
     trace = GrowthTrace()
+    e_ref = np.nan if e_ref is None else float(e_ref)
     iteration = len(ansatz)
     hess_inv = None  # the stage's first solve starts from the identity
     state = apply_ansatz(ansatz, basis=pool.basis)
@@ -269,8 +270,7 @@ def run_adapt(hamiltonian, pool, init: Ansatz = None, *,
     ansatz = init.copy()
     h_eval = Basis.sector(ansatz.n_qubits, ansatz.n_electrons).project(hamiltonian)
     stage = EnergyStage(ansatz, h_eval, PoolScreen(h_eval.basis, pool))
-    trace = grow(ansatz, stage, threshold=eps, budget=max_ops,
-                 e_ref=np.nan if e_ref is None else float(e_ref))
+    trace = grow(ansatz, stage, threshold=eps, budget=max_ops, e_ref=e_ref)
     return ansatz, trace
 
 

@@ -102,6 +102,28 @@ def _initial_hess_inv(hess_inv0, n):
     return matrix
 
 
+def _update_hess_inv(hess_inv, step, change, curvature, work):
+    """Nocedal & Wright eq. 6.17 applied to `hess_inv` in place, expanded to
+    O(n^2): with s the step, y the gradient change, rho = 1 / curvature
+    (curvature = y.s) and h_change = H y, H += (rho^2 y.h_change + rho) s s^T
+    - rho (s h_change^T + h_change s^T), the cross term one outer product
+    and its transpose.
+    The products go into `work`, two (n, n) arrays, so nothing of the
+    matrix's size is allocated; each entry is rounded as in the allocating
+    `H += a * (s s^T)` and `H -= rho * (cross + cross^T)`."""
+    outer, cross = work[0], work[1]
+    rho, h_change = 1.0 / curvature, hess_inv @ change
+    column = step[:, None]
+    # out passed by position: the keyword form cost about 1 us per update at n <= 30
+    np.multiply(column, h_change, cross)
+    np.multiply(column, step, outer)
+    outer *= rho * rho * (change @ h_change) + rho
+    hess_inv += outer
+    np.add(cross, cross.T, outer)
+    outer *= rho
+    hess_inv -= outer
+
+
 def _cubicmin(a, fa, fpa, b, fb, c, fc):
     """Minimizer of the cubic through (a, fa), (b, fb) and (c, fc) with
     slope fpa at a, or None if it has none or it is not finite."""
@@ -184,11 +206,11 @@ def _line_search(evaluate, theta, direction, value, grad, old_value):
     rounding has made the first step 0, or the bracketing phase or the zoom
     runs out of trials.
     """
-    slope0 = np.dot(grad, direction)
+    slope0 = float(np.dot(grad, direction))
 
     def trial(alpha):
         value_a, grad_a = evaluate(theta + alpha * direction)
-        return value_a, grad_a, np.dot(grad_a, direction)
+        return value_a, grad_a, float(np.dot(grad_a, direction))
 
     alpha1 = min(1.0, 1.01 * 2 * (value - old_value) / slope0) if slope0 != 0 else 1.0
     if alpha1 < 0:
@@ -243,6 +265,7 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
     """
     theta = np.array(theta0, dtype=float)
     hess_inv = _initial_hess_inv(hess_inv0, len(theta))
+    work = np.empty((2,) + hess_inv.shape)  # the inverse update's products
     # (theta, value, gradient, extra) of the lowest evaluation
     n_evals, best = 0, None
 
@@ -270,7 +293,7 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
         if n_iter == max_iter:
             stop = "max_iter"
             break
-        direction = -hess_inv @ grad
+        direction = -(hess_inv @ grad)
         accepted = _line_search(evaluate, theta, direction, value, grad, old_value)
         if accepted is None:
             stop = "line search"
@@ -285,14 +308,7 @@ def minimize(objective, theta0, gtol=GTOL, max_iter=500, callback=None,
         change, grad = new_grad - grad, new_grad
         curvature = change @ step
         if curvature > 0:
-            # Nocedal & Wright eq. 6.17, expanded to O(n^2) and applied in
-            # place; the cross term step h_change^T + h_change step^T is one
-            # outer product and its transpose
-            rho, h_change = 1.0 / curvature, hess_inv @ change
-            column = step[:, None]
-            cross = column * h_change
-            hess_inv += (rho * rho * (change @ h_change) + rho) * (column * step)
-            hess_inv -= rho * (cross + cross.T)
+            _update_hess_inv(hess_inv, step, change, curvature, work)
         gnorm = np.abs(grad).max()
         if old_value - value <= FLOOR_K * _EPS * abs(value) and gtol < gnorm < NEAR_MISS * gtol:
             stop = "floor"

@@ -86,7 +86,8 @@ def four_angle_gradient(reference: Statevector, state: Statevector, excitation):
     return abs(combo) / (2.0 * abs(c0))
 
 
-def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamiltonian=None):
+def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamiltonian=None,
+                      e_ref=None):
     """Grow an ansatz from Hartree-Fock to maximize |<ref|psi>|^2, up to
     p_max operators or until the largest overlap gradient is below
     `GTOL_OVERLAP`.
@@ -97,7 +98,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
     record also carries the energy <psi|H|psi> of the optimized iterate,
     read from the state the next screen uses (purely diagnostic; it never
     influences selection); without it the energy is NaN. The records' error
-    column is NaN: the stage has no reference energy.
+    column is that energy minus `e_ref`, NaN when either is absent.
     The loop runs in the Hartree-Fock sector, the Hamiltonian's basis when
     it is already projected; the reference is extracted into it once.
     `pool` is a list of pool operators. The returned ansatz is a copy, which
@@ -114,7 +115,7 @@ def run_overlap_adapt(reference: Statevector, pool, p_max, *, n_electrons, hamil
         h_eval = basis.project(hamiltonian)
         basis = h_eval.basis  # an operator passed through keeps its pair cache
     stage = OverlapStage(ansatz, basis.extract(reference), h_eval, PoolScreen(basis, pool))
-    trace = grow(ansatz, stage, threshold=GTOL_OVERLAP, budget=p_max)
+    trace = grow(ansatz, stage, threshold=GTOL_OVERLAP, budget=p_max, e_ref=e_ref)
     return ansatz.copy(), trace
 
 
@@ -206,6 +207,9 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
     both stages live in that sector; each stage screens the pool through
     its own `PoolScreen`.
 
+    Both traces' error column is each record's energy minus `e_ref` (NaN
+    without it).
+
     Repeated compression is chaining: feed the returned ansatz back in as
     `target_ansatz` with ref_source 'adapt-ansatz'.
 
@@ -221,7 +225,8 @@ def pipeline(mol, hamiltonian, pool, ref_source, p_overlap, p_total, *,
         cipsi_target_e2=cipsi_target_e2, target_ansatz=target_ansatz,
         target_wavefunction=target_wavefunction)
     overlap_ansatz, overlap_trace = run_overlap_adapt(
-        target, pool, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector)
+        target, pool, p_overlap, n_electrons=mol.n_electrons, hamiltonian=h_sector,
+        e_ref=e_ref)
     ansatz, adapt_trace = run_adapt(
         h_sector, pool, init=overlap_ansatz, eps=eps, max_ops=p_total, e_ref=e_ref)
     return PipelineResult(ansatz, adapt_trace, overlap_trace, target, target_energy)

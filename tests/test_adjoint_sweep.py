@@ -10,7 +10,8 @@ agree with the reference to 1e-12.
 `reference_kernels` keeps the kernel's former per-evaluation path (a pair
 lookup per evolution, a list tape and two concatenations); the kept
 single-assignment sweep plan must give exactly its values, through the
-plan's whole life cycle.
+plan's whole life cycle. A plan grown by appends must hold the tables of
+one built for the whole list, and of a walk over the slots in order.
 """
 
 import math
@@ -23,8 +24,9 @@ import scipy.sparse as sp
 from oada import adapt
 from oada.overlap_adapt import pipeline
 from oada.pool import DoubleExcitation, SingleExcitation
-from oada.statevector import (Ansatz, Basis, ProjectedOperator, Statevector, apply_ansatz,
-                              energy_and_gradient, overlap_and_gradient, prepare_hf)
+from oada.statevector import (Ansatz, Basis, ProjectedOperator, Statevector, _Sweep,
+                              apply_ansatz, energy_and_gradient, overlap_and_gradient,
+                              prepare_hf)
 import reference_kernels as reference
 
 TOL = 1e-12
@@ -223,11 +225,15 @@ def test_single_assignment_sweep_is_the_former_path_at_every_length(h6, m):
         ansatz.thetas = list(rng.uniform(-1.0, 1.0, m))
     sweep = ansatz._sweep
     assert sweep._reads.dtype == np.intp and sweep._final.dtype == np.intp
+    # room for C pairs, at most half as many again as the T laid out
+    capacity, total = sweep._capacity, sweep._total
+    assert total <= capacity <= total + total // 2
     # one slot per amplitude written, after the starting vector
-    assert sweep._ahead.shape == sweep._back.shape == (h.basis.dim + 2 * sweep._total,)
-    # one read table for both directions: the plan is 24 dim + 48 T bytes
+    assert sweep._ahead.shape == sweep._back.shape == (h.basis.dim + 2 * capacity,)
+    assert sweep._reads.shape == (2 * total,)
+    # one read table for both directions: the plan is 24 dim + 48 C bytes
     assert (sweep._reads.base.nbytes + sweep._ahead.base.nbytes
-            == 24 * h.basis.dim + 48 * sweep._total)
+            == 24 * h.basis.dim + 48 * capacity)
 
 
 def test_single_assignment_sweep_follows_appends_and_replacements(h4):
@@ -246,6 +252,15 @@ def test_single_assignment_sweep_follows_appends_and_replacements(h4):
         assert ansatz._sweep is not before
 
 
+def _all_excitations(n):
+    """Every spin-conserving single and double excitation on n spin orbitals."""
+    excitations = [SingleExcitation(p, q) for p in range(n) for q in range(p % 2, p, 2)]
+    excitations += [DoubleExcitation(p, q, r, s) for p in range(n) for q in range(p + 1, n)
+                    for r in range(n) for s in range(r + 1, n)
+                    if len({p, q, r, s}) == 4 and (p % 2 + q % 2) == (r % 2 + s % 2)]
+    return excitations
+
+
 @pytest.mark.parametrize("n, n_electrons", [(4, 1), (4, 3), (6, 1), (6, 5), (6, 2)])
 def test_single_assignment_sweep_is_the_former_path_on_tiny_sectors(n, n_electrons):
     # runs of one pair and of none, repeated and in any order (the first
@@ -255,10 +270,7 @@ def test_single_assignment_sweep_is_the_former_path_on_tiny_sectors(n, n_electro
     rng = np.random.default_rng(10 * n + n_electrons)
     a = rng.normal(size=(basis.dim, basis.dim))
     h = ProjectedOperator(basis, sp.csr_matrix(a + a.T))
-    excitations = [SingleExcitation(p, q) for p in range(n) for q in range(p % 2, p, 2)]
-    excitations += [DoubleExcitation(p, q, r, s) for p in range(n) for q in range(p + 1, n)
-                    for r in range(n) for s in range(r + 1, n)
-                    if len({p, q, r, s}) == 4 and (p % 2 + q % 2) == (r % 2 + s % 2)]
+    excitations = _all_excitations(n)
     sizes = [basis.pairs(e).shape[1] for e in excitations]
     assert 1 in sizes
     for _ in range(4):
@@ -269,6 +281,112 @@ def test_single_assignment_sweep_is_the_former_path_on_tiny_sectors(n, n_electro
         assert_bit_identical(ansatz, h, _random_state(rng, basis))
         assert np.array_equal(apply_ansatz(ansatz, basis=basis).amplitudes,
                               reference.forward(ansatz, basis)[0].amplitudes)
+
+
+def reference_tables(pairs, dim):
+    """The read table and every position's last slot, walking the slots in
+    order: pair after pair, its source, then its destination."""
+    last, reads = list(range(dim)), []
+    positions = [int(position) for p in pairs for position in p.T.ravel()]
+    for slot, position in enumerate(positions, start=dim):
+        reads.append(last[position])
+        last[position] = slot
+    return np.array(reads, dtype=np.intp), np.array(last, dtype=np.intp)
+
+
+def assert_extended_plan_is_built_afresh(ansatz, basis):
+    """The kept plan, grown by appends, has the tables and runs of a plan
+    built for the whole excitation list, and those of the walk above."""
+    kept, fresh = ansatz._sweep, _Sweep(ansatz, basis)
+    assert kept.excitations == fresh.excitations == ansatz.excitations
+    reads, final = reference_tables(fresh.pairs, basis.dim)
+    for plan in (kept, fresh):
+        assert np.array_equal(plan._reads, reads) and np.array_equal(plan._final, final)
+        assert plan._total <= plan._capacity <= plan._total + plan._total // 2
+    for name in ("_starts", "_nonempty"):
+        assert np.array_equal(getattr(kept, name), getattr(fresh, name)), name
+    assert kept._runs == fresh._runs and kept._singles == fresh._singles
+    assert len(kept._steps) == len(fresh._steps) == len(ansatz)
+
+
+def test_an_extended_plan_is_the_plan_built_afresh_over_a_growth(h6):
+    # 30 appends drawn from 12 operators, so most are repeats
+    rng = np.random.default_rng(59)
+    h = h6.sector
+    target = _random_state(rng, h.basis)
+    ansatz = Ansatz(h6.n, h6.n_electrons)
+    energy_and_gradient(ansatz, h)
+    plan = ansatz._sweep
+    for i in rng.integers(12, size=30):
+        ansatz.append(h6.pool[i].excitation, rng.uniform(-1.0, 1.0))
+        assert_bit_identical(ansatz, h, target)
+        assert ansatz._sweep is plan
+        assert_extended_plan_is_built_afresh(ansatz, h.basis)
+    assert len(set(ansatz.excitations)) < len(ansatz)
+
+
+@pytest.mark.parametrize("n, n_electrons", [(4, 1), (6, 1), (6, 5)])
+def test_an_extended_plan_is_the_plan_built_afresh_on_tiny_sectors(n, n_electrons):
+    # runs of one pair and of none, appended one and several at a time
+    basis = Basis.sector(n, n_electrons)
+    rng = np.random.default_rng(n + 7 * n_electrons)
+    excitations = _all_excitations(n)
+    sizes = {basis.pairs(e).shape[1] for e in excitations}
+    assert {0, 1} <= sizes
+    ansatz = Ansatz(n, n_electrons)
+    apply_ansatz(ansatz, basis=basis)
+    plan = ansatz._sweep
+    for count in (1, 1, 3, 1, 5, 2):
+        for i in rng.integers(len(excitations), size=count):
+            ansatz.append(excitations[i], rng.uniform(-1.0, 1.0))
+        assert np.array_equal(apply_ansatz(ansatz, basis=basis).amplitudes,
+                              reference.forward(ansatz, basis)[0].amplitudes)
+        assert ansatz._sweep is plan
+        assert_extended_plan_is_built_afresh(ansatz, basis)
+
+
+def test_the_kept_plan_is_rebuilt_after_any_other_edit(h4):
+    rng = np.random.default_rng(61)
+    sector, full = h4.sector, h4.full
+    target = _random_state(rng, sector.basis)
+    ansatz = _random_ansatz(rng, h4.pool, h4.n, h4.n_electrons, 4)
+
+    def rebuilt(edit, h):
+        before = ansatz._sweep
+        edit()
+        assert_bit_identical(ansatz, h, target if h is sector else _random_state(rng, h.basis))
+        assert_extended_plan_is_built_afresh(ansatz, h.basis)
+        return ansatz._sweep is not before
+
+    assert_bit_identical(ansatz, sector, target)  # builds the plan
+    assert not rebuilt(lambda: None, sector)
+    assert not rebuilt(lambda: ansatz.append(h4.pool[2].excitation, 0.3), sector)
+    assert rebuilt(lambda: ansatz.excitations.__setitem__(1, h4.pool[-1].excitation), sector)
+    assert rebuilt(lambda: (ansatz.excitations.pop(), ansatz.thetas.pop()), sector)
+
+    def replace_and_append():  # no longer a prefix, though the list grew
+        ansatz.excitations[0] = h4.pool[1].excitation
+        ansatz.append(h4.pool[4].excitation, 0.2)
+
+    assert rebuilt(replace_and_append, sector)
+    assert rebuilt(lambda: None, full)  # another basis
+    assert not rebuilt(lambda: ansatz.append(h4.pool[0].excitation, -0.6), full)
+    assert rebuilt(lambda: setattr(ansatz, "n_electrons", h4.n_electrons - 2), full)
+
+
+def test_a_growth_stage_builds_one_plan(h4, monkeypatch):
+    built = []
+    build = _Sweep.__init__
+
+    def counting(plan, *args):
+        built.append(plan)
+        build(plan, *args)
+
+    monkeypatch.setattr(_Sweep, "__init__", counting)
+    ansatz, trace = adapt.run_adapt(h4.ham, h4.pool, n_electrons=h4.n_electrons, eps=1e-8,
+                                    max_ops=6)
+    assert len(trace.records) == 6 and trace.stop_reason == "budget"
+    assert built == [ansatz._sweep]
 
 
 def _carried_starts(monkeypatch):

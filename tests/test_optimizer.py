@@ -6,7 +6,7 @@ from scipy.optimize import line_search as scipy_line_search
 
 import oada
 from oada import adapt, optimizer
-from oada.optimizer import FLOOR_K, NEAR_MISS, _line_search, minimize
+from oada.optimizer import FLOOR_K, NEAR_MISS, _line_search, _update_hess_inv, minimize
 from oada.statevector import Ansatz, energy_and_gradient
 from test_adapt import BEH2_FCI_PIPELINE_IDS, H6_ADAPT_30_IDS, H6_CIPSI_PIPELINE_IDS
 
@@ -145,6 +145,25 @@ def test_returned_hess_inv_cuts_the_next_solve():
     assert cold.converged and warm.converged
     assert warm.n_evaluations < cold.n_evaluations
     assert np.max(np.abs(warm.theta_opt - cold.theta_opt)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_the_in_place_inverse_update_is_the_allocating_one_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    work = np.empty((2, n, n))
+    for _ in range(5):
+        a = rng.normal(size=(n, n))
+        hess_inv = a @ a.T + np.eye(n)
+        step, change = rng.normal(size=n), rng.normal(size=n)
+        curvature = change @ step
+        expected = hess_inv.copy()
+        rho, h_change = 1.0 / curvature, expected @ change
+        column = step[:, None]
+        cross = column * h_change
+        expected += (rho * rho * (change @ h_change) + rho) * (column * step)
+        expected -= rho * (cross + cross.T)
+        _update_hess_inv(hess_inv, step, change, curvature, work)
+        assert np.array_equal(hess_inv, expected)
 
 
 def test_smaller_hess_inv0_is_bordered_with_one():

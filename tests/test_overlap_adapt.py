@@ -183,5 +183,11 @@ def test_overlap_trace_csv_shape(h4):
             else:
                 assert float(cell) == value, (record.iteration, column)
     assert all(np.isnan(r.infidelity) for r in energy_records)
-    assert all(np.isnan(r.error_vs_ref) and r.energy >= h4.e_fci for r in overlap_records)
+    # the overlap rows' error is against the pipeline's reference too, and
+    # NaN for a stage run without one
+    assert all(r.error_vs_ref == r.energy - h4.e_fci and r.energy >= h4.e_fci
+               for r in overlap_records)
+    _, trace = run_overlap_adapt(result.target_state, h4.pool, 2, n_electrons=h4.n_electrons,
+                                 hamiltonian=h4.ham)
+    assert trace.records and all(np.isnan(r.error_vs_ref) for r in trace.records)
     assert [r.cnots for r in overlap_records + energy_records] == [13 * k for k in range(1, 7)]
