@@ -9,10 +9,11 @@ with NORB/NELEC/MS2 followed by integral records `value i j k l` with
   * otherwise        two-electron integral (ij|kl)
 
 Two-electron integrals obey the 8-fold permutational symmetry of real
-orbitals and are stored under a canonical key. Fortran `D` exponents are
-accepted, values that are not finite numbers refused. Lines starting with
-`#` are comments; fixture files use them to carry `# REF_HF=` /
-`# REF_FCI=` reference energies.
+orbitals and are stored under a canonical key (one-electron ones under
+(i, j) with i >= j); two records of one key must carry equal values.
+Fortran `D` exponents are accepted, values that are not finite numbers
+refused. Lines starting with `#` are comments; fixture files use them to
+carry `# REF_HF=` / `# REF_FCI=` reference energies.
 """
 
 from __future__ import annotations
@@ -78,7 +79,12 @@ class MolecularHamiltonian:
     """Second-quantized spin-orbital Hamiltonian.
 
     h_pqrs[p, q, r, s] is the coefficient of a_p^ a_r^ a_s a_q and carries
-    the factor 1/2 from the double-counted two-electron sum. Spin orbitals
+    the factor 1/2 from the double-counted two-electron sum. The integrals
+    are real and hermitian term by term, h_pq = h_qp and h_pqrs = h_qpsr
+    (the coefficient of the adjoint a_q^ a_s^ a_r a_p), which
+    `to_spin_orbital` gives exactly and `pauli.jw_hamiltonian` requires to
+    1e-12; symmetry only under a_p^ a_r^ a_s a_q = a_r^ a_p^ a_q a_s
+    (h_pqrs = h_rspq) is not enough. Spin orbitals
     are interleaved: p = 2*(spatial-1) + sigma, sigma=0 alpha, 1 beta, so
     the closed-shell Hartree-Fock determinant occupies the lowest n bits.
     """
@@ -162,6 +168,7 @@ def parse_fcidump(text) -> FcidumpData:
         raise FcidumpError(f"NELEC={nelec} outside [0, {2 * norb}]")
 
     data = FcidumpData(norb=norb, nelec=nelec, ms2=ms2)
+    first_line = {}  # canonical key -> line of its first record
     for lineno, line in lines[body_start:]:
         tokens = line.split()
         if len(tokens) != 5:
@@ -179,12 +186,23 @@ def parse_fcidump(text) -> FcidumpData:
         elif k == 0 and l == 0:
             if i == 0 or j == 0:
                 raise FcidumpError(f"line {lineno}: one-body record with zero index")
-            data.one_body[_canonical_one_body(i, j)] = value
+            _store(data.one_body, _canonical_one_body(i, j), value, lineno, first_line)
         else:
             if 0 in (i, j, k, l):
                 raise FcidumpError(f"line {lineno}: two-body record with zero index")
-            data.two_body[_canonical_two_body(i, j, k, l)] = value
+            _store(data.two_body, _canonical_two_body(i, j, k, l), value, lineno,
+                   first_line)
     return data
+
+
+def _store(table, key, value, lineno, first_line):
+    """Record an integral under its canonical key. A repeat of the key, as
+    writers that emit every permutation give, must carry the same value."""
+    held = table.setdefault(key, value)
+    if held != value:
+        raise FcidumpError(f"line {lineno}: integral {key} = {value!r} differs "
+                           f"from {held!r} on line {first_line[key]}")
+    first_line.setdefault(key, lineno)
 
 
 def read_fcidump(path) -> FcidumpData:

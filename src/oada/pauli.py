@@ -6,8 +6,13 @@ Y iff its bit is set in both). The represented operator is the Hermitian
 
     P(z, x) = (-i)^{|z & x|} * Z(z) * X(x)
 
-so products reduce to mask XORs plus an integer phase. Operators are sums
-of strings with complex coefficients, pruned below 1e-14.
+so products reduce to mask XORs plus an integer phase; P(z, x) is a real
+matrix when |z & x|, its number of Y's, is even, and an imaginary one when
+it is odd. Operators are sums of strings with complex coefficients, pruned
+below 1e-14. `jw_hamiltonian` takes real integrals with h_pq = h_qp and
+h_pqrs = h_qpsr, and refuses others: its Hamiltonian is a real symmetric
+matrix, so it holds only strings with an even number of Y's, each with a
+real coefficient.
 """
 
 from __future__ import annotations
@@ -142,6 +147,10 @@ class QubitOperator:
         over distinct strings P: one pass over the imaginary parts. (The
         difference as an operator would drop its coefficients below
         COEFF_CUTOFF, so the two agree for tol >= COEFF_CUTOFF.)
+        `jw_hamiltonian` checks its integrals instead and assembles only
+        real coefficients, so its operators pass with max|Im c| = 0; an
+        operator hermitian only through the pair symmetry a_p^ a_r^ a_s a_q
+        = a_r^ a_p^ a_q a_s never reaches this check, being refused there.
         """
         return 2 * max((abs(c.imag) for c in self.terms.values()), default=0.0) <= tol
 
@@ -196,20 +205,28 @@ MAX_MASK_QUBITS = 62
 
 
 def _ladder_products(ops, daggers):
-    """Pauli expansions of products of Jordan-Wigner ladder operators.
+    """Real Pauli strings of products of Jordan-Wigner ladder operators.
 
     Row k of `ops` holds the spin-orbital indices of one product, left to
     right; `daggers[j]` tells whether factor j is a creation operator. Each
     factor is two strings, (x, z) = (1<<i, (1<<i)-1) and (1<<i, (1<<i)-1 |
     1<<i), of weight 1/2 and +-i/2, so a product of m factors is 2^m
-    strings that share one x mask, bit i of a mask standing for qubit i.
-    Strings of a row with equal z masks are summed and exact zeros dropped,
-    as `QubitOperator.__matmul__` would; the weights are multiples of 2^-m,
-    so these sums are exact. The temporaries hold about a dozen int64 per
-    string, so callers bound the rows per call (`JW_CHUNK`).
+    strings that share one x mask, bit i of a mask standing for qubit i,
+    each of weight i^power / 2^m. Only the strings of even power are kept:
+    their weights are real, +-2^-m, while those of odd power are imaginary
+    and cancel in the sum of any hermitian operator with real integrals
+    (`jw_hamiltonian` checks its input for that). A row with x = 0 has
+    only real strings, any other row exactly half, so the two kinds of row
+    are reduced as two rectangular blocks. Strings of a row with equal z
+    masks are summed and exact zeros dropped, as `QubitOperator.__matmul__`
+    would; the weights are multiples of 2^-m, so these sums are exact. The
+    temporaries hold about a dozen int64 per string, so callers bound the
+    rows per call (`JW_CHUNK`).
 
-    Returns (row, x, z, coeff) per remaining string: rows ascending, z
-    ascending within a row.
+    Returns (row, x, z, coeff) per remaining string, coeff float64: first
+    the rows with x = 0, then the others, rows ascending within each block
+    and z ascending within a row. The blocks share no (x, z) key, so every
+    key meets its rows in ascending order.
     """
     m = ops.shape[1]
     width = 1 << m
@@ -235,18 +252,31 @@ def _ladder_products(ops, daggers):
     power += 2 * (below[:, None] + weight @ choice)
     power &= 3
 
-    order = np.argsort(z, axis=1)
-    z = np.take_along_axis(z, order, axis=1).ravel()
-    power = np.take_along_axis(power, order, axis=1).ravel()
-    first = np.ones(len(z), dtype=bool)
-    first[1:] = z[1:] != z[:-1]
-    first[::width] = True
-    starts = np.flatnonzero(first)
-    coeff = np.add.reduceat(np.array(_I_POWERS)[power], starts) / width
-    keep = coeff != 0
-    starts, coeff = starts[keep], coeff[keep]
-    row = starts // width
-    return row, x[row], z[starts], coeff
+    flat = x == 0
+    parts = []
+    for rows in (np.flatnonzero(flat), np.flatnonzero(~flat)):
+        if not len(rows):
+            continue
+        z_rows, power_rows = z[rows], power[rows]
+        cols = width
+        if x[rows[0]]:  # keep the even powers, half of each row
+            real = (power_rows & 1) == 0
+            cols >>= 1
+            z_rows = z_rows[real].reshape(-1, cols)
+            power_rows = power_rows[real].reshape(-1, cols)
+        order = np.argsort(z_rows, axis=1)
+        z_rows = np.take_along_axis(z_rows, order, axis=1).ravel()
+        sign = 1 - np.take_along_axis(power_rows, order, axis=1).ravel()  # i^power
+        first = np.ones(len(z_rows), dtype=bool)
+        first[1:] = z_rows[1:] != z_rows[:-1]
+        first[::cols] = True
+        starts = np.flatnonzero(first)
+        coeff = np.add.reduceat(sign, starts) / width
+        keep = coeff != 0
+        starts, coeff = starts[keep], coeff[keep]
+        parts.append((rows[starts // cols], z_rows[starts], coeff))
+    row, z, coeff = (np.concatenate(a) for a in zip(*parts))
+    return row, x[row], z, coeff
 
 
 # Rows per `_ladder_products` call in `jw_hamiltonian`; bounds its
@@ -258,12 +288,21 @@ JW_CHUNK = 1 << 10
 def _two_body_rows(mol):
     """The (p, r, s, q) rows of the two-body sum and their integrals
     h_pqrs, one creation index p at a time (an n^3 slice of the integrals),
-    in (p, r, s, q) order."""
+    in (p, r, s, q) order.
+
+    Raises ValueError, at the slice of p, when max|h_pqrs - h_qpsr| > 1e-12.
+    """
     n = mol.n_spin_orbitals
     diagonal = np.arange(n)
     for p in range(n):
         g_p = mol.h_pqrs[p].transpose(1, 2, 0)  # g_p[r, s, q] = h_pqrs[p, q, r, s]
-        keep = np.abs(g_p) >= COEFF_CUTOFF
+        # One n^3 buffer: h_pqrs - h_qpsr at [r, s, q], then |g_p|.
+        buffer = g_p - mol.h_pqrs[:, p].transpose(2, 1, 0)
+        if np.abs(buffer, out=buffer).max() > 1e-12:
+            raise ValueError("two-body integrals are not hermitian: "
+                             f"h_pqrs != h_qpsr at p = {p}")
+        keep = np.abs(g_p, out=buffer) >= COEFF_CUTOFF
+        del buffer  # not held across the yield
         keep[p] = False
         keep[:, diagonal, diagonal] = False
         r, s, q = np.nonzero(keep)
@@ -295,6 +334,15 @@ def jw_hamiltonian(mol) -> QubitOperator:
     over the integrals of magnitude at least COEFF_CUTOFF (terms with p = r
     or s = q vanish and are skipped).
 
+    The integrals must be real and hermitian term by term: max|h_pq -
+    h_qp| <= 1e-12 and max|h_pqrs - h_qpsr| <= 1e-12, as `to_spin_orbital`
+    gives exactly. Then the strings with an odd number of Y's, whose
+    matrices are imaginary, cancel in exact arithmetic (within the
+    tolerance they would carry the input's anti-hermitian part), so only
+    the real strings are expanded and added. An operator hermitian only through the pair
+    symmetry a_p^ a_r^ a_s a_q = a_r^ a_p^ a_q a_s (h_pqrs = h_rspq without
+    h_pqrs = h_qpsr) is refused.
+
     The ladder products are expanded with array arithmetic by
     `_ladder_products`, `JW_CHUNK` rows at a time: the one-body (p, q)
     rows, then the two-body (p, r, s, q) rows, selected one creation index
@@ -308,24 +356,28 @@ def jw_hamiltonian(mol) -> QubitOperator:
     (p, r, s, q) order. So every string's coefficient is the same
     floating-point sum, bit for bit, as accumulating the products one term
     at a time. The masks stay two int64 keys; packed into one they would
-    not fit beyond 31 spin orbitals.
-
-    Every Pauli string is hermitian, so H - H^dagger = sum 2i Im(c) P and
-    the check is 2 max|Im c| <= 1e-12 on the sums, `is_hermitian(1e-12)`.
-    The operator keeps the strings with |c| >= COEFF_CUTOFF, in (x, z)
-    order.
+    not fit beyond 31 spin orbitals. The operator keeps the strings with
+    |c| >= COEFF_CUTOFF, in (x, z) order, with complex coefficients of
+    zero imaginary part.
 
     Raises:
         DimensionCapError: above MAX_MASK_QUBITS spin orbitals, before
             anything is allocated.
-        ValueError: when the assembled operator is not hermitian.
+        ValueError: when the integrals are complex, or not hermitian as
+            above; the two-body check runs one creation index at a time.
     """
     n = mol.n_spin_orbitals
     if n > MAX_MASK_QUBITS:
         raise DimensionCapError(
             f"{n} spin orbitals exceeds the {MAX_MASK_QUBITS}-bit mask cap")
+    h1 = mol.h_pq
+    if any(np.iscomplexobj(a) for a in (mol.core_energy, h1, mol.h_pqrs)):
+        raise ValueError("complex integrals are refused as not hermitian: "
+                         "only real integrals are supported")
+    if np.max(np.abs(h1 - h1.T), initial=0.0) > 1e-12:
+        raise ValueError("one-body integrals are not hermitian: h_pq != h_qp")
     key_x = key_z = np.zeros(1, dtype=np.int64)  # the identity, holding the core
-    total = np.array([mol.core_energy], dtype=np.complex128)
+    total = np.array([mol.core_energy], dtype=np.float64)
 
     def accumulate(ops, daggers, values):
         nonlocal key_x, key_z, total
@@ -338,23 +390,20 @@ def jw_hamiltonian(mol) -> QubitOperator:
         group = np.empty_like(order)
         group[order] = np.cumsum(new) - 1
         key_x, key_z = x[new], z[new]
-        sums = np.zeros(len(key_x), dtype=np.complex128)
+        sums = np.zeros(len(key_x))
         sums[group[:len(total)]] = total
         np.add.at(sums, group[len(total):], values[row] * coeff)
         total = sums
 
-    h1 = mol.h_pq
     p, q = np.nonzero(np.abs(h1) >= COEFF_CUTOFF)
     for ops, values in _in_chunks([(np.stack([p, q], axis=1), h1[p, q])], JW_CHUNK):
         accumulate(ops, (True, False), values)
     for ops, values in _in_chunks(_two_body_rows(mol), JW_CHUNK):
         accumulate(ops, (True, True, False, False), values)
-    if 2 * np.max(np.abs(total.imag)) > 1e-12:
-        raise ValueError("assembled Hamiltonian is not hermitian")
     kept = np.flatnonzero(np.abs(total) >= COEFF_CUTOFF)
-    ham = QubitOperator(n)  # the terms are already pruned and complex
+    ham = QubitOperator(n)  # the terms are already pruned
     ham.terms = dict(zip(map(PauliString, key_x[kept].tolist(), key_z[kept].tolist()),
-                         total[kept].tolist()))
+                         map(complex, total[kept].tolist())))
     return ham
 
 

@@ -417,6 +417,17 @@ def test_parse_error_exit_code(tmp_path):
     assert "line" in result.stderr
 
 
+def test_conflicting_integral_records_exit_code(h2_path, tmp_path, capsys):
+    # the later of two records of one canonical key was kept without a word
+    clash = tmp_path / "clash.fcidump"
+    clash.write_text(open(h2_path).read() + "0.1 1 2 0 0\n0.2 2 1 0 0\n")
+    assert main(["run", "--method", "fci", "--fcidump", str(clash)]) == 2
+    out, err = capsys.readouterr()
+    err = err.strip().splitlines()
+    assert out == "" and len(err) == 1
+    assert "differs from 0.1 on line" in err[0] and err[0].startswith("error: line ")
+
+
 def test_non_finite_integral_exit_code(h2_path, tmp_path, capsys):
     # a NaN (11|11) was dropped by the coefficient cutoff: the run printed a
     # wrong E_FCI and exited 0

@@ -49,6 +49,24 @@ def test_slash_terminated_namelist():
     assert data.norb == 1 and data.one_body_value(1, 1) == -0.5
 
 
+@pytest.mark.parametrize("records, lines", [
+    ("0.1 1 2 0 0\n0.2 2 1 0 0\n", "line 6: .* on line 5"),
+    ("0.5 1 1 2 2\n0.3 2 1 2 1\n-0.5 2 2 1 1\n", "line 7: .* on line 5"),
+    ("0.3 2 1 1 2\n0.3 1 2 2 1\n0.4 2 1 2 1\n", "line 7: .* on line 5"),
+])
+def test_conflicting_records_of_one_key_name_both_lines(records, lines):
+    with pytest.raises(FcidumpError, match=lines):
+        parse_fcidump(HEADER + records)
+
+
+def test_equal_repeats_of_one_key_are_accepted():
+    # writers that emit every permutation repeat each canonical key
+    data = parse_fcidump(HEADER + "0.1 1 2 0 0\n0.1 2 1 0 0\n"
+                         "0.3 2 1 1 1\n0.3 1 2 1 1\n0.3 1 1 1 2\n0.3 1 1 2 1\n")
+    assert data.one_body == {(2, 1): 0.1}
+    assert data.two_body == {(2, 1, 1, 1): 0.3}
+
+
 def test_missing_namelist_key():
     with pytest.raises(FcidumpError, match="NELEC"):
         parse_fcidump("&FCI NORB=2,MS2=0,\n&END\n")

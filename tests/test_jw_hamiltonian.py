@@ -138,6 +138,72 @@ def test_asymmetric_one_body_is_not_hermitian():
         jw_hamiltonian(mol)
 
 
+def test_two_body_symmetric_only_under_pair_exchange_is_refused():
+    # a_0^ a_1^ a_3 a_2 plus its adjoint a_2^ a_3^ a_1 a_0, written as
+    # a_3^ a_2^ a_0 a_1 by the pair symmetry: hermitian, but h_pqrs != h_qpsr
+    n = 4
+    g = np.zeros((n,) * 4)
+    g[0, 2, 1, 3] = g[3, 1, 2, 0] = 0.2
+    mol = MolecularHamiltonian(n_spin_orbitals=n, n_electrons=2, core_energy=0.0,
+                               h_pq=np.zeros((n, n)), h_pqrs=g)
+    assert reference_jw_hamiltonian(mol).is_hermitian()
+    with pytest.raises(ValueError, match="not hermitian"):
+        jw_hamiltonian(mol)
+
+
+@pytest.mark.parametrize("part", ["one_body", "two_body", "core"])
+def test_complex_integrals_are_refused(part):
+    mol = to_spin_orbital(oada.read_fcidump(oada.fixture_path("h2_0.7414")))
+    if part == "core":
+        mol.core_energy = complex(mol.core_energy)
+    else:
+        name = "h_pq" if part == "one_body" else "h_pqrs"
+        setattr(mol, name, getattr(mol, name).astype(np.complex128))
+    with pytest.raises(ValueError, match="complex integrals"):
+        jw_hamiltonian(mol)
+
+
+def diagonal_molecule(norb, seed):
+    """Number-operator terms only: every product has x = 0."""
+    rng = np.random.default_rng(seed)
+    n = 2 * norb
+    h_pqrs = np.zeros((n,) * 4)
+    pair = rng.normal(size=(n, n))
+    p = np.arange(n)
+    h_pqrs[p[:, None], p[:, None], p, p] = pair + pair.T  # h_pprr, of n_p n_r
+    return MolecularHamiltonian(n_spin_orbitals=n, n_electrons=2, core_energy=0.3,
+                                h_pq=np.diag(rng.normal(size=n)), h_pqrs=h_pqrs)
+
+
+def off_diagonal_molecule(norb, seed):
+    """Random integrals less every product with x = 0."""
+    mol = to_spin_orbital(random_integrals(norb, 2, seed))
+    np.fill_diagonal(mol.h_pq, 0.0)
+    bits = 1 << np.arange(mol.n_spin_orbitals)
+    x = (bits[:, None, None, None] ^ bits[None, :, None, None]
+         ^ bits[None, None, :, None] ^ bits[None, None, None, :])
+    mol.h_pqrs[x == 0] = 0.0
+    return mol
+
+
+@pytest.mark.parametrize("build", [diagonal_molecule, off_diagonal_molecule])
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_bit_identical_when_one_reduction_block_is_empty(build, chunk, monkeypatch):
+    monkeypatch.setattr(pauli, "JW_CHUNK", chunk)
+    mol = build(5, 21)
+    rows = [np.argwhere(mol.h_pq)] + [rows for rows, _ in pauli._two_body_rows(mol)]
+    x = np.concatenate([np.bitwise_xor.reduce(1 << r, axis=1) for r in rows])
+    assert len(x) > 50 and np.all((x == 0) == (build is diagonal_molecule))
+    assert_bit_identical(mol)
+
+
+@pytest.mark.parametrize("name", oada.available_fixtures())
+def test_every_string_has_an_even_number_of_ys(name):
+    ham = jw_hamiltonian(to_spin_orbital(oada.read_fcidump(oada.fixture_path(name))))
+    assert all((s.x_mask & s.z_mask).bit_count() % 2 == 0 for s in ham.terms)
+    assert all(c.imag == 0.0 for c in ham.terms.values())
+
+
 def test_top_mask_bit_hopping():
     n = MAX_MASK_QUBITS
     top = n - 1
